@@ -15,6 +15,9 @@ Conventions
 * Every run is deterministic given its inputs and flags: reports carry no
   timestamps, map keys are sorted, and ``--jobs N`` produces artifacts
   byte-identical to ``--jobs 1``.
+* ``--jobs N`` streams frames through a window of 2 x N: each frame is
+  written as soon as it and every frame before it are done, so memory
+  does not grow with the number of frames.
 * A flat ``key=value`` config file (``--config``) may supply any flag of
   its subcommand, spelled without the leading dashes; explicit flags win.
   The ``CAMPERTURB_SEED`` environment variable overrides the seed from
@@ -25,6 +28,7 @@ Conventions
 from __future__ import annotations
 
 import argparse
+import collections
 import json
 import math
 import os
@@ -113,7 +117,7 @@ def _read_config_file(path: str) -> dict[str, str]:
     """Read a flat key=value file; '#' starts a comment, blank lines skipped."""
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"cannot read config file {path}: {exc}") from exc
     values: dict[str, str] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -130,20 +134,29 @@ def _read_config_file(path: str) -> dict[str, str]:
 
 
 class _Option:
-    """One resolvable option: flag name, converter, default."""
+    """One option of a subcommand: name, converter, help text, default.
 
-    def __init__(self, name, convert, default=None, required=False):
-        self.name = name            # config-file key, e.g. "sigma-pitch"
+    A subcommand's ``_Option`` table is the only place its options are
+    declared: ``build_parser`` makes one flag per entry, and the entry
+    names are exactly the keys its config file accepts.
+    """
+
+    def __init__(self, name, convert, help, default=None, required=False):
+        self.name = name            # flag without "--" and config-file key
         self.dest = name.replace("-", "_")
         self.convert = convert
+        self.help = help
         self.default = default
         self.required = required
 
 
 def _resolve_options(args: argparse.Namespace, options: list[_Option]):
-    """Merge flag values over config-file values over defaults."""
+    """Merge flag values over config-file values over defaults.
+
+    ``CAMPERTURB_SEED`` then overrides the seed of a subcommand that has one.
+    """
     config: dict[str, str] = {}
-    if getattr(args, "config", None):
+    if args.config:
         config = _read_config_file(args.config)
         known = {opt.name for opt in options}
         unknown = sorted(set(config) - known)
@@ -154,7 +167,7 @@ def _resolve_options(args: argparse.Namespace, options: list[_Option]):
             )
     resolved = {}
     for opt in options:
-        value = getattr(args, opt.dest, None)
+        value = getattr(args, opt.dest)
         if value is None and opt.name in config:
             try:
                 value = opt.convert(config[opt.name])
@@ -167,6 +180,12 @@ def _resolve_options(args: argparse.Namespace, options: list[_Option]):
         if value is None and opt.required:
             raise _UsageError(f"--{opt.name} is required")
         resolved[opt.dest] = value
+    raw_seed = os.environ.get(SEED_ENV_VAR)
+    if "seed" in resolved and raw_seed is not None:
+        try:
+            resolved["seed"] = _seed_value(raw_seed)
+        except ValueError as exc:
+            raise _UsageError(f"{SEED_ENV_VAR}: {exc}") from exc
     return argparse.Namespace(**resolved)
 
 
@@ -182,17 +201,10 @@ def _flag_type(convert):
     return parse
 
 
-def _angle(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"angle must be finite, got {text!r}")
-    return value
-
-
 def _nonneg_angle(text: str) -> float:
-    value = _angle(text)
-    if value < 0:
-        raise ValueError(f"angle must be >= 0, got {value}")
+    value = float(text)
+    if not math.isfinite(value) or value < 0:
+        raise ValueError(f"angle must be finite and >= 0, got {text!r}")
     return value
 
 
@@ -245,57 +257,51 @@ def _comma_list(text: str) -> tuple[str, ...]:
     return items
 
 
-_METRIC_CHOICES = ("ap2d", "apbev", "ap3d", "aos", "nuscenes")
-_DIFFICULTY_CHOICES = ("easy", "moderate", "hard")
+def _one_of(what: str, choices: tuple[str, ...]):
+    """Converter that accepts one of ``choices``; ``what`` names it in errors."""
+
+    def convert(text: str) -> str:
+        if text not in choices:
+            raise ValueError(f"unknown {what} {text!r}; choose from {', '.join(choices)}")
+        return text
+
+    return convert
 
 
-def _metric_list(text: str) -> tuple[str, ...]:
-    metrics = _comma_list(text)
-    for m in metrics:
-        if m not in _METRIC_CHOICES:
-            raise ValueError(
-                f"unknown metric {m!r}; choose from {', '.join(_METRIC_CHOICES)}"
-            )
-    return metrics
+def _list_of(convert):
+    """Converter for a comma list whose every item passes ``convert``."""
+
+    def parse(text: str) -> tuple[str, ...]:
+        return tuple(convert(item) for item in _comma_list(text))
+
+    return parse
 
 
-def _difficulty_list(text: str) -> tuple[str, ...]:
-    bins = _comma_list(text)
-    for b in bins:
-        if b not in _DIFFICULTY_CHOICES:
-            raise ValueError(
-                f"unknown difficulty {b!r}; choose from {', '.join(_DIFFICULTY_CHOICES)}"
-            )
-    return bins
-
-
-def _apply_seed_env(resolved) -> None:
-    """CAMPERTURB_SEED is a master override: it beats flags and config."""
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return
-    try:
-        resolved.seed = _seed_value(raw)
-    except ValueError as exc:
-        raise _UsageError(f"{SEED_ENV_VAR}: {exc}") from exc
+_JOBS_OPTION = _Option(
+    "jobs", _jobs_value, "worker threads; frames stream through a window of 2 x jobs", 1
+)
+_CALIB_OPTION = _Option(
+    "calib", str, "calibration file, or directory of per-frame files", required=True
+)
 
 
 # ---------------------------------------------------------------------------
 # shared I/O helpers
 
 
-def _require_dir(path: str, what: str) -> Path:
+def _require(path: str, what: str, kind: str = "directory") -> Path:
+    """``path`` as a Path; it must exist as a "directory", "file" or any "path"."""
     p = Path(path)
-    if not p.is_dir():
-        raise _IOFailure(f"{what} directory does not exist: {p}")
+    if not {"directory": p.is_dir, "file": p.is_file, "path": p.exists}[kind]():
+        raise _IOFailure(f"{what} {kind} does not exist: {p}")
     return p
 
 
-def _require_file(path: str, what: str) -> Path:
-    p = Path(path)
-    if not p.is_file():
-        raise _IOFailure(f"{what} file does not exist: {p}")
-    return p
+def _make_dir(path: Path) -> None:
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _IOFailure(f"cannot create output directory: {exc}") from exc
 
 
 def _read_bytes(path: Path, what: str) -> bytes:
@@ -305,6 +311,35 @@ def _read_bytes(path: Path, what: str) -> bytes:
         raise _IOFailure(f"cannot read {what} {path}: {exc}") from exc
 
 
+def _read_json_lines(path: Path, what: str, build) -> list:
+    """``build(record)`` for each record of a JSON-lines file, in file order.
+
+    Blank lines are skipped.  A line that is not JSON, or whose record
+    ``build`` rejects, fails the whole file as ``<what> <path> line N: ...``.
+    """
+    built = []
+    text = _read_bytes(path, what).decode("utf-8", errors="replace")
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            built.append(build(json.loads(line)))
+        except (KeyError, TypeError, ValueError, CamPerturbError) as exc:
+            raise _IOFailure(f"{what} {path} line {line_no}: {exc}") from exc
+    return built
+
+
+def _extrinsics(record) -> ExtrinsicPerturbation:
+    return ExtrinsicPerturbation(pitch=float(record["pitch"]), roll=float(record["roll"]))
+
+
+def _load_sidecar(path: Path) -> dict[str, ExtrinsicPerturbation]:
+    """Read a {frame_id, pitch, roll} JSON-lines sidecar."""
+    return dict(
+        _read_json_lines(path, "sidecar", lambda r: (str(r["frame_id"]), _extrinsics(r)))
+    )
+
+
 def _frame_ids(label_dir: Path) -> list[str]:
     ids = sorted(p.stem for p in label_dir.glob("*.txt"))
     if not ids:
@@ -312,13 +347,64 @@ def _frame_ids(label_dir: Path) -> list[str]:
     return ids
 
 
-def _parallel_map(fn, items, jobs: int) -> list:
-    """Order-preserving map, optionally threaded; results keyed by position."""
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
+def _ordered_map(fn, items, jobs: int):
+    """Yield ``fn(item)`` for each item, in input order.
+
+    With ``jobs > 1`` the calls run on ``jobs`` threads, but at most
+    ``2 * jobs`` results exist that the caller has not taken yet, so
+    memory stays flat however many items there are.
+    """
+    if jobs <= 1:
+        yield from map(fn, items)
+        return
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
+        window = collections.deque()
+        for item in items:
+            if len(window) == 2 * jobs:
+                yield window.popleft().result()
+            window.append(pool.submit(fn, item))
+        while window:
+            yield window.popleft().result()
+
+
+def _stream_frames(frame_ids, process, jobs: int, label_out: Path, finish):
+    """The per-frame pipeline of simulate and rectify.
+
+    ``process(frame_id)`` returns ``(labels, dropped, extra)``; an input or
+    domain error it raises fails that frame alone.  Frames arrive in
+    ``frame_id`` order; each one's labels are written to ``label_out`` and
+    ``finish(frame_id, extra)`` writes the rest as soon as it arrives.
+    Prints the summary and returns ``(processed, dropped, failures)``.
+    """
+
+    def attempt(frame_id: str):
+        try:
+            return frame_id, process(frame_id), None
+        except (CamPerturbError, _IOFailure) as exc:
+            return frame_id, None, str(exc)
+
+    processed = 0
+    dropped = 0
+    failures: list[tuple[str, str]] = []
+    for frame_id, result, error in _ordered_map(attempt, frame_ids, jobs):
+        if error is not None:
+            failures.append((frame_id, error))
+            continue
+        labels, frame_dropped, extra = result
+        try:
+            (label_out / f"{frame_id}.txt").write_bytes(write_label_file(list(labels)))
+            finish(frame_id, extra)
+        except OSError as exc:
+            raise _IOFailure(f"cannot write outputs for frame {frame_id}: {exc}") from exc
+        processed += 1
+        dropped += frame_dropped
+
+    print(f"frames processed: {processed}")
+    print(f"objects dropped: {dropped}")
+    print(f"frame failures: {len(failures)}")
+    for frame_id, reason in failures:
+        print(f"  {frame_id}: {reason}")
+    return processed, dropped, failures
 
 
 def _json_dumps(obj) -> str:
@@ -357,46 +443,39 @@ def _load_calibration(calib_path: Path, frame_id: str):
     return parse_calib_file(_read_bytes(calib_path, "calibration"))
 
 
-def _load_sidecar(path: Path) -> dict[str, ExtrinsicPerturbation]:
-    """Read a {frame_id, pitch, roll} JSON-lines sidecar."""
-    entries: dict[str, ExtrinsicPerturbation] = {}
-    for line_no, line in enumerate(
-        _read_bytes(path, "sidecar").decode("utf-8", errors="replace").splitlines(),
-        start=1,
-    ):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-            entries[str(record["frame_id"])] = ExtrinsicPerturbation(
-                pitch=float(record["pitch"]), roll=float(record["roll"])
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise _IOFailure(f"sidecar {path} line {line_no}: {exc}") from exc
-    return entries
-
-
 # ---------------------------------------------------------------------------
 # simulate
 
 
 _SIMULATE_OPTIONS = [
-    _Option("labels", str, required=True),
-    _Option("calib", str, required=True),
-    _Option("images", str),
-    _Option("out", str, required=True),
-    _Option("sigma-pitch", _nonneg_angle, DEFAULT_SIGMA),
-    _Option("sigma-roll", _nonneg_angle, DEFAULT_SIGMA),
-    _Option("clamp", _nonneg_angle, DEFAULT_CLAMP),
-    _Option("seed", _seed_value, 0),
-    _Option("fill", _fill_value, 0),
-    _Option("jobs", _jobs_value, 1),
+    _Option("labels", str, "directory of KITTI label .txt files", required=True),
+    _CALIB_OPTION,
+    _Option("images", str, "optional directory of .ppm/.pgm images"),
+    _Option("out", str, "output directory", required=True),
+    _Option(
+        "sigma-pitch", _nonneg_angle,
+        f"pitch sampling sigma in radians (default {DEFAULT_SIGMA:.6f} = 1 deg)",
+        DEFAULT_SIGMA,
+    ),
+    _Option(
+        "sigma-roll", _nonneg_angle,
+        f"roll sampling sigma in radians (default {DEFAULT_SIGMA:.6f} = 1 deg)",
+        DEFAULT_SIGMA,
+    ),
+    _Option(
+        "clamp", _nonneg_angle,
+        f"symmetric clamp in radians (default {DEFAULT_CLAMP:.6f} = 10 deg)",
+        DEFAULT_CLAMP,
+    ),
+    _Option(
+        "seed", _seed_value, f"unsigned 64-bit seed (default 0); {SEED_ENV_VAR} overrides", 0
+    ),
+    _Option("fill", _fill_value, "byte value for out-of-view warp samples (default 0)", 0),
+    _JOBS_OPTION,
 ]
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = _resolve_options(args, _SIMULATE_OPTIONS)
-    _apply_seed_env(cfg)
+def cmd_simulate(cfg: argparse.Namespace) -> int:
     try:
         spec = PerturbationSpec(
             sigma_pitch=cfg.sigma_pitch,
@@ -406,96 +485,61 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         )
     except (ValueError, CamPerturbError) as exc:
         raise _UsageError(str(exc)) from exc
-    label_dir = _require_dir(cfg.labels, "label")
-    calib_path = Path(cfg.calib)
-    if not calib_path.exists():
-        raise _IOFailure(f"calibration path does not exist: {calib_path}")
-    image_dir = _require_dir(cfg.images, "image") if cfg.images else None
+    label_dir = _require(cfg.labels, "label")
+    calib_path = _require(cfg.calib, "calibration", "path")
+    image_dir = _require(cfg.images, "image") if cfg.images else None
     out_dir = Path(cfg.out)
     out_labels = out_dir / "labels"
     out_images = out_dir / "images"
-    try:
-        out_labels.mkdir(parents=True, exist_ok=True)
-        if image_dir is not None:
-            out_images.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise _IOFailure(f"cannot create output directory: {exc}") from exc
-
-    frame_ids = _frame_ids(label_dir)
+    _make_dir(out_labels)
+    if image_dir is not None:
+        _make_dir(out_images)
 
     def process(frame_id: str):
-        """Returns (frame_id, perturbed, image, extension) or (frame_id, error)."""
-        try:
-            labels = parse_label_file(
-                _read_bytes(label_dir / f"{frame_id}.txt", "label file")
-            )
-            calib = _load_calibration(calib_path, frame_id)
-            image = None
-            extension = None
-            if image_dir is not None:
-                for ext in (".ppm", ".pgm"):
-                    candidate = image_dir / f"{frame_id}{ext}"
-                    if candidate.is_file():
-                        image = read_image(_read_bytes(candidate, "image"))
-                        extension = ext
-                        break
-            frame = SceneFrame(
-                frame_id=frame_id,
-                intrinsics=calib.intrinsics(),
-                labels=tuple(labels),
-                image=image,
-            )
-            perturbed, warped = simulate_frame(frame, spec, fill=cfg.fill)
-            return (frame_id, perturbed, warped, extension, None)
-        except (CamPerturbError, _IOFailure) as exc:
-            return (frame_id, None, None, None, str(exc))
+        labels = parse_label_file(
+            _read_bytes(label_dir / f"{frame_id}.txt", "label file")
+        )
+        calib = _load_calibration(calib_path, frame_id)
+        image = None
+        extension = None
+        if image_dir is not None:
+            for ext in (".ppm", ".pgm"):
+                candidate = image_dir / f"{frame_id}{ext}"
+                if candidate.is_file():
+                    image = read_image(_read_bytes(candidate, "image"))
+                    extension = ext
+                    break
+        frame = SceneFrame(
+            frame_id=frame_id,
+            intrinsics=calib.intrinsics(),
+            labels=tuple(labels),
+            image=image,
+        )
+        perturbed, warped = simulate_frame(frame, spec, fill=cfg.fill)
+        return perturbed.labels, perturbed.dropped, (perturbed.applied, warped, extension)
 
-    results = _parallel_map(process, frame_ids, cfg.jobs)
-
-    processed = 0
-    dropped = 0
-    failures: list[tuple[str, str]] = []
     sidecar_lines: list[str] = []
-    for frame_id, perturbed, warped, extension, error in sorted(
-        results, key=lambda r: r[0]
-    ):
-        if error is not None:
-            failures.append((frame_id, error))
-            continue
-        try:
-            (out_labels / f"{frame_id}.txt").write_bytes(
-                write_label_file(list(perturbed.labels))
-            )
-            if warped is not None:
-                (out_images / f"{frame_id}{extension}").write_bytes(
-                    write_image(warped)
-                )
-        except OSError as exc:
-            raise _IOFailure(f"cannot write outputs for frame {frame_id}: {exc}") from exc
+
+    def finish(frame_id: str, extra) -> None:
+        applied, warped, extension = extra
+        if warped is not None:
+            (out_images / f"{frame_id}{extension}").write_bytes(write_image(warped))
         sidecar_lines.append(
             json.dumps(
-                {
-                    "frame_id": frame_id,
-                    "pitch": perturbed.applied.pitch,
-                    "roll": perturbed.applied.roll,
-                },
+                {"frame_id": frame_id, "pitch": applied.pitch, "roll": applied.roll},
                 sort_keys=True,
             )
         )
-        processed += 1
-        dropped += perturbed.dropped
+
+    processed, _, _ = _stream_frames(
+        _frame_ids(label_dir), process, cfg.jobs, out_labels, finish
+    )
     try:
         (out_dir / "perturbations.jsonl").write_text(
-            "\n".join(sidecar_lines) + ("\n" if sidecar_lines else "")
+            "".join(line + "\n" for line in sidecar_lines)
         )
     except OSError as exc:
         raise _IOFailure(f"cannot write sidecar: {exc}") from exc
-
-    print(f"frames processed: {processed}")
-    print(f"objects dropped: {dropped}")
-    print(f"frame failures: {len(failures)}")
-    for frame_id, reason in failures:
-        print(f"  {frame_id}: {reason}")
     if processed == 0:
         raise _IOFailure("no frame could be processed")
     return EXIT_OK
@@ -505,32 +549,53 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 # evaluate
 
 
-_EVALUATE_OPTIONS = [
-    _Option("gt", str, required=True),
-    _Option("det", str, required=True),
-    _Option("det-disturbed", str),
-    _Option("out", str),
-    _Option("classes", _comma_list, ("Car",)),
-    _Option("metrics", _metric_list, ("ap3d",)),
-    _Option("difficulties", _difficulty_list, ("easy", "moderate", "hard")),
-    _Option("iou-threshold", _threshold_value, 0.7),
-    _Option("match-radius", _positive_float, 2.0),
-    _Option("format", str, "json"),
-    _Option("jobs", _jobs_value, 1),
-]
-
 _BIN_BY_NAME = {
     "easy": DifficultyBin.EASY,
     "moderate": DifficultyBin.MODERATE,
     "hard": DifficultyBin.HARD,
 }
+_METRIC_CHOICES = ("ap2d", "apbev", "ap3d", "aos", "nuscenes")
+_FORMAT_OPTION = _Option(
+    "format", _one_of("format", ("json", "csv")), "report format: json (default) or csv",
+    "json",
+)
+
+_EVALUATE_OPTIONS = [
+    _Option("gt", str, "ground-truth label directory", required=True),
+    _Option("det", str, "detection label directory (16-field files)", required=True),
+    _Option(
+        "det-disturbed", str,
+        "second detection directory: emit original/disturbed/decrease rows",
+    ),
+    _Option("out", str, "report file (default: stdout)"),
+    _Option("classes", _comma_list, "comma list (default Car)", ("Car",)),
+    _Option(
+        "metrics", _list_of(_one_of("metric", _METRIC_CHOICES)),
+        f"comma list from {{{','.join(_METRIC_CHOICES)}}} (default ap3d)",
+        ("ap3d",),
+    ),
+    _Option(
+        "difficulties", _list_of(_one_of("difficulty", tuple(_BIN_BY_NAME))),
+        "comma list from {easy,moderate,hard} (default all three)",
+        tuple(_BIN_BY_NAME),
+    ),
+    _Option(
+        "iou-threshold", _threshold_value,
+        "IoU threshold for AP/AOS matching (default 0.7)", 0.7,
+    ),
+    _Option(
+        "match-radius", _positive_float,
+        "BEV center-distance radius in metres for nuscenes (default 2.0)", 2.0,
+    ),
+    _FORMAT_OPTION,
+    _JOBS_OPTION,
+]
 
 
 def _load_detection_frames(
     gt_dir: Path, det_dir: Path, jobs: int
 ) -> list[DetectionFrame]:
     """One DetectionFrame per gt file; a missing det file means no detections."""
-    frame_ids = _frame_ids(gt_dir)
 
     def load(frame_id: str) -> DetectionFrame:
         gt = parse_label_file(_read_bytes(gt_dir / f"{frame_id}.txt", "gt labels"))
@@ -545,7 +610,7 @@ def _load_detection_frames(
         except ValueError as exc:
             raise _IOFailure(f"frame {frame_id}: {exc}") from exc
 
-    return _parallel_map(load, frame_ids, jobs)
+    return list(_ordered_map(load, _frame_ids(gt_dir), jobs))
 
 
 def _metric_cells(frames, cfg) -> list[dict]:
@@ -563,11 +628,9 @@ def _metric_cells(frames, cfg) -> list[dict]:
                         "nuscenes_aoe": errors.aoe,
                     }
                 except (NoMatches, NoGroundTruth):
-                    values = {
-                        "nuscenes_ate": "n/a",
-                        "nuscenes_ase": "n/a",
-                        "nuscenes_aoe": "n/a",
-                    }
+                    values = dict.fromkeys(
+                        ("nuscenes_ate", "nuscenes_ase", "nuscenes_aoe"), "n/a"
+                    )
                 for name, value in values.items():
                     cell = {
                         "metric": name,
@@ -609,16 +672,14 @@ def _metric_cells(frames, cfg) -> list[dict]:
     return cells
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
-    cfg = _resolve_options(args, _EVALUATE_OPTIONS)
-    if cfg.format not in ("json", "csv"):
-        raise _UsageError(f"--format must be json or csv, got {cfg.format!r}")
-    gt_dir = _require_dir(cfg.gt, "ground-truth")
-    det_dir = _require_dir(cfg.det, "detection")
+def cmd_evaluate(cfg: argparse.Namespace) -> int:
+    gt_dir = _require(cfg.gt, "ground-truth")
+    det_dir = _require(cfg.det, "detection")
     frames = _load_detection_frames(gt_dir, det_dir, cfg.jobs)
     cells = _metric_cells(frames, cfg)
+    value_columns = ["value"]
     if cfg.det_disturbed:
-        disturbed_dir = _require_dir(cfg.det_disturbed, "disturbed detection")
+        disturbed_dir = _require(cfg.det_disturbed, "disturbed detection")
         disturbed_frames = _load_detection_frames(gt_dir, disturbed_dir, cfg.jobs)
         disturbed_cells = _metric_cells(disturbed_frames, cfg)
         merged = []
@@ -632,6 +693,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                 cell["decrease"] = disturbed["value"] - original["value"]
             merged.append(cell)
         cells = merged
+        value_columns = ["original", "disturbed", "decrease"]
     report = {
         "parameters": {
             "classes": list(cfg.classes),
@@ -646,23 +708,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if cfg.format == "json":
         text = _json_dumps(report)
     else:
-        if cfg.det_disturbed:
-            header = [
-                "metric", "class", "difficulty", "threshold",
-                "original", "disturbed", "decrease",
-            ]
-            rows = [
-                [c["metric"], c["class"], c["difficulty"], c["threshold"],
-                 c["original"], c["disturbed"], c["decrease"]]
-                for c in cells
-            ]
-        else:
-            header = ["metric", "class", "difficulty", "threshold", "value"]
-            rows = [
-                [c["metric"], c["class"], c["difficulty"], c["threshold"], c["value"]]
-                for c in cells
-            ]
-        text = _csv_text(header, rows)
+        header = ["metric", "class", "difficulty", "threshold", *value_columns]
+        text = _csv_text(header, [[c[k] for k in header] for c in cells])
     _emit_report(text, cfg.out)
     return EXIT_OK
 
@@ -672,125 +719,76 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 _RECTIFY_OPTIONS = [
-    _Option("det", str, required=True),
-    _Option("calib", str, required=True),
-    _Option("out", str, required=True),
-    _Option("sidecar", str),
-    _Option("horizon", str),
-    _Option("truth-sidecar", str),
-    _Option("direction", str, "undo"),
-    _Option("report", str),
-    _Option("jobs", _jobs_value, 1),
+    _Option("det", str, "detection label directory", required=True),
+    _CALIB_OPTION,
+    _Option("out", str, "output label directory", required=True),
+    _Option("sidecar", str, "{frame_id,pitch,roll} JSON-lines extrinsics"),
+    _Option("horizon", str, "{frame_id,slope,intercept_v,vp_u,vp_v} JSON-lines annotations"),
+    _Option(
+        "truth-sidecar", str, "optional truth extrinsics; reports per-frame angular error"
+    ),
+    _Option(
+        "direction", _one_of("direction", ("undo", "apply")),
+        "undo: rotate by the inverse (default); apply: rotate forward", "undo",
+    ),
+    _Option("report", str, "optional JSON report file"),
+    _JOBS_OPTION,
 ]
 
 
-def _load_horizon_annotations(path: Path) -> dict[str, dict]:
-    entries: dict[str, dict] = {}
-    for line_no, line in enumerate(
-        _read_bytes(path, "horizon annotations").decode("utf-8", errors="replace").splitlines(),
-        start=1,
-    ):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-            entries[str(record["frame_id"])] = {
-                "slope": float(record["slope"]),
-                "intercept_v": float(record["intercept_v"]),
-                "vp_u": float(record["vp_u"]),
-                "vp_v": float(record["vp_v"]),
-            }
-        except (KeyError, TypeError, ValueError) as exc:
-            raise _IOFailure(f"horizon annotations {path} line {line_no}: {exc}") from exc
-    return entries
+def _horizon_entry(record) -> tuple[str, tuple[HorizonLine, VanishingPoint]]:
+    return str(record["frame_id"]), (
+        HorizonLine(slope=float(record["slope"]), intercept_v=float(record["intercept_v"])),
+        VanishingPoint(u=float(record["vp_u"]), v=float(record["vp_v"])),
+    )
 
 
-def cmd_rectify(args: argparse.Namespace) -> int:
-    cfg = _resolve_options(args, _RECTIFY_OPTIONS)
-    if cfg.direction not in ("undo", "apply"):
-        raise _UsageError(f"--direction must be undo or apply, got {cfg.direction!r}")
-    if (cfg.sidecar is None) == (cfg.horizon is None):
+def cmd_rectify(cfg: argparse.Namespace) -> int:
+    if bool(cfg.sidecar) == bool(cfg.horizon):
         raise _UsageError("exactly one of --sidecar or --horizon is required")
-    det_dir = _require_dir(cfg.det, "detection")
-    calib_path = Path(cfg.calib)
-    if not calib_path.exists():
-        raise _IOFailure(f"calibration path does not exist: {calib_path}")
+    det_dir = _require(cfg.det, "detection")
+    calib_path = _require(cfg.calib, "calibration", "path")
     out_dir = Path(cfg.out)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise _IOFailure(f"cannot create output directory: {exc}") from exc
+    _make_dir(out_dir)
 
-    sidecar = _load_sidecar(Path(cfg.sidecar)) if cfg.sidecar else None
-    horizon = _load_horizon_annotations(Path(cfg.horizon)) if cfg.horizon else None
+    if cfg.sidecar:
+        source, estimates = "sidecar", _load_sidecar(Path(cfg.sidecar))
+    else:
+        source = "horizon annotations"
+        estimates = dict(_read_json_lines(Path(cfg.horizon), source, _horizon_entry))
     truth = _load_sidecar(Path(cfg.truth_sidecar)) if cfg.truth_sidecar else None
 
-    frame_ids = _frame_ids(det_dir)
-
     def process(frame_id: str):
-        try:
-            labels = parse_label_file(
-                _read_bytes(det_dir / f"{frame_id}.txt", "detections")
-            )
-            calib = _load_calibration(calib_path, frame_id)
-            intrinsics = calib.intrinsics()
-            if sidecar is not None:
-                if frame_id not in sidecar:
-                    raise _IOFailure(f"frame {frame_id} missing from sidecar")
-                estimate = sidecar[frame_id]
-            else:
-                if frame_id not in horizon:
-                    raise _IOFailure(f"frame {frame_id} missing from horizon annotations")
-                ann = horizon[frame_id]
-                estimate = extrinsics_from_horizon_vp(
-                    HorizonLine(slope=ann["slope"], intercept_v=ann["intercept_v"]),
-                    VanishingPoint(u=ann["vp_u"], v=ann["vp_v"]),
-                    intrinsics,
-                )
-            rotation = perturbation_matrix(estimate)
-            if cfg.direction == "undo":
-                rotation = rotation.T
-            moved, dropped = transform_labels(labels, intrinsics, rotation)
-            error_deg = None
-            if truth is not None and frame_id in truth:
-                error_deg = angular_error(
-                    perturbation_matrix(estimate),
-                    perturbation_matrix(truth[frame_id]),
-                )
-            return (frame_id, moved, dropped, error_deg, None)
-        except (CamPerturbError, _IOFailure) as exc:
-            return (frame_id, None, 0, None, str(exc))
+        labels = parse_label_file(
+            _read_bytes(det_dir / f"{frame_id}.txt", "detections")
+        )
+        intrinsics = _load_calibration(calib_path, frame_id).intrinsics()
+        if frame_id not in estimates:
+            raise _IOFailure(f"frame {frame_id} missing from {source}")
+        estimate = estimates[frame_id]
+        if cfg.horizon:
+            estimate = extrinsics_from_horizon_vp(*estimate, intrinsics)
+        forward = perturbation_matrix(estimate)
+        rotation = forward.T if cfg.direction == "undo" else forward
+        moved, dropped = transform_labels(labels, intrinsics, rotation)
+        error_deg = None
+        if truth is not None and frame_id in truth:
+            error_deg = angular_error(forward, perturbation_matrix(truth[frame_id]))
+        return moved, dropped, error_deg
 
-    results = _parallel_map(process, frame_ids, cfg.jobs)
-
-    processed = 0
-    dropped_total = 0
-    failures: list[tuple[str, str]] = []
     per_frame_errors: list[tuple[str, float]] = []
-    for frame_id, moved, dropped, error_deg, failure in sorted(
-        results, key=lambda r: r[0]
-    ):
-        if failure is not None:
-            failures.append((frame_id, failure))
-            continue
-        try:
-            (out_dir / f"{frame_id}.txt").write_bytes(write_label_file(list(moved)))
-        except OSError as exc:
-            raise _IOFailure(f"cannot write outputs for frame {frame_id}: {exc}") from exc
-        processed += 1
-        dropped_total += dropped
+
+    def finish(frame_id: str, error_deg) -> None:
         if error_deg is not None:
             per_frame_errors.append((frame_id, error_deg))
 
-    print(f"frames processed: {processed}")
-    print(f"objects dropped: {dropped_total}")
-    print(f"frame failures: {len(failures)}")
-    for frame_id, reason in failures:
-        print(f"  {frame_id}: {reason}")
+    processed, dropped, failures = _stream_frames(
+        _frame_ids(det_dir), process, cfg.jobs, out_dir, finish
+    )
     report: dict = {
         "direction": cfg.direction,
         "frames_processed": processed,
-        "objects_dropped": dropped_total,
+        "objects_dropped": dropped,
         "failures": [{"frame_id": f, "reason": r} for f, r in failures],
     }
     if per_frame_errors:
@@ -822,10 +820,13 @@ def cmd_rectify(args: argparse.Namespace) -> int:
 
 
 _POSE_ERROR_OPTIONS = [
-    _Option("est", str, required=True),
-    _Option("gt-poses", str, required=True),
-    _Option("report", str),
-    _Option("format", str, "json"),
+    _Option(
+        "est", str, "estimates: pitch/roll JSON-lines sidecar or 3x4 pose file",
+        required=True,
+    ),
+    _Option("gt-poses", str, "ground-truth 3x4 pose file", required=True),
+    _Option("report", str, "report file (default: stdout)"),
+    _FORMAT_OPTION,
 ]
 
 
@@ -835,32 +836,15 @@ def _load_estimates(path: Path) -> list[np.ndarray]:
     Sidecar entries align with ground-truth pose lines by file order.
     """
     data = _read_bytes(path, "estimates")
-    head = data.lstrip()[:1]
-    if head == b"{":
-        rotations = []
-        for line_no, line in enumerate(
-            data.decode("utf-8", errors="replace").splitlines(), start=1
-        ):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-                p = ExtrinsicPerturbation(
-                    pitch=float(record["pitch"]), roll=float(record["roll"])
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise _IOFailure(f"estimates {path} line {line_no}: {exc}") from exc
-            rotations.append(perturbation_matrix(p))
-        return rotations
+    if data.lstrip()[:1] == b"{":
+        sidecar = _read_json_lines(path, "estimates", _extrinsics)
+        return [perturbation_matrix(p) for p in sidecar]
     return [pose.rotation for pose in parse_odometry_poses(data)]
 
 
-def cmd_pose_error(args: argparse.Namespace) -> int:
-    cfg = _resolve_options(args, _POSE_ERROR_OPTIONS)
-    if cfg.format not in ("json", "csv"):
-        raise _UsageError(f"--format must be json or csv, got {cfg.format!r}")
-    est_path = _require_file(cfg.est, "estimates")
-    gt_path = _require_file(cfg.gt_poses, "ground-truth poses")
+def cmd_pose_error(cfg: argparse.Namespace) -> int:
+    est_path = _require(cfg.est, "estimates", "file")
+    gt_path = _require(cfg.gt_poses, "ground-truth poses", "file")
     estimates = _load_estimates(est_path)
     poses = parse_odometry_poses(_read_bytes(gt_path, "poses"))
     if len(estimates) != len(poses):
@@ -890,16 +874,8 @@ def cmd_pose_error(args: argparse.Namespace) -> int:
     if cfg.format == "json":
         text = _json_dumps(report)
     else:
-        header = ["quantity", "value"]
-        rows = [
-            ["frames", len(poses)],
-            ["mean_angular_error_deg", mean_deg],
-            ["mean_angular_error_rad", math.radians(mean_deg)],
-            ["max_angular_error_deg", max(errors_deg)],
-            ["path_length_m", path_length],
-            ["angular_error_deg_per_m", deg_per_m],
-        ]
-        text = _csv_text(header, rows)
+        rows = [[key, report[key]] for key in report if key != "per_frame_deg"]
+        text = _csv_text(["quantity", "value"], rows)
     _emit_report(text, cfg.report)
     return EXIT_OK
 
@@ -909,14 +885,19 @@ def cmd_pose_error(args: argparse.Namespace) -> int:
 
 
 _LOSS_OPTIONS = [
-    _Option("output", str, required=True),
-    _Option("content", str, required=True),
-    _Option("style", _comma_list, ()),
-    _Option("gamma-content", _nonneg_float, 1.0),
-    _Option("gamma-style", _nonneg_float, 1.0),
-    _Option("grad-check", _parse_bool, False),
-    _Option("fd-step", _positive_float, 1e-4),
-    _Option("report", str),
+    _Option("output", str, "serialized output/generated feature tensor", required=True),
+    _Option("content", str, "serialized content-target tensor", required=True),
+    _Option("style", _comma_list, "comma list of serialized style-target tensors", ()),
+    _Option("gamma-content", _nonneg_float, "content weight (default 1.0)", 1.0),
+    _Option("gamma-style", _nonneg_float, "style weight (default 1.0)", 1.0),
+    _Option(
+        "grad-check", _parse_bool,
+        "verify analytic gradients against central finite differences", False,
+    ),
+    _Option(
+        "fd-step", _positive_float, "finite-difference relative step (default 1e-4)", 1e-4
+    ),
+    _Option("report", str, "report file (default: stdout)"),
 ]
 
 #: Gradient check probes every coordinate up to this tensor size, then strides.
@@ -963,25 +944,21 @@ def _finite_difference_check(
     }
 
 
-def cmd_loss(args: argparse.Namespace) -> int:
-    cfg = _resolve_options(args, _LOSS_OPTIONS)
-    out_tensor = load_tensor(_require_file(cfg.output, "output tensor"))
-    content_tensor = load_tensor(_require_file(cfg.content, "content tensor"))
+def cmd_loss(cfg: argparse.Namespace) -> int:
+    out_tensor = load_tensor(_require(cfg.output, "output tensor", "file"))
+    content_tensor = load_tensor(_require(cfg.content, "content tensor", "file"))
     style_tensors = [
-        load_tensor(_require_file(p, "style tensor")) for p in cfg.style
+        load_tensor(_require(p, "style tensor", "file")) for p in cfg.style
     ]
-    try:
-        content_value = content_loss(out_tensor, content_tensor)
-        style_values = [style_loss(out_tensor, s) for s in style_tensors]
-        total_value = total_loss(
-            out_tensor,
-            content_tensor,
-            style_tensors,
-            cfg.gamma_content,
-            cfg.gamma_style,
-        )
-    except (ShapeMismatch, ChannelMismatch) as exc:
-        raise _UsageError(str(exc)) from exc
+    content_value = content_loss(out_tensor, content_tensor)
+    style_values = [style_loss(out_tensor, s) for s in style_tensors]
+    total_value = total_loss(
+        out_tensor,
+        content_tensor,
+        style_tensors,
+        cfg.gamma_content,
+        cfg.gamma_style,
+    )
     report = {
         "content_loss": content_value,
         "style_losses": style_values,
@@ -991,23 +968,35 @@ def cmd_loss(args: argparse.Namespace) -> int:
         "gamma_style": cfg.gamma_style,
     }
     if cfg.grad_check:
-        try:
-            report["grad_check"] = _finite_difference_check(
-                out_tensor,
-                content_tensor,
-                style_tensors,
-                cfg.gamma_content,
-                cfg.gamma_style,
-                cfg.fd_step,
-            )
-        except (ShapeMismatch, ChannelMismatch) as exc:
-            raise _UsageError(str(exc)) from exc
+        report["grad_check"] = _finite_difference_check(
+            out_tensor,
+            content_tensor,
+            style_tensors,
+            cfg.gamma_content,
+            cfg.gamma_style,
+            cfg.fd_step,
+        )
     _emit_report(_json_dumps(report), cfg.report)
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # parser
+
+
+#: (name, one-line help, option table, handler) of each subcommand.
+_SUBCOMMANDS = (
+    ("simulate", "perturb a labeled dataset with sampled pitch/roll",
+     _SIMULATE_OPTIONS, cmd_simulate),
+    ("evaluate", "detection metric tables (AP40/AOS/nuScenes)",
+     _EVALUATE_OPTIONS, cmd_evaluate),
+    ("rectify", "move detections between viewports given extrinsics",
+     _RECTIFY_OPTIONS, cmd_rectify),
+    ("pose-error", "angular error of estimated extrinsics vs pose truth",
+     _POSE_ERROR_OPTIONS, cmd_pose_error),
+    ("loss", "content/style loss kernels over tensors",
+     _LOSS_OPTIONS, cmd_loss),
+)
 
 
 def build_parser() -> _Parser:
@@ -1017,136 +1006,19 @@ def build_parser() -> _Parser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
-
-    def add_common(p):
+    for name, summary, options, handler in _SUBCOMMANDS:
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--config", help="flat key=value config file; flags win")
-
-    sim = sub.add_parser(
-        "simulate", help="perturb a labeled dataset with sampled pitch/roll"
-    )
-    add_common(sim)
-    sim.add_argument("--labels", help="directory of KITTI label .txt files")
-    sim.add_argument("--calib", help="calibration file, or directory of per-frame files")
-    sim.add_argument("--images", help="optional directory of .ppm/.pgm images")
-    sim.add_argument("--out", help="output directory")
-    sim.add_argument(
-        "--sigma-pitch", type=_flag_type(_nonneg_angle),
-        help=f"pitch sampling sigma in radians (default {DEFAULT_SIGMA:.6f} = 1 deg)",
-    )
-    sim.add_argument(
-        "--sigma-roll", type=_flag_type(_nonneg_angle),
-        help=f"roll sampling sigma in radians (default {DEFAULT_SIGMA:.6f} = 1 deg)",
-    )
-    sim.add_argument(
-        "--clamp", type=_flag_type(_nonneg_angle),
-        help=f"symmetric clamp in radians (default {DEFAULT_CLAMP:.6f} = 10 deg)",
-    )
-    sim.add_argument(
-        "--seed", type=_flag_type(_seed_value),
-        help=f"unsigned 64-bit seed (default 0); {SEED_ENV_VAR} overrides",
-    )
-    sim.add_argument(
-        "--fill", type=_flag_type(_fill_value),
-        help="byte value for out-of-view warp samples (default 0)",
-    )
-    sim.add_argument("--jobs", type=_flag_type(_jobs_value), help="worker threads")
-    sim.set_defaults(handler=cmd_simulate)
-
-    ev = sub.add_parser("evaluate", help="detection metric tables (AP40/AOS/nuScenes)")
-    add_common(ev)
-    ev.add_argument("--gt", help="ground-truth label directory")
-    ev.add_argument("--det", help="detection label directory (16-field files)")
-    ev.add_argument(
-        "--det-disturbed",
-        help="second detection directory: emit original/disturbed/decrease rows",
-    )
-    ev.add_argument("--out", help="report file (default: stdout)")
-    ev.add_argument(
-        "--classes", type=_flag_type(_comma_list), help="comma list (default Car)"
-    )
-    ev.add_argument(
-        "--metrics", type=_flag_type(_metric_list),
-        help=f"comma list from {{{','.join(_METRIC_CHOICES)}}} (default ap3d)",
-    )
-    ev.add_argument(
-        "--difficulties", type=_flag_type(_difficulty_list),
-        help="comma list from {easy,moderate,hard} (default all three)",
-    )
-    ev.add_argument(
-        "--iou-threshold", type=_flag_type(_threshold_value),
-        help="IoU threshold for AP/AOS matching (default 0.7)",
-    )
-    ev.add_argument(
-        "--match-radius", type=_flag_type(_positive_float),
-        help="BEV center-distance radius in metres for nuscenes (default 2.0)",
-    )
-    ev.add_argument("--format", choices=("json", "csv"), help="report format")
-    ev.add_argument("--jobs", type=_flag_type(_jobs_value), help="worker threads")
-    ev.set_defaults(handler=cmd_evaluate)
-
-    rec = sub.add_parser(
-        "rectify", help="move detections between viewports given extrinsics"
-    )
-    add_common(rec)
-    rec.add_argument("--det", help="detection label directory")
-    rec.add_argument("--calib", help="calibration file, or directory of per-frame files")
-    rec.add_argument("--out", help="output label directory")
-    rec.add_argument("--sidecar", help="{frame_id,pitch,roll} JSON-lines extrinsics")
-    rec.add_argument(
-        "--horizon", help="{frame_id,slope,intercept_v,vp_u,vp_v} JSON-lines annotations"
-    )
-    rec.add_argument(
-        "--truth-sidecar",
-        help="optional truth extrinsics; reports per-frame angular error",
-    )
-    rec.add_argument(
-        "--direction", choices=("undo", "apply"),
-        help="undo: rotate by the inverse (default); apply: rotate forward",
-    )
-    rec.add_argument("--report", help="optional JSON report file")
-    rec.add_argument("--jobs", type=_flag_type(_jobs_value), help="worker threads")
-    rec.set_defaults(handler=cmd_rectify)
-
-    pe = sub.add_parser(
-        "pose-error", help="angular error of estimated extrinsics vs pose truth"
-    )
-    add_common(pe)
-    pe.add_argument(
-        "--est",
-        help="estimates: pitch/roll JSON-lines sidecar or 3x4 pose file",
-    )
-    pe.add_argument("--gt-poses", help="ground-truth 3x4 pose file")
-    pe.add_argument("--report", help="report file (default: stdout)")
-    pe.add_argument("--format", choices=("json", "csv"), help="report format")
-    pe.set_defaults(handler=cmd_pose_error)
-
-    lo = sub.add_parser("loss", help="content/style loss kernels over tensors")
-    add_common(lo)
-    lo.add_argument("--output", help="serialized output/generated feature tensor")
-    lo.add_argument("--content", help="serialized content-target tensor")
-    lo.add_argument(
-        "--style", type=_flag_type(_comma_list),
-        help="comma list of serialized style-target tensors",
-    )
-    lo.add_argument(
-        "--gamma-content", type=_flag_type(_nonneg_float),
-        help="content weight (default 1.0)",
-    )
-    lo.add_argument(
-        "--gamma-style", type=_flag_type(_nonneg_float),
-        help="style weight (default 1.0)",
-    )
-    lo.add_argument(
-        "--grad-check", action="store_const", const=True,
-        help="verify analytic gradients against central finite differences",
-    )
-    lo.add_argument(
-        "--fd-step", type=_flag_type(_positive_float),
-        help="finite-difference relative step (default 1e-4)",
-    )
-    lo.add_argument("--report", help="report file (default: stdout)")
-    lo.set_defaults(handler=cmd_loss)
-
+        for opt in options:
+            if opt.convert is _parse_bool:
+                p.add_argument(
+                    f"--{opt.name}", action="store_const", const=True, help=opt.help
+                )
+            else:
+                p.add_argument(
+                    f"--{opt.name}", type=_flag_type(opt.convert), help=opt.help
+                )
+        p.set_defaults(handler=handler, options=options)
     return parser
 
 
@@ -1157,20 +1029,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if not getattr(args, "subcommand", None):
             raise _UsageError("a subcommand is required (see --help)")
-        return args.handler(args)
-    except _UsageError as exc:
+        return args.handler(_resolve_options(args, args.options))
+    except (_UsageError, ShapeMismatch, ChannelMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ShapeMismatch, ChannelMismatch) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except _IOFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except CamPerturbError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
+    except (_IOFailure, CamPerturbError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 

@@ -109,12 +109,13 @@ def angular_error(r_est: np.ndarray, r_gt: np.ndarray) -> float:
     """Geodesic angle between two rotations, in degrees.
 
     Both arguments must be proper rotations (orthogonal within 1e-9).
-    The relative rotation R_est^T R_gt has trace 1 + 2 cos(theta); the
-    cosine is clamped to [-1, 1] before acos so round-off near identity
-    or half-turn cannot produce NaN.  Result lies in [0, 180].
+    The relative rotation R = R_est^T R_gt has trace 1 + 2 cos(theta) and
+    antisymmetric part R - R^T = 2 sin(theta) [axis]_x.  Taking atan2 of
+    the two keeps full relative accuracy at small angles, where acos of
+    the trace loses it (1e-8 rad would read as 0).  Result lies in [0, 180].
     """
-    r_est = ensure_rotation(r_est, tol=1e-9)
-    r_gt = ensure_rotation(r_gt, tol=1e-9)
-    cos_theta = (np.trace(r_est.T @ r_gt) - 1.0) / 2.0
-    cos_theta = min(1.0, max(-1.0, cos_theta))
-    return math.degrees(math.acos(cos_theta))
+    r = ensure_rotation(r_est, tol=1e-9).T @ ensure_rotation(r_gt, tol=1e-9)
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = r.tolist()
+    sin_theta = math.hypot(r21 - r12, r02 - r20, r10 - r01) / 2.0
+    cos_theta = (r00 + r11 + r22 - 1.0) / 2.0
+    return math.degrees(math.atan2(sin_theta, cos_theta))

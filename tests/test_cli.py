@@ -9,9 +9,12 @@ their inputs untouched.
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import json
 import math
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +30,7 @@ from camperturb import (
     write_image,
     write_label_file,
 )
-from camperturb.cli import main, run
+from camperturb.cli import _ordered_map, build_parser, main, run
 from camperturb.tensorio import save_tensor
 
 
@@ -358,6 +361,44 @@ class TestConfigFile:
         )
         assert code == 1
         assert "sigma-pitch" in capsys.readouterr().err
+
+    def test_non_utf8_config_exits_1(self, tmp_path, capsys):
+        label_dir, calib_dir = self._dataset(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"seed=\xff\xfe\n")
+        code = main(
+            [
+                "simulate",
+                "--config", str(cfg),
+                "--labels", str(label_dir),
+                "--calib", str(calib_dir),
+                "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert code == 1
+        assert "cannot read config file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "subcommand", ["simulate", "evaluate", "rectify", "pose-error", "loss"]
+    )
+    def test_config_keys_are_exactly_the_long_flags(self, tmp_path, capsys, subcommand):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("no-such-key = 1\n")
+        assert main([subcommand, "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        config_keys = set(err.rsplit("known keys: ", 1)[1].strip().split(", "))
+        subparsers = next(
+            action
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        flags = {
+            flag[2:]
+            for action in subparsers.choices[subcommand]._actions
+            for flag in action.option_strings
+            if flag.startswith("--")
+        }
+        assert config_keys == flags - {"config", "help"}
 
 
 # ---------------------------------------------------------------------------
@@ -756,6 +797,29 @@ class TestRectify:
         assert "frame failures: 1" in stdout
         assert "000001" in stdout
 
+    def test_non_finite_horizon_annotation_exits_2_naming_the_line(
+        self, tmp_path, capsys
+    ):
+        label_dir, calib_dir = write_dataset(tmp_path / "in", n_frames=2)
+        annotations = tmp_path / "horizon.jsonl"
+        annotations.write_text(
+            '{"frame_id": "000000", "slope": 0.0, "intercept_v": 40.0, '
+            '"vp_u": 60.0, "vp_v": 40.0}\n'
+            '{"frame_id": "000001", "slope": Infinity, "intercept_v": 40.0, '
+            '"vp_u": 60.0, "vp_v": 40.0}\n'
+        )
+        code = main(
+            [
+                "rectify",
+                "--det", str(label_dir),
+                "--calib", str(calib_dir),
+                "--horizon", str(annotations),
+                "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert code == 2
+        assert f"horizon annotations {annotations} line 2" in capsys.readouterr().err
+
 
 # ---------------------------------------------------------------------------
 # pose-error
@@ -1022,3 +1086,30 @@ class TestEntryPoint:
         with pytest.raises(SystemExit) as excinfo:
             run()
         assert excinfo.value.code == 0
+
+
+@pytest.mark.parametrize("jobs", [1, 3])
+def test_ordered_map_keeps_input_order_within_a_bounded_window(jobs):
+    """Results come back in input order although later items finish first,
+    and no more than 2 x jobs results are ever started but not yet taken."""
+    lock = threading.Lock()
+    started = 0
+    taken = 0
+    most_ahead = 0
+
+    def fn(i):
+        nonlocal started, most_ahead
+        with lock:
+            started += 1
+            most_ahead = max(most_ahead, started - taken)
+        time.sleep(0.001 * (5 - i % 5))
+        return i
+
+    results = []
+    for value in _ordered_map(fn, range(40), jobs):
+        with lock:
+            taken += 1
+        results.append(value)
+        time.sleep(0.0005)
+    assert results == list(range(40))
+    assert 1 <= most_ahead <= 2 * jobs

@@ -124,6 +124,11 @@ class TestAngularError:
         assert err == pytest.approx(5.72958, abs=1e-5)
         assert err == pytest.approx(math.degrees(0.1), abs=1e-9)
 
+    def test_small_angle_known_answer(self):
+        # The trace/acos oracle cannot resolve this angle: cos(1e-8) == 1.0.
+        err = angular_error(rot_x(1e-8), np.eye(3))
+        assert err == pytest.approx(math.degrees(1e-8), rel=1e-6)
+
     def test_opposing_pitches(self):
         err = angular_error(rot_x(0.1), rot_x(-0.1))
         assert err == pytest.approx(11.45916, abs=1e-5)
