@@ -63,8 +63,8 @@ from .losses import (
 )
 from .metrics import (
     DetectionFrame,
-    average_orientation_similarity,
-    average_precision_40,
+    class_sweep,
+    match_pass,
     nuscenes_errors,
 )
 from .netpbm import read_image, write_image
@@ -613,10 +613,38 @@ def _load_detection_frames(
     return list(_ordered_map(load, _frame_ids(gt_dir), jobs))
 
 
+_KIND_BY_METRIC = {"ap2d": "2d", "apbev": "bev", "ap3d": "3d", "aos": "2d"}
+
+
+def _sweep_values(frames, cfg) -> dict[tuple[str, str, str], float | str]:
+    """AP/AOS value per (metric, class, difficulty); 'n/a' when undefined.
+
+    One matching pass per (IoU kind, difficulty) serves every class, and
+    ``ap2d`` and ``aos`` share the 2D pass.  Only the values are kept, so
+    at most one pass's records exist at a time.
+    """
+    values: dict[tuple[str, str, str], float | str] = {}
+    sweeps = [m for m in cfg.metrics if m in _KIND_BY_METRIC]
+    for kind in dict.fromkeys(_KIND_BY_METRIC[m] for m in sweeps):
+        for difficulty in dict.fromkeys(cfg.difficulties):
+            bin_ = _BIN_BY_NAME[difficulty]
+            records, num_gt = match_pass(frames, kind, cfg.iou_threshold, bin_)
+            for metric in (m for m in sweeps if _KIND_BY_METRIC[m] == kind):
+                for class_name in cfg.classes:
+                    try:
+                        value, _ = class_sweep(
+                            records, num_gt, class_name, bin_, metric == "aos"
+                        )
+                    except NoGroundTruth:
+                        value = "n/a"
+                    values[metric, class_name, difficulty] = value
+    return values
+
+
 def _metric_cells(frames, cfg) -> list[dict]:
     """One report cell per (metric, class, difficulty); 'n/a' when undefined."""
     cells: list[dict] = []
-    kind_by_metric = {"ap2d": "2d", "apbev": "bev", "ap3d": "3d"}
+    sweep_values = _sweep_values(frames, cfg)
     for metric in cfg.metrics:
         for class_name in cfg.classes:
             if metric == "nuscenes":
@@ -644,29 +672,13 @@ def _metric_cells(frames, cfg) -> list[dict]:
                     cells.append(cell)
                 continue
             for difficulty in cfg.difficulties:
-                bin_ = _BIN_BY_NAME[difficulty]
-                try:
-                    if metric == "aos":
-                        value, _ = average_orientation_similarity(
-                            frames, class_name, cfg.iou_threshold, bin_
-                        )
-                    else:
-                        value, _ = average_precision_40(
-                            frames,
-                            class_name,
-                            kind_by_metric[metric],
-                            cfg.iou_threshold,
-                            bin_,
-                        )
-                except NoGroundTruth:
-                    value = "n/a"
                 cells.append(
                     {
                         "metric": metric,
                         "class": class_name,
                         "difficulty": difficulty,
                         "threshold": cfg.iou_threshold,
-                        "value": value,
+                        "value": sweep_values[metric, class_name, difficulty],
                     }
                 )
     return cells

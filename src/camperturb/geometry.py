@@ -57,6 +57,11 @@ def _require_finite(name: str, *values: float) -> None:
             raise ValueError(f"{name} must be finite, got {v!r}")
 
 
+def _wrap_angle(angle: float) -> float:
+    """Wrap to [-pi, pi)."""
+    return (angle + math.pi) % (2.0 * math.pi) - math.pi
+
+
 @dataclass(frozen=True)
 class CameraIntrinsics:
     """Pinhole intrinsics: focal lengths, principal point, and skew (pixels)."""

@@ -28,16 +28,11 @@ from .errors import BehindCamera
 from .geometry import (
     CameraIntrinsics,
     ExtrinsicPerturbation,
+    _require_finite,
     ensure_rotation,
     image_homography,
     perturbation_matrix,
 )
-
-
-def _require_finite(name: str, *values: float) -> None:
-    for v in values:
-        if not math.isfinite(v):
-            raise ValueError(f"{name} must be finite, got {v!r}")
 
 
 @dataclass(frozen=True)

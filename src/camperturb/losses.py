@@ -102,6 +102,13 @@ def style_loss(out: FeatureTensor, target: FeatureTensor) -> float:
     return float(np.sum(diff * diff))
 
 
+def _check_gammas(gamma_content: float, gamma_style: float) -> None:
+    if not np.isfinite(gamma_content) or gamma_content < 0:
+        raise ValueError(f"gamma_content must be >= 0, got {gamma_content}")
+    if not np.isfinite(gamma_style) or gamma_style < 0:
+        raise ValueError(f"gamma_style must be >= 0, got {gamma_style}")
+
+
 def total_loss(
     out: FeatureTensor,
     content_target: FeatureTensor,
@@ -110,10 +117,7 @@ def total_loss(
     gamma_style: float = 1.0,
 ) -> float:
     """Weighted sum gamma_content * content + gamma_style * sum of styles."""
-    if not np.isfinite(gamma_content) or gamma_content < 0:
-        raise ValueError(f"gamma_content must be >= 0, got {gamma_content}")
-    if not np.isfinite(gamma_style) or gamma_style < 0:
-        raise ValueError(f"gamma_style must be >= 0, got {gamma_style}")
+    _check_gammas(gamma_content, gamma_style)
     total = gamma_content * content_loss(out, content_target)
     for target in style_targets:
         total += gamma_style * style_loss(out, target)
@@ -133,10 +137,7 @@ def loss_gradients(
     D = gram(out) - gram(target) and psi the flattened output,
     (4 / n) D psi reshaped back to (c, h, w); n = c*h*w of ``out``.
     """
-    if not np.isfinite(gamma_content) or gamma_content < 0:
-        raise ValueError(f"gamma_content must be >= 0, got {gamma_content}")
-    if not np.isfinite(gamma_style) or gamma_style < 0:
-        raise ValueError(f"gamma_style must be >= 0, got {gamma_style}")
+    _check_gammas(gamma_content, gamma_style)
     if out.data.shape != content_target.data.shape:
         raise ShapeMismatch(
             f"content loss needs equal shapes, got {out.data.shape} "

@@ -13,17 +13,22 @@ the result is independent of tie ordering), and precision is
 max-interpolated at recalls 1/40 .. 40/40.  AOS runs the same sweep with
 the numerator replaced by accumulated orientation similarity
 (1 + cos(delta alpha)) / 2, which makes AOS <= AP on 2D matching.
+Matching does not depend on the class being scored, so one
+:func:`match_pass` per (IoU kind, difficulty) serves every class, and
+:func:`class_sweep` turns one class's share of it into AP40 or AOS.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
 from .errors import DegenerateBox, NoGroundTruth, NoMatches
-from .geometry import Box3D, CameraIntrinsics
+from .geometry import Box3D, CameraIntrinsics, _wrap_angle
 from .kitti import DONTCARE, DifficultyBin, ObjectLabel, difficulty_of
 
 #: The 40 recall checkpoints of the AP40 protocol: 1/40, 2/40, ..., 1.
@@ -84,23 +89,18 @@ class NuScenesErrors:
     matches: int
 
 
-def polygon_area(points: np.ndarray) -> float:
-    """Unsigned area of a simple polygon (shoelace formula)."""
+def _signed_area(points) -> float:
+    """Shoelace area of a polygon, positive for counter-clockwise winding."""
     pts = np.asarray(points, dtype=float)
     if len(pts) < 3:
         return 0.0
-    x, y = pts[:, 0], pts[:, 1]
-    return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
+    nxt = np.concatenate((pts[1:], pts[:1]))
+    return 0.5 * float(np.dot(pts[:, 0], nxt[:, 1]) - np.dot(pts[:, 1], nxt[:, 0]))
 
 
-def _signed_area(pts: list[tuple[float, float]]) -> float:
-    s = 0.0
-    n = len(pts)
-    for i in range(n):
-        x0, y0 = pts[i]
-        x1, y1 = pts[(i + 1) % n]
-        s += x0 * y1 - x1 * y0
-    return 0.5 * s
+def polygon_area(points: np.ndarray) -> float:
+    """Unsigned area of a simple polygon (shoelace formula)."""
+    return abs(_signed_area(points))
 
 
 def convex_clip(
@@ -113,8 +113,9 @@ def convex_clip(
     inside, so clipping a polygon against itself returns it unchanged.
     """
     output = [(float(p[0]), float(p[1])) for p in np.asarray(subject, dtype=float)]
-    clip_pts = [(float(p[0]), float(p[1])) for p in np.asarray(clip, dtype=float)]
-    if _signed_area(clip_pts) < 0:
+    clip = np.asarray(clip, dtype=float)
+    clip_pts = [(float(p[0]), float(p[1])) for p in clip]
+    if _signed_area(clip) < 0:
         clip_pts.reverse()
     n = len(clip_pts)
     for i in range(n):
@@ -157,16 +158,23 @@ def footprint_corners(box: Box3D) -> np.ndarray:
     )
 
 
-def iou_2d(a: ObjectLabel, b: ObjectLabel) -> float:
-    """Axis-aligned IoU of two labels' 2D boxes."""
+def _intersection_2d(a: ObjectLabel, b: ObjectLabel) -> float:
+    """Area of the overlap of two labels' 2D boxes (0 when disjoint)."""
     iw = min(a.bbox_right, b.bbox_right) - max(a.bbox_left, b.bbox_left)
     ih = min(a.bbox_bottom, b.bbox_bottom) - max(a.bbox_top, b.bbox_top)
-    if iw <= 0 or ih <= 0:
+    return iw * ih if iw > 0 and ih > 0 else 0.0
+
+
+def _area_2d(a: ObjectLabel) -> float:
+    return (a.bbox_right - a.bbox_left) * (a.bbox_bottom - a.bbox_top)
+
+
+def iou_2d(a: ObjectLabel, b: ObjectLabel) -> float:
+    """Axis-aligned IoU of two labels' 2D boxes."""
+    inter = _intersection_2d(a, b)
+    if inter == 0.0:
         return 0.0
-    inter = iw * ih
-    area_a = (a.bbox_right - a.bbox_left) * (a.bbox_bottom - a.bbox_top)
-    area_b = (b.bbox_right - b.bbox_left) * (b.bbox_bottom - b.bbox_top)
-    return inter / (area_a + area_b - inter)
+    return inter / (_area_2d(a) + _area_2d(b) - inter)
 
 
 def _same_footprint(a: Box3D, b: Box3D) -> bool:
@@ -180,22 +188,23 @@ def _same_footprint(a: Box3D, b: Box3D) -> bool:
     )
 
 
-def _footprint_intersection_area(a: Box3D, b: Box3D) -> float:
-    if _same_footprint(a, b):
-        return a.width * a.length
-    inter_poly = convex_clip(footprint_corners(a), footprint_corners(b))
-    return polygon_area(np.array(inter_poly)) if len(inter_poly) >= 3 else 0.0
-
-
-def iou_bev(a: Box3D, b: Box3D) -> float:
-    """Exact IoU of two yaw-rotated BEV footprints, in [0, 1]."""
+def _bev_overlap(a: Box3D, b: Box3D) -> tuple[float, float, float]:
+    """Footprint areas of both boxes and the area of their intersection."""
     area_a = a.width * a.length
     area_b = b.width * b.length
     if area_a < 1e-12 or area_b < 1e-12:
         raise DegenerateBox("BEV footprint has (near-)zero area")
-    inter = min(_footprint_intersection_area(a, b), area_a, area_b)
-    union = area_a + area_b - inter
-    return inter / union
+    if _same_footprint(a, b):
+        inter = area_a
+    else:
+        inter = polygon_area(convex_clip(footprint_corners(a), footprint_corners(b)))
+    return area_a, area_b, min(inter, area_a, area_b)
+
+
+def iou_bev(a: Box3D, b: Box3D) -> float:
+    """Exact IoU of two yaw-rotated BEV footprints, in [0, 1]."""
+    area_a, area_b, inter = _bev_overlap(a, b)
+    return inter / (area_a + area_b - inter)
 
 
 def iou_3d(a: Box3D, b: Box3D) -> float:
@@ -204,11 +213,7 @@ def iou_3d(a: Box3D, b: Box3D) -> float:
     The vertical extent of a box runs from center.y (bottom) to
     center.y - height (top) in the y-down camera frame.
     """
-    area_a = a.width * a.length
-    area_b = b.width * b.length
-    if area_a < 1e-12 or area_b < 1e-12:
-        raise DegenerateBox("BEV footprint has (near-)zero area")
-    inter_area = min(_footprint_intersection_area(a, b), area_a, area_b)
+    area_a, area_b, inter_area = _bev_overlap(a, b)
     y_overlap = min(a.center.y, b.center.y) - max(
         a.center.y - a.height, b.center.y - b.height
     )
@@ -233,12 +238,8 @@ def _overlap(kind: str, det: ObjectLabel, gt: ObjectLabel) -> float:
 
 def _dontcare_coverage(det: ObjectLabel, dc: ObjectLabel) -> float:
     """Fraction of the detection's 2D box covered by a DontCare region."""
-    iw = min(det.bbox_right, dc.bbox_right) - max(det.bbox_left, dc.bbox_left)
-    ih = min(det.bbox_bottom, dc.bbox_bottom) - max(det.bbox_top, dc.bbox_top)
-    if iw <= 0 or ih <= 0:
-        return 0.0
-    area = (det.bbox_right - det.bbox_left) * (det.bbox_bottom - det.bbox_top)
-    return (iw * ih) / area
+    inter = _intersection_2d(det, dc)
+    return inter / _area_2d(det) if inter > 0.0 else 0.0
 
 
 def match_frame(
@@ -264,10 +265,8 @@ def match_frame(
     dets = frame.detections
     dontcare = [i for i, g in enumerate(gt) if g.class_name == DONTCARE]
     real_gt = [i for i, g in enumerate(gt) if g.class_name != DONTCARE]
-    in_bin = {
-        i: difficulty_of(gt[i]) <= difficulty and difficulty_of(gt[i]) != DifficultyBin.IGNORED
-        for i in real_gt
-    }
+    hardest = min(difficulty, DifficultyBin.HARD)
+    in_bin = {i: difficulty_of(gt[i]) <= hardest for i in real_gt}
     order = sorted(
         (i for i, d in enumerate(dets) if d.class_name != DONTCARE),
         key=lambda i: (-dets[i].score, i),
@@ -312,77 +311,81 @@ def match_frame(
     )
 
 
-def _sweep_records(
+def match_pass(
     frames,
-    class_name: str,
-    iou_kind: str,
-    threshold: float,
-    difficulty: DifficultyBin,
-):
-    """Matching records for one class: (score, is_tp, similarity), gt count."""
-    total_gt = 0
-    records: list[tuple[float, bool, float]] = []
+    iou_kind: str = "2d",
+    threshold: float = 0.7,
+    difficulty: DifficultyBin = DifficultyBin.MODERATE,
+) -> tuple[list[tuple[str, float, bool, float]], dict[str, int]]:
+    """Match every frame once, for all classes at the same time.
+
+    Returns ``(records, num_gt)``.  ``records`` holds one
+    (class_name, score, is_tp, similarity) entry per true or false
+    positive, in frame order (each frame's true positives in match order,
+    then its false positives in index order); ``similarity`` is
+    (1 + cos(alpha_det - alpha_gt)) / 2 for true positives and 0
+    otherwise.  ``num_gt`` maps each class to its in-bin ground-truth
+    count.  Raises ``ValueError`` on an empty frame list.
+    """
+    frames = list(frames)
+    if not frames:
+        raise ValueError("frames must be non-empty")
+    records: list[tuple[str, float, bool, float]] = []
+    num_gt: Counter[str] = Counter()
     for frame in frames:
         result = match_frame(frame, iou_kind, threshold, difficulty)
-        for g in frame.ground_truth:
-            if (
-                g.class_name == class_name
-                and difficulty_of(g) <= difficulty
-                and difficulty_of(g) != DifficultyBin.IGNORED
-            ):
-                total_gt += 1
+        gt, dets = frame.ground_truth, frame.detections
+        in_bin = [j for j, _, _ in result.pairs] + list(result.unmatched_gt)
+        num_gt.update(gt[j].class_name for j in in_bin)
         for gt_j, det_i, _ in result.pairs:
-            det = frame.detections[det_i]
-            if det.class_name != class_name:
-                continue
-            sim = (1.0 + math.cos(det.alpha - frame.ground_truth[gt_j].alpha)) / 2.0
-            records.append((det.score, True, sim))
+            det = dets[det_i]
+            sim = (1.0 + math.cos(det.alpha - gt[gt_j].alpha)) / 2.0
+            records.append((det.class_name, det.score, True, sim))
         for det_i in result.unmatched_det:
-            det = frame.detections[det_i]
-            if det.class_name == class_name:
-                records.append((det.score, False, 0.0))
-    return records, total_gt
+            det = dets[det_i]
+            records.append((det.class_name, det.score, False, 0.0))
+    return records, num_gt
 
 
-def _interpolated_curve(
-    records: list[tuple[float, bool, float]],
-    total_gt: int,
-    use_similarity: bool,
+def class_sweep(
+    records,
+    num_gt: dict[str, int],
+    class_name: str,
+    difficulty: DifficultyBin,
+    use_similarity: bool = False,
 ) -> tuple[float, PRCurve]:
-    """Run the 40-point sweep over score-sorted records.
+    """Run the 40-point sweep over one class's records of :func:`match_pass`.
 
-    Curve points are taken after each group of equal scores, so ties
-    contribute atomically and the result matches an exhaustive
-    per-threshold evaluation exactly.
+    The numerator is the true-positive count (AP40) or, with
+    ``use_similarity``, the summed orientation similarity (AOS).  Curve
+    points are taken after each group of equal scores, so ties contribute
+    atomically and the result matches an exhaustive per-threshold
+    evaluation exactly.  Raises :class:`NoGroundTruth` when the class has
+    no in-bin ground truth (``difficulty`` names the bin in the message).
     """
-    records = sorted(records, key=lambda r: -r[0])
+    total_gt = num_gt.get(class_name, 0)
+    if total_gt == 0:
+        raise NoGroundTruth(
+            f"no ground truth of class {class_name!r} in difficulty bin "
+            f"{difficulty.name}"
+        )
+    ranked = sorted((r[1:] for r in records if r[0] == class_name), key=lambda r: -r[0])
     points: list[tuple[float, float]] = []  # (recall, value)
     tp = 0
     fp = 0
     sim_sum = 0.0
-    i = 0
-    n = len(records)
-    while i < n:
-        j = i
-        while j < n and records[j][0] == records[i][0]:
-            score, is_tp, sim = records[j]
+    for _, tied in groupby(ranked, key=lambda r: r[0]):
+        for _, is_tp, sim in tied:
             if is_tp:
                 tp += 1
                 sim_sum += sim
             else:
                 fp += 1
-            j += 1
-        recall = tp / total_gt
-        value = (sim_sum if use_similarity else tp) / (tp + fp)
-        points.append((recall, value))
-        i = j
-    interpolated = []
-    for r in RECALL_POINTS:
-        best = 0.0
-        for recall, value in points:
-            if recall >= r and value > best:
-                best = value
-        interpolated.append(best)
+        points.append((tp / total_gt, (sim_sum if use_similarity else tp) / (tp + fp)))
+    interpolated = [
+        max((value for recall, value in points if recall >= r), default=0.0)
+        for r in RECALL_POINTS
+    ]
     ap = 100.0 * sum(interpolated) / len(RECALL_POINTS)
     return ap, PRCurve(recalls=RECALL_POINTS, precisions=tuple(interpolated))
 
@@ -399,18 +402,8 @@ def average_precision_40(
     Raises :class:`NoGroundTruth` when the class has no in-bin ground
     truth anywhere (the metric is undefined, not zero).
     """
-    frames = list(frames)
-    if not frames:
-        raise ValueError("frames must be non-empty")
-    records, total_gt = _sweep_records(
-        frames, class_name, iou_kind, threshold, difficulty
-    )
-    if total_gt == 0:
-        raise NoGroundTruth(
-            f"no ground truth of class {class_name!r} in difficulty bin "
-            f"{difficulty.name}"
-        )
-    return _interpolated_curve(records, total_gt, use_similarity=False)
+    records, num_gt = match_pass(frames, iou_kind, threshold, difficulty)
+    return class_sweep(records, num_gt, class_name, difficulty)
 
 
 def average_orientation_similarity(
@@ -425,20 +418,8 @@ def average_orientation_similarity(
     positive contributes (1 + cos(alpha_det - alpha_gt)) / 2 instead of 1,
     so AOS never exceeds the 2D AP at the same threshold.
     """
-    frames = list(frames)
-    if not frames:
-        raise ValueError("frames must be non-empty")
-    records, total_gt = _sweep_records(frames, class_name, "2d", threshold, difficulty)
-    if total_gt == 0:
-        raise NoGroundTruth(
-            f"no ground truth of class {class_name!r} in difficulty bin "
-            f"{difficulty.name}"
-        )
-    return _interpolated_curve(records, total_gt, use_similarity=True)
-
-
-def _wrap_angle(angle: float) -> float:
-    return (angle + math.pi) % (2.0 * math.pi) - math.pi
+    records, num_gt = match_pass(frames, "2d", threshold, difficulty)
+    return class_sweep(records, num_gt, class_name, difficulty, use_similarity=True)
 
 
 def _aligned_dims_iou(a: Box3D, b: Box3D) -> float:

@@ -25,12 +25,11 @@ import numpy as np
 from .errors import CamPerturbError, OutOfRange, SingularHomography
 from .geometry import (
     CameraIntrinsics,
-    CameraPoint,
     ExtrinsicPerturbation,
+    _wrap_angle,
     box_corners,
     image_homography,
     perturbation_matrix,
-    project,
     transform_box,
 )
 from .kitti import DONTCARE, ObjectLabel
@@ -143,11 +142,6 @@ def sample_perturbation(spec: PerturbationSpec, frame_id: str) -> ExtrinsicPertu
     return ExtrinsicPerturbation(pitch=pitch, roll=roll)
 
 
-def _wrap_angle(angle: float) -> float:
-    """Wrap to [-pi, pi)."""
-    return (angle + math.pi) % (2.0 * math.pi) - math.pi
-
-
 def _reproject_label(
     label: ObjectLabel,
     k: CameraIntrinsics,
@@ -159,13 +153,9 @@ def _reproject_label(
     corners = box_corners(new_box)
     if new_box.center.z <= 0 or (corners[:, 2] <= 0).any():
         return None
-    us = np.empty(8)
-    vs = np.empty(8)
-    for i in range(8):
-        pt = project(
-            k, CameraPoint(float(corners[i, 0]), float(corners[i, 1]), float(corners[i, 2]))
-        )
-        us[i], vs[i] = pt.u, pt.v
+    x, y, z = corners.T
+    us = (k.fx * x + k.skew * y) / z + k.cx
+    vs = k.fy * y / z + k.cy
     left, right = us.min(), us.max()
     top, bottom = vs.min(), vs.max()
     if image_size is not None:

@@ -499,6 +499,103 @@ class TestEvaluate:
         assert by_class["Car"] == {100.0}
         assert by_class["Pedestrian"] == {"n/a"}
 
+    def test_one_matching_pass_per_kind_and_difficulty(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import camperturb.metrics as metrics
+        from camperturb import (
+            DetectionFrame,
+            DifficultyBin,
+            SceneFrame,
+            average_orientation_similarity,
+            average_precision_40,
+        )
+
+        classes = ("Car", "Pedestrian", "Cyclist")
+        rng = np.random.default_rng(311)
+        frames, dets = [], {}
+        for i in range(5):
+            gt, det = [], []
+            for j in range(6):
+                box = helpers.make_box(
+                    x=float(rng.uniform(-8.0, 8.0)),
+                    z=float(rng.uniform(8.0, 40.0)),
+                    yaw=float(rng.uniform(-3.0, 3.0)),
+                )
+                label = helpers.make_label(classes[j % 3], box, occluded=int(rng.integers(0, 3)))
+                gt.append(label)
+                moved = dataclasses.replace(
+                    box,
+                    center=dataclasses.replace(
+                        box.center,
+                        x=box.center.x + float(rng.normal(0.0, 0.3)),
+                        z=box.center.z + float(rng.normal(0.0, 0.5)),
+                    ),
+                )
+                found = helpers.make_label(label.class_name, moved, alpha=label.alpha + 0.2)
+                det.append(helpers.with_score(found, float(rng.random())))
+            stray = helpers.make_label(classes[i % 3], helpers.make_box(x=-2.0, z=12.0))
+            det.append(helpers.with_score(stray, float(rng.random())))
+            frames.append(
+                SceneFrame(
+                    frame_id=f"{i:06d}",
+                    intrinsics=helpers.DEFAULT_K,
+                    labels=tuple(gt),
+                    image_size=(1242, 375),
+                )
+            )
+            dets[f"{i:06d}"] = det
+        gt_dir, det_dir = write_eval_dirs(tmp_path, frames, dets)
+
+        calls = []
+        real_match_frame = metrics.match_frame
+
+        def counting_match_frame(*args, **kwargs):
+            calls.append(args[1:])
+            return real_match_frame(*args, **kwargs)
+
+        monkeypatch.setattr(metrics, "match_frame", counting_match_frame)
+        code = main(
+            [
+                "evaluate",
+                "--gt", str(gt_dir),
+                "--det", str(det_dir),
+                "--classes", ",".join(classes),
+                "--metrics", "ap2d,apbev,ap3d,aos",
+                "--iou-threshold", "0.5",
+            ]
+        )
+        assert code == 0
+        assert len(calls) == len(frames) * 3 * 3
+
+        loaded = [
+            DetectionFrame(
+                frame_id=f.frame_id,
+                ground_truth=tuple(
+                    parse_label_file((gt_dir / f"{f.frame_id}.txt").read_bytes())
+                ),
+                detections=tuple(
+                    parse_label_file((det_dir / f"{f.frame_id}.txt").read_bytes())
+                ),
+            )
+            for f in frames
+        ]
+        cells = json.loads(capsys.readouterr().out)["cells"]
+        assert len(cells) == 4 * 3 * 3
+        kinds = {"ap2d": "2d", "apbev": "bev", "ap3d": "3d"}
+        for cell in cells:
+            bin_ = DifficultyBin[cell["difficulty"].upper()]
+            if cell["metric"] == "aos":
+                expected, _ = average_orientation_similarity(
+                    loaded, cell["class"], 0.5, bin_
+                )
+            else:
+                expected, _ = average_precision_40(
+                    loaded, cell["class"], kinds[cell["metric"]], 0.5, bin_
+                )
+            assert cell["value"] == expected
+        assert any(0.0 < cell["value"] < 100.0 for cell in cells)
+
     def test_nuscenes_cells_for_perfect_detections(self, tmp_path, capsys):
         gt_dir, det_dir = self._perfect_dirs(tmp_path, n_frames=2)
         code = main(

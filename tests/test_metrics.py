@@ -287,6 +287,22 @@ class TestMatchFrame:
         assert result.ignored_det == (0,)
         assert result.unmatched_gt == (1,)
 
+    def test_ignored_gt_stays_out_of_bin_at_ignored_difficulty(self):
+        # the IGNORED bin is not a cumulative bin: its ground truth still
+        # absorbs a detection as ignored and never counts as missed
+        tiny_gt = bbox_label(100, 100, 140, 120)
+        det = with_score(bbox_label(100, 100, 140, 120), 0.8)
+        result = match_frame(
+            detection_frame([tiny_gt], [det]),
+            iou_kind="2d",
+            threshold=0.7,
+            difficulty=DifficultyBin.IGNORED,
+        )
+        assert result.pairs == ()
+        assert result.ignored_det == (0,)
+        assert result.unmatched_det == ()
+        assert result.unmatched_gt == ()
+
     def test_each_gt_and_det_matched_at_most_once(self):
         rng = np.random.default_rng(107)
         gts, dets = [], []
