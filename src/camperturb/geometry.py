@@ -226,6 +226,11 @@ def perturbation_matrix_literal(p: ExtrinsicPerturbation) -> np.ndarray:
     )
 
 
+#: Orthogonality tolerance for rotations read from data: 1e-6 admits the
+#: seven significant digits of KITTI pose files written with ``%e``.
+ROTATION_TOL = 1e-6
+
+
 def ensure_rotation(m: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     """Validate that ``m`` is a proper rotation; return it as a float array.
 
@@ -340,6 +345,23 @@ def image_homography(k: CameraIntrinsics, rotation: np.ndarray) -> np.ndarray:
     return h
 
 
+def _box_row(box: Box3D) -> np.ndarray:
+    """A box as one (1, 7) row (x, y, z, h, w, l, yaw) of the batched kernels."""
+    c = box.center
+    return np.array([[c.x, c.y, c.z, box.height, box.width, box.length, box.yaw]])
+
+
+def _corners(rows: np.ndarray) -> np.ndarray:
+    """Corners of (n, 7) box rows, shape (n, 8, 3), ordered as :func:`box_corners`."""
+    x, y, z, h, w, l, yaw = np.asarray(rows, dtype=float).T[:, :, None]
+    c, s = np.cos(yaw), np.sin(yaw)
+    half_l = 0.5 * l * [1.0, 1.0, -1.0, -1.0]  # along the heading
+    half_w = 0.5 * w * [1.0, -1.0, -1.0, 1.0]  # right of the heading
+    bx, bz = x + half_l * s + half_w * c, z + half_l * c - half_w * s
+    bottom = np.stack([bx, np.broadcast_to(y, bx.shape), bz], axis=-1)
+    return np.concatenate([bottom, bottom - h[..., None] * [0.0, 1.0, 0.0]], axis=1)
+
+
 def box_corners(box: Box3D) -> np.ndarray:
     """Return the 8 corners of a box, shape (8, 3), in the camera frame.
 
@@ -347,22 +369,16 @@ def box_corners(box: Box3D) -> np.ndarray:
     face (y = center.y - height), each face ordered counter-clockwise when
     viewed from above (-y).
     """
-    c, s = math.cos(box.yaw), math.sin(box.yaw)
-    forward = np.array([s, 0.0, c])          # heading (length axis)
-    lateral = np.array([c, 0.0, -s])         # right of heading (width axis)
-    base = np.array([box.center.x, box.center.y, box.center.z])
-    half_l = 0.5 * box.length * forward
-    half_w = 0.5 * box.width * lateral
-    bottom = np.array(
-        [
-            base + half_l + half_w,
-            base + half_l - half_w,
-            base - half_l - half_w,
-            base - half_l + half_w,
-        ]
-    )
-    top = bottom + np.array([0.0, -box.height, 0.0])
-    return np.vstack([bottom, top])
+    return _corners(_box_row(box))[0]
+
+
+def _rotate_rows(rotation: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Rotate (n, 7) box rows rigidly and re-snap them upright, as :func:`transform_box`."""
+    yaw = rows[:, 6]
+    heading = np.stack([np.sin(yaw), np.zeros_like(yaw), np.cos(yaw)], axis=1)
+    hx, _, hz = (rotation @ heading[:, :, None])[:, :, 0].T.tolist()
+    new_yaw = [math.atan2(x, z) for x, z in zip(hx, hz)]
+    return np.column_stack([(rotation @ rows[:, :3, None])[:, :, 0], rows[:, 3:6], new_yaw])
 
 
 def transform_box(rotation: np.ndarray, box: Box3D) -> Box3D:
@@ -374,16 +390,8 @@ def transform_box(rotation: np.ndarray, box: Box3D) -> Box3D:
     discarded tilt is second order.  Dimensions are unchanged.
     """
     rotation = np.asarray(rotation, dtype=float)
-    center = rotation @ np.array([box.center.x, box.center.y, box.center.z])
-    heading = rotation @ np.array([math.sin(box.yaw), 0.0, math.cos(box.yaw)])
-    yaw = math.atan2(heading[0], heading[2])
-    return Box3D(
-        center=CameraPoint(center[0], center[1], center[2]),
-        height=box.height,
-        width=box.width,
-        length=box.length,
-        yaw=yaw,
-    )
+    x, y, z, h, w, l, yaw = _rotate_rows(rotation, _box_row(box))[0].tolist()
+    return Box3D(center=CameraPoint(x, y, z), height=h, width=w, length=l, yaw=yaw)
 
 
 def rectify_center(rotation: np.ndarray, point: CameraPoint) -> CameraPoint:

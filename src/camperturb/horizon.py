@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import BehindCamera
 from .geometry import (
+    ROTATION_TOL,
     CameraIntrinsics,
     ExtrinsicPerturbation,
     _require_finite,
@@ -103,13 +104,14 @@ def extrinsics_from_horizon_vp(
 def angular_error(r_est: np.ndarray, r_gt: np.ndarray) -> float:
     """Geodesic angle between two rotations, in degrees.
 
-    Both arguments must be proper rotations (orthogonal within 1e-9).
+    Both arguments must be proper rotations, orthogonal within
+    ``ROTATION_TOL`` (1e-6), the tolerance the pose parser accepts.
     The relative rotation R = R_est^T R_gt has trace 1 + 2 cos(theta) and
     antisymmetric part R - R^T = 2 sin(theta) [axis]_x.  Taking atan2 of
     the two keeps full relative accuracy at small angles, where acos of
     the trace loses it (1e-8 rad would read as 0).  Result lies in [0, 180].
     """
-    r = ensure_rotation(r_est, tol=1e-9).T @ ensure_rotation(r_gt, tol=1e-9)
+    r = ensure_rotation(r_est, tol=ROTATION_TOL).T @ ensure_rotation(r_gt, tol=ROTATION_TOL)
     (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = r.tolist()
     sin_theta = math.hypot(r21 - r12, r02 - r20, r10 - r01) / 2.0
     cos_theta = (r00 + r11 + r22 - 1.0) / 2.0

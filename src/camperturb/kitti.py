@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import MalformedLine, MissingKey, NonFiniteValue, NotARotation
-from .geometry import Box3D, CameraIntrinsics, CameraPoint
+from .geometry import ROTATION_TOL, Box3D, CameraIntrinsics, CameraPoint, ensure_rotation
 
 DONTCARE = "DontCare"
 
@@ -164,6 +164,12 @@ class ObjectLabel:
             z=box.center.z,
             rotation_y=box.yaw,
         )
+
+
+def _box_rows(labels) -> np.ndarray:
+    """The labels' 3D boxes as (n, 7) rows (x, y, z, h, w, l, yaw)."""
+    rows = [(a.x, a.y, a.z, a.height, a.width, a.length, a.rotation_y) for a in labels]
+    return np.array(rows, dtype=float).reshape(-1, 7)
 
 
 @dataclass(frozen=True)
@@ -354,7 +360,8 @@ def parse_calib_file(data: bytes | str) -> CalibrationSet:
 def parse_odometry_poses(data: bytes | str) -> list[OdometryPose]:
     """Parse an odometry pose file (twelve floats per line, row-major 3x4).
 
-    The rotation block of every pose must be orthogonal within 1e-6;
+    The rotation block of every pose must pass :func:`ensure_rotation` at
+    ``ROTATION_TOL`` (orthogonal within 1e-6, determinant positive);
     otherwise :class:`NotARotation` is raised with the offending line
     number attached.
     """
@@ -369,14 +376,13 @@ def parse_odometry_poses(data: bytes | str) -> list[OdometryPose]:
             raise MalformedLine(line_no, f"expected 12 values, got {len(tokens)}")
         values = [_parse_float(tok, line_no, f"pose[{i}]") for i, tok in enumerate(tokens)]
         mat = np.array(values).reshape(3, 4)
-        rot = mat[:, :3]
-        err = np.abs(rot @ rot.T - np.eye(3)).max()
-        if err > 1e-6 or np.linalg.det(rot) <= 0:
+        try:
+            rot = ensure_rotation(mat[:, :3], tol=ROTATION_TOL)
+        except NotARotation as exc:
             raise NotARotation(
-                f"line {line_no}: pose rotation block is not a rotation "
-                f"(orthogonality residual {err:.3e})",
+                f"line {line_no}: pose rotation block is not a rotation ({exc})",
                 line_no=line_no,
-            )
+            ) from None
         poses.append(OdometryPose(frame_index=index, rotation=rot, translation=mat[:, 3]))
         index += 1
     return poses

@@ -1,10 +1,13 @@
 """Detection metrics: rotated-box IoU, matching, AP40 / AOS, center-distance errors.
 
-Overlap of yaw-rotated boxes is computed exactly: the bird's-eye-view
-(BEV) footprints are convex quadrilaterals, their intersection is found
-with Sutherland-Hodgman polygon clipping, and areas come from the
+Overlap of yaw-rotated boxes is computed exactly, for many box pairs at
+once: the bird's-eye-view (BEV) footprints are rectangles, the vertices
+of their intersection are the corners of each inside the other plus the
+crossings of their edges, and sorted by angle these give the area by the
 shoelace formula.  3D IoU multiplies the BEV intersection by the overlap
-of the vertical extents.
+of the vertical extents.  :func:`match_frame` scores all same-class
+pairs of a frame in one call; ``iou_2d``/``iou_bev``/``iou_3d`` score
+one pair through the same kernel.
 
 AP40 follows the 40-recall-point protocol: detections are matched
 greedily in score order, the precision-recall curve is sampled after
@@ -28,8 +31,8 @@ from itertools import groupby
 import numpy as np
 
 from .errors import DegenerateBox, NoGroundTruth, NoMatches
-from .geometry import Box3D, CameraIntrinsics, _wrap_angle
-from .kitti import DONTCARE, DifficultyBin, ObjectLabel, difficulty_of
+from .geometry import Box3D, CameraIntrinsics, _box_row, _corners, _wrap_angle
+from .kitti import DONTCARE, DifficultyBin, ObjectLabel, _box_rows, difficulty_of
 
 #: The 40 recall checkpoints of the AP40 protocol: 1/40, 2/40, ..., 1.
 RECALL_POINTS = tuple((k + 1) / 40.0 for k in range(40))
@@ -89,122 +92,106 @@ class NuScenesErrors:
     matches: int
 
 
-def _signed_area(points) -> float:
-    """Shoelace area of a polygon, positive for counter-clockwise winding."""
-    pts = np.asarray(points, dtype=float)
-    if len(pts) < 3:
-        return 0.0
-    nxt = np.concatenate((pts[1:], pts[:1]))
-    return 0.5 * float(np.dot(pts[:, 0], nxt[:, 1]) - np.dot(pts[:, 1], nxt[:, 0]))
+def _rect_overlap(a: np.ndarray, b: np.ndarray):
+    """Intersection (0 when disjoint) and both areas of paired 2D box rows.
 
-
-def polygon_area(points: np.ndarray) -> float:
-    """Unsigned area of a simple polygon (shoelace formula)."""
-    return abs(_signed_area(points))
-
-
-def convex_clip(
-    subject: np.ndarray, clip: np.ndarray
-) -> list[tuple[float, float]]:
-    """Clip a polygon against a convex polygon (Sutherland-Hodgman).
-
-    The clip polygon may be given in either winding; it is re-oriented
-    counter-clockwise internally.  Points exactly on a clip edge count as
-    inside, so clipping a polygon against itself returns it unchanged.
+    Rows are (left, top, right, bottom).
     """
-    output = [(float(p[0]), float(p[1])) for p in np.asarray(subject, dtype=float)]
-    clip = np.asarray(clip, dtype=float)
-    clip_pts = [(float(p[0]), float(p[1])) for p in clip]
-    if _signed_area(clip) < 0:
-        clip_pts.reverse()
-    n = len(clip_pts)
-    for i in range(n):
-        if not output:
-            break
-        ax, ay = clip_pts[i]
-        bx, by = clip_pts[(i + 1) % n]
-        ex, ey = bx - ax, by - ay
-        current = output
-        output = []
-        m = len(current)
-        for j in range(m):
-            px, py = current[j]
-            qx, qy = current[(j + 1) % m]
-            # interior of a CCW polygon is the left side of each edge
-            p_in = ex * (py - ay) - ey * (px - ax) >= 0
-            q_in = ex * (qy - ay) - ey * (qx - ax) >= 0
-            if p_in:
-                output.append((px, py))
-            if p_in != q_in:
-                den = ex * (qy - py) - ey * (qx - px)
-                if den != 0.0:
-                    t = (ex * (ay - py) - ey * (ax - px)) / den
-                    output.append((px + t * (qx - px), py + t * (qy - py)))
-    return output
+    iw = np.minimum(a[:, 2], b[:, 2]) - np.maximum(a[:, 0], b[:, 0])
+    ih = np.minimum(a[:, 3], b[:, 3]) - np.maximum(a[:, 1], b[:, 1])
+    inter = np.where((iw > 0) & (ih > 0), iw * ih, 0.0)
+    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
+    return inter, area_a, (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
 
 
-def footprint_corners(box: Box3D) -> np.ndarray:
-    """BEV footprint of a box: (4, 2) array of (x, z) corners."""
-    c, s = math.cos(box.yaw), math.sin(box.yaw)
-    cx, cz = box.center.x, box.center.z
-    hl, hw = 0.5 * box.length, 0.5 * box.width
-    return np.array(
-        [
-            [cx + hl * s + hw * c, cz + hl * c - hw * s],
-            [cx + hl * s - hw * c, cz + hl * c + hw * s],
-            [cx - hl * s - hw * c, cz - hl * c + hw * s],
-            [cx - hl * s + hw * c, cz - hl * c - hw * s],
-        ]
+def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+
+
+def _convex_intersection(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Intersection areas of paired counter-clockwise quadrilaterals, (n, 4, 2) each.
+
+    The intersection is convex; its vertices are the corners of each
+    polygon inside the other plus the 16 edge-edge crossings.  Sorted by
+    angle about their mean they give the area by the shoelace formula.
+    """
+    n = len(p)
+    p, q = p - p[:, :1], q - p[:, :1]  # small coordinates round less
+    r = (np.roll(p, -1, axis=1) - p)[:, :, None]  # edge i of p: p[i] + t r[i]
+    s = (np.roll(q, -1, axis=1) - q)[:, None]  # edge j of q: q[j] + u s[j]
+    d = q[:, None] - p[:, :, None]
+    ds, dr, den = _cross(d, s), _cross(d, r), _cross(r, s)
+    with np.errstate(divide="ignore", invalid="ignore"):  # parallel edges
+        t, u = ds / den, dr / den
+        crossings = (p[:, :, None] + t[..., None] * r).reshape(n, 16, 2)
+    # crossings within 1e-14 edge lengths past a corner count: rounding loses no vertex
+    lo, hi = -1e-14, 1.0 + 1e-14
+    crosses = (den != 0) & (t >= lo) & (t <= hi) & (u >= lo) & (u <= hi)
+    # a corner is inside the other polygon when it is left of (or on) all its edges
+    keep = np.concatenate(
+        [(ds >= 0).all(axis=2), (dr <= 0).all(axis=1), crosses.reshape(n, 16)], axis=1
     )
+    points = np.where(keep[..., None], np.concatenate([p, q, crossings], axis=1), 0.0)
+    count = keep.sum(axis=1)
+    offset = points - points.sum(1, keepdims=True) / np.maximum(count, 1)[:, None, None]
+    angle = np.where(keep, np.arctan2(offset[..., 1], offset[..., 0]), np.inf)
+    # kept points in angle order, the last one repeated over the dropped tail
+    last = np.maximum(count, 1)[:, None] - 1
+    order = np.take_along_axis(np.argsort(angle, 1), np.minimum(np.arange(24), last), 1)
+    x, y = np.moveaxis(np.take_along_axis(points, order[..., None], axis=1), -1, 0)
+    twice = (x * np.roll(y, -1, 1)).sum(axis=1) - (y * np.roll(x, -1, 1)).sum(axis=1)
+    return np.where(count >= 3, 0.5 * np.abs(twice), 0.0)
 
 
-def _intersection_2d(a: ObjectLabel, b: ObjectLabel) -> float:
-    """Area of the overlap of two labels' 2D boxes (0 when disjoint)."""
-    iw = min(a.bbox_right, b.bbox_right) - max(a.bbox_left, b.bbox_left)
-    ih = min(a.bbox_bottom, b.bbox_bottom) - max(a.bbox_top, b.bbox_top)
-    return iw * ih if iw > 0 and ih > 0 else 0.0
+def _pair_ious(kind: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of each row pair (a[k], b[k]) for one IoU kind.
+
+    Rows are (left, top, right, bottom) 2D boxes for ``"2d"`` and
+    (x, y, z, h, w, l, yaw) 3D boxes for ``"bev"`` and ``"3d"``.  Raises
+    :class:`DegenerateBox` if a compared BEV footprint has (near-)zero area.
+    """
+    if kind == "2d":
+        inter, area_a, area_b = _rect_overlap(a, b)
+        return np.where(inter > 0.0, inter / (area_a + area_b - inter), 0.0)
+    area_a = a[:, 4] * a[:, 5]
+    area_b = b[:, 4] * b[:, 5]
+    if (area_a < 1e-12).any() or (area_b < 1e-12).any():
+        raise DegenerateBox("BEV footprint has (near-)zero area")
+    # bit-equal footprints overlap fully, boxes with apart bounding circles not at all
+    same = (a[:, [0, 2, 4, 5, 6]] == b[:, [0, 2, 4, 5, 6]]).all(axis=1)
+    reach = 0.5 * (np.hypot(a[:, 4], a[:, 5]) + np.hypot(b[:, 4], b[:, 5]))
+    near = ~same & (np.hypot(a[:, 0] - b[:, 0], a[:, 2] - b[:, 2]) < reach)
+    inter = np.where(same, area_a, 0.0)
+    inter[near] = _convex_intersection(
+        _corners(a[near])[:, :4, ::2], _corners(b[near])[:, :4, ::2]
+    )
+    inter = np.minimum(np.minimum(inter, area_a), area_b)
+    if kind == "bev":
+        return inter / (area_a + area_b - inter)
+    top_a, top_b = a[:, 1] - a[:, 3], b[:, 1] - b[:, 3]
+    y_overlap = np.minimum(a[:, 1], b[:, 1]) - np.maximum(top_a, top_b)
+    vol_a = area_a * a[:, 3]
+    vol_b = area_b * b[:, 3]
+    inter_vol = np.minimum(np.minimum(inter * np.maximum(y_overlap, 0.0), vol_a), vol_b)
+    return inter_vol / (vol_a + vol_b - inter_vol)
 
 
-def _area_2d(a: ObjectLabel) -> float:
-    return (a.bbox_right - a.bbox_left) * (a.bbox_bottom - a.bbox_top)
+def _rows(kind: str, labels) -> np.ndarray:
+    """Rows of :func:`_pair_ious` for labels: 2D boxes, or 3D boxes for BEV/3D."""
+    if kind == "2d":
+        rows = [(a.bbox_left, a.bbox_top, a.bbox_right, a.bbox_bottom) for a in labels]
+        return np.array(rows, dtype=float).reshape(-1, 4)
+    return _box_rows(labels)
 
 
 def iou_2d(a: ObjectLabel, b: ObjectLabel) -> float:
     """Axis-aligned IoU of two labels' 2D boxes."""
-    inter = _intersection_2d(a, b)
-    if inter == 0.0:
-        return 0.0
-    return inter / (_area_2d(a) + _area_2d(b) - inter)
-
-
-def _same_footprint(a: Box3D, b: Box3D) -> bool:
-    """Bit-equal BEV footprints (a polygon clipped against itself is noisy)."""
-    return (
-        a.center.x == b.center.x
-        and a.center.z == b.center.z
-        and a.width == b.width
-        and a.length == b.length
-        and a.yaw == b.yaw
-    )
-
-
-def _bev_overlap(a: Box3D, b: Box3D) -> tuple[float, float, float]:
-    """Footprint areas of both boxes and the area of their intersection."""
-    area_a = a.width * a.length
-    area_b = b.width * b.length
-    if area_a < 1e-12 or area_b < 1e-12:
-        raise DegenerateBox("BEV footprint has (near-)zero area")
-    if _same_footprint(a, b):
-        inter = area_a
-    else:
-        inter = polygon_area(convex_clip(footprint_corners(a), footprint_corners(b)))
-    return area_a, area_b, min(inter, area_a, area_b)
+    return float(_pair_ious("2d", _rows("2d", [a]), _rows("2d", [b]))[0])
 
 
 def iou_bev(a: Box3D, b: Box3D) -> float:
     """Exact IoU of two yaw-rotated BEV footprints, in [0, 1]."""
-    area_a, area_b, inter = _bev_overlap(a, b)
-    return inter / (area_a + area_b - inter)
+    return float(_pair_ious("bev", _box_row(a), _box_row(b))[0])
 
 
 def iou_3d(a: Box3D, b: Box3D) -> float:
@@ -213,33 +200,10 @@ def iou_3d(a: Box3D, b: Box3D) -> float:
     The vertical extent of a box runs from center.y (bottom) to
     center.y - height (top) in the y-down camera frame.
     """
-    area_a, area_b, inter_area = _bev_overlap(a, b)
-    y_overlap = min(a.center.y, b.center.y) - max(
-        a.center.y - a.height, b.center.y - b.height
-    )
-    inter_vol = inter_area * max(y_overlap, 0.0)
-    vol_a = area_a * a.height
-    vol_b = area_b * b.height
-    inter_vol = min(inter_vol, vol_a, vol_b)
-    union = vol_a + vol_b - inter_vol
-    return inter_vol / union
+    return float(_pair_ious("3d", _box_row(a), _box_row(b))[0])
 
 
 _IOU_KINDS = ("2d", "bev", "3d")
-
-
-def _overlap(kind: str, det: ObjectLabel, gt: ObjectLabel) -> float:
-    if kind == "2d":
-        return iou_2d(det, gt)
-    if kind == "bev":
-        return iou_bev(det.box3d(), gt.box3d())
-    return iou_3d(det.box3d(), gt.box3d())
-
-
-def _dontcare_coverage(det: ObjectLabel, dc: ObjectLabel) -> float:
-    """Fraction of the detection's 2D box covered by a DontCare region."""
-    inter = _intersection_2d(det, dc)
-    return inter / _area_2d(det) if inter > 0.0 else 0.0
 
 
 def match_frame(
@@ -271,20 +235,32 @@ def match_frame(
         (i for i, d in enumerate(dets) if d.class_name != DONTCARE),
         key=lambda i: (-dets[i].score, i),
     )
+    # one IoU matrix per call; -1 marks the pairs that are never compared
+    ious = np.full((len(dets), len(gt)), -1.0)
+    same_class = [
+        (i, j) for i in order for j in real_gt if gt[j].class_name == dets[i].class_name
+    ]
+    if same_class:
+        det_idx, gt_idx = np.array(same_class).T
+        rows_det, rows_gt = _rows(iou_kind, dets), _rows(iou_kind, gt)
+        ious[det_idx, gt_idx] = _pair_ious(iou_kind, rows_det[det_idx], rows_gt[gt_idx])
+    covered = np.zeros(len(dets), dtype=bool)
+    if dontcare and order:
+        det_idx, dc_idx = np.repeat(order, len(dontcare)), np.tile(dontcare, len(order))
+        boxes_det, boxes_dc = _rows("2d", dets)[det_idx], _rows("2d", gt)[dc_idx]
+        inter, area_det, _ = _rect_overlap(boxes_det, boxes_dc)
+        coverage = np.where(inter > 0.0, inter / area_det, 0.0)
+        covered[order] = (coverage > threshold).reshape(len(order), -1).any(axis=1)
     claimed: set[int] = set()
     pairs: list[tuple[int, int, float]] = []
     ignored: list[int] = []
     false_pos: list[int] = []
-    for di in order:
-        det = dets[di]
+    for di, row in zip(order, ious[order].tolist()):
         best_j = -1
         best_iou = 0.0
         best_eligible = False
-        for j in real_gt:
-            if j in claimed or gt[j].class_name != det.class_name:
-                continue
-            iou = _overlap(iou_kind, det, gt[j])
-            if iou < threshold:
+        for j, iou in enumerate(row):
+            if iou < threshold or j in claimed:
                 continue
             eligible = in_bin[j]
             # an in-bin match always beats an out-of-bin one; within a
@@ -294,12 +270,8 @@ def match_frame(
         if best_j >= 0 and best_eligible:
             claimed.add(best_j)
             pairs.append((best_j, di, best_iou))
-        elif best_j >= 0:
-            ignored.append(di)  # matched an out-of-bin box: neither TP nor FP
-        elif any(
-            _dontcare_coverage(det, gt[dc]) > threshold for dc in dontcare
-        ):
-            ignored.append(di)
+        elif best_j >= 0 or covered[di]:
+            ignored.append(di)  # out-of-bin match or DontCare: neither TP nor FP
         else:
             false_pos.append(di)
     unmatched_gt = tuple(j for j in real_gt if in_bin[j] and j not in claimed)

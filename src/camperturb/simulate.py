@@ -26,13 +26,13 @@ from .errors import CamPerturbError, OutOfRange, SingularHomography
 from .geometry import (
     CameraIntrinsics,
     ExtrinsicPerturbation,
+    _corners,
+    _rotate_rows,
     _wrap_angle,
-    box_corners,
     image_homography,
     perturbation_matrix,
-    transform_box,
 )
-from .kitti import DONTCARE, ObjectLabel
+from .kitti import DONTCARE, ObjectLabel, _box_rows
 from .netpbm import RasterImage
 
 #: Default sampling width: one degree, in radians.
@@ -142,41 +142,6 @@ def sample_perturbation(spec: PerturbationSpec, frame_id: str) -> ExtrinsicPertu
     return ExtrinsicPerturbation(pitch=pitch, roll=roll)
 
 
-def _reproject_label(
-    label: ObjectLabel,
-    k: CameraIntrinsics,
-    rotation: np.ndarray,
-    image_size: tuple[int, int] | None,
-) -> ObjectLabel | None:
-    """Rotate one label's box and rebuild its 2D fields; None if unrepresentable."""
-    new_box = transform_box(rotation, label.box3d())
-    corners = box_corners(new_box)
-    if new_box.center.z <= 0 or (corners[:, 2] <= 0).any():
-        return None
-    x, y, z = corners.T
-    us = (k.fx * x + k.skew * y) / z + k.cx
-    vs = k.fy * y / z + k.cy
-    left, right = us.min(), us.max()
-    top, bottom = vs.min(), vs.max()
-    if image_size is not None:
-        w, h = image_size
-        left = min(max(left, 0.0), w - 1.0)
-        right = min(max(right, 0.0), w - 1.0)
-        top = min(max(top, 0.0), h - 1.0)
-        bottom = min(max(bottom, 0.0), h - 1.0)
-    if right <= left or bottom <= top:
-        return None
-    alpha = _wrap_angle(new_box.yaw - math.atan2(new_box.center.x, new_box.center.z))
-    moved = label.with_box3d(new_box, alpha=alpha)
-    return replace(
-        moved,
-        bbox_left=float(left),
-        bbox_top=float(top),
-        bbox_right=float(right),
-        bbox_bottom=float(bottom),
-    )
-
-
 def transform_labels(
     labels,
     k: CameraIntrinsics,
@@ -186,25 +151,45 @@ def transform_labels(
     """Apply an in-camera rotation to every label.
 
     DontCare regions pass through untouched (they have no usable 3D box).
-    Returns the surviving labels and the count of dropped objects (those
-    rotated behind the camera or projected entirely outside the image).
-    An exact identity rotation returns the labels unchanged.
+    Returns the surviving labels, in input order, and the count of dropped
+    objects (those rotated behind the camera or projected entirely outside
+    the image).  An exact identity rotation returns the labels unchanged.
+    All boxes of the call are moved, projected and clipped as one batch.
     """
     rotation = np.asarray(rotation, dtype=float)
+    labels = list(labels)
     if np.array_equal(rotation, np.eye(3)):
-        return list(labels), 0
+        return labels, 0
+    boxes = [label for label in labels if label.class_name != DONTCARE]
+    moved = _rotate_rows(rotation, _box_rows(boxes))
+    if not np.isfinite(moved).all():
+        raise ValueError("camera point must be finite after the rotation")
+    x, y, z = np.moveaxis(_corners(moved), -1, 0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # z <= 0 rows are dropped
+        us = (k.fx * x + k.skew * y) / z + k.cx
+        vs = k.fy * y / z + k.cy
+    left, right = us.min(axis=1), us.max(axis=1)
+    top, bottom = vs.min(axis=1), vs.max(axis=1)
+    if image_size is not None:
+        w, h = image_size
+        left, right = np.clip([left, right], 0.0, w - 1.0)
+        top, bottom = np.clip([top, bottom], 0.0, h - 1.0)
+    keep = (moved[:, 2] > 0) & (z > 0).all(axis=1) & (right > left) & (bottom > top)
+    bboxes = np.stack([left, top, right, bottom], axis=1)
+    fields = zip(keep.tolist(), moved.tolist(), bboxes.tolist())
     out: list[ObjectLabel] = []
-    dropped = 0
     for label in labels:
         if label.class_name == DONTCARE:
             out.append(label)
             continue
-        moved = _reproject_label(label, k, rotation, image_size)
-        if moved is None:
-            dropped += 1
-        else:
-            out.append(moved)
-    return out, dropped
+        kept, (cx, cy, cz, _, _, _, yaw), (left, top, right, bottom) = next(fields)
+        if kept:
+            alpha = _wrap_angle(yaw - math.atan2(cx, cz))
+            out.append(replace(
+                label, alpha=alpha, x=cx, y=cy, z=cz, rotation_y=yaw,
+                bbox_left=left, bbox_top=top, bbox_right=right, bbox_bottom=bottom,
+            ))
+    return out, len(boxes) - int(keep.sum())
 
 
 def perturb_labels(

@@ -1,14 +1,16 @@
 """Independent oracles used to derive expected test values.
 
 Everything here deliberately avoids the code paths under test: IoU by
-Monte-Carlo point sampling, AP by exhaustive per-threshold evaluation,
-Gram matrices by direct double summation, gradients by central finite
-differences, and rotations by explicit 3x3 arithmetic.
+Monte-Carlo point sampling and by exact rational polygon clipping, AP by
+exhaustive per-threshold evaluation, Gram matrices by direct double
+summation, gradients by central finite differences, and rotations by
+explicit 3x3 arithmetic.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -76,6 +78,53 @@ def mc_iou_bev(box_a, box_b, unit_cloud: np.ndarray) -> float:
     if union == 0:
         return 0.0
     return inter / union
+
+
+def _footprint_fractions(box) -> list[tuple[Fraction, Fraction]]:
+    """The four (x, z) corners of a BEV footprint, as exact fractions."""
+    c, s = math.cos(box.yaw), math.sin(box.yaw)
+    hl, hw = box.length / 2.0, box.width / 2.0
+    return [
+        (Fraction(box.center.x + a * hl * s + b * hw * c),
+         Fraction(box.center.z + a * hl * c - b * hw * s))
+        for a, b in ((1, 1), (1, -1), (-1, -1), (-1, 1))
+    ]
+
+
+def _shoelace(poly) -> Fraction:
+    n = len(poly)
+    return sum(
+        (poly[i][0] * poly[(i + 1) % n][1] - poly[(i + 1) % n][0] * poly[i][1]
+         for i in range(n)),
+        Fraction(0),
+    ) / 2
+
+
+def exact_iou_bev(box_a, box_b) -> float:
+    """BEV IoU by Sutherland-Hodgman clipping in exact rational arithmetic.
+
+    Exact for the footprints' float corners, so it differs from the true
+    IoU only by the rounding of those corners.
+    """
+    subject, clip = _footprint_fractions(box_a), _footprint_fractions(box_b)
+    if _shoelace(clip) < 0:
+        clip.reverse()
+    for (ax, ay), (bx, by) in zip(clip, clip[1:] + clip[:1]):
+        current, subject = subject, []
+        for (px, py), (qx, qy) in zip(current, current[1:] + current[:1]):
+            p_in = (bx - ax) * (py - ay) - (by - ay) * (px - ax) >= 0
+            q_in = (bx - ax) * (qy - ay) - (by - ay) * (qx - ax) >= 0
+            if p_in:
+                subject.append((px, py))
+            if p_in != q_in:
+                t = ((bx - ax) * (ay - py) - (by - ay) * (ax - px)) / (
+                    (bx - ax) * (qy - py) - (by - ay) * (qx - px)
+                )
+                subject.append((px + t * (qx - px), py + t * (qy - py)))
+    inter = abs(_shoelace(subject)) if len(subject) >= 3 else Fraction(0)
+    area_a = abs(_shoelace(_footprint_fractions(box_a)))
+    area_b = abs(_shoelace(_footprint_fractions(box_b)))
+    return float(inter / (area_a + area_b - inter))
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,8 @@ from camperturb import (
     RasterImage,
     horizon_vp_from_extrinsics,
     parse_label_file,
+    rot_x,
+    rot_z,
     write_image,
     write_label_file,
 )
@@ -1013,6 +1015,22 @@ class TestPoseError:
             ["pose-error", "--est", str(tmp_path / "gone"), "--gt-poses", str(poses)]
         )
         assert code == 2
+
+    def test_poses_at_kitti_precision(self, tmp_path, capsys):
+        """KITTI pose files carry %e values: 7 digits, orthogonal only to ~1e-7."""
+        rng = np.random.default_rng(31)
+        lines = []
+        for i in range(5):
+            a, b, c = rng.uniform(-math.pi / 2, math.pi / 2, size=3)
+            rot = rot_x(a) @ rot_z(b) @ rot_x(c)
+            pose = np.column_stack([rot, [0.0, 0.0, 10.0 * i]])
+            lines.append(" ".join(f"{v:e}" for v in pose.ravel()))
+        poses = tmp_path / "poses.txt"
+        poses.write_text("\n".join(lines) + "\n")
+        code = main(["pose-error", "--est", str(poses), "--gt-poses", str(poses)])
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["mean_angular_error_deg"] < 1e-5
 
 
 # ---------------------------------------------------------------------------

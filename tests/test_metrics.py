@@ -23,7 +23,7 @@ from camperturb import (
 )
 
 from helpers import detection_frame, make_box, make_label, with_score
-from oracles import brute_force_ap40, mc_iou_bev
+from oracles import brute_force_ap40, exact_iou_bev, mc_iou_bev
 
 DONTCARE_LINE = (
     b"DontCare -1 -1 -10 100.0 120.0 300.0 300.0 -1 -1 -1 -1000 -1000 -1000 -10"
@@ -160,6 +160,25 @@ class TestIouBev:
             )
             assert iou_bev(a, b) == pytest.approx(mc_iou_bev(a, b, cloud), abs=6e-3)
 
+    def test_against_exact_clipping(self):
+        """Random pairs, and pairs jittered down to 1e-12 where corners nearly meet."""
+        rng = np.random.default_rng(53)
+        for scale in (None, 1e-1, 1e-4, 1e-8, 1e-12):
+            for _ in range(40):
+                a = random_box(rng)
+                b = random_box(rng) if scale is None else make_box(
+                    x=a.center.x + float(rng.normal(0.0, scale)),
+                    z=a.center.z + float(rng.normal(0.0, scale)),
+                    width=a.width * (1.0 + float(rng.normal(0.0, scale))),
+                    length=a.length,
+                    yaw=float(np.clip(a.yaw + rng.normal(0.0, scale), -math.pi, math.pi)),
+                )
+                if scale is None:  # bring the random box near enough to overlap
+                    b = dataclasses.replace(b, center=dataclasses.replace(
+                        a.center, x=a.center.x + float(rng.uniform(-3, 3)),
+                    ))
+                assert iou_bev(a, b) == pytest.approx(exact_iou_bev(a, b), abs=1e-12)
+
 
 class TestIou3d:
     def test_identical(self):
@@ -217,6 +236,89 @@ class TestIou3d:
                 )
 
             assert iou_3d(shifted(a), shifted(b)) == pytest.approx(base, abs=1e-9)
+
+
+def flat_box(x=0.0, z=10.0, width=2.0, length=2.0, yaw=0.0):
+    return make_box(x=x, y=0.0, z=z, height=1.0, width=width, length=length, yaw=yaw)
+
+
+@pytest.mark.parametrize("iou", [iou_bev, iou_3d], ids=["bev", "3d"])
+class TestOverlapKernelClosedForms:
+    """Equal heights and bottoms: the 3D IoU equals the BEV IoU."""
+
+    def test_axis_aligned_containment(self, iou):
+        assert iou(flat_box(width=1.0, length=1.0), flat_box()) == pytest.approx(
+            0.25, abs=1e-12
+        )
+
+    def test_rotated_containment(self, iou):
+        # a unit square (half-diagonal 0.71) turned inside a 4x4 square
+        inner = flat_box(x=0.3, width=1.0, length=1.0, yaw=0.7)
+        outer = flat_box(width=4.0, length=4.0, yaw=-0.2)
+        assert iou(inner, outer) == pytest.approx(1.0 / 16.0, abs=1e-12)
+
+    def test_shared_edge(self, iou):
+        assert iou(flat_box(), flat_box(x=2.0)) == pytest.approx(0.0, abs=1e-12)
+        # the same along a turned edge: offset by one width across the heading
+        yaw = 0.6
+        a = flat_box(x=1.0, z=12.0, yaw=yaw)
+        b = flat_box(x=1.0 + 2.0 * math.cos(yaw), z=12.0 - 2.0 * math.sin(yaw), yaw=yaw)
+        assert iou(a, b) == pytest.approx(0.0, abs=1e-12)
+
+    def test_corner_only_touch(self, iou):
+        assert iou(flat_box(), flat_box(x=2.0, z=12.0)) == pytest.approx(0.0, abs=1e-12)
+
+    def test_yaw_pi_and_minus_pi_are_one_box(self, iou):
+        # the yaws differ in bits, so the polygon path scores this pair
+        a = flat_box(x=1.0, width=1.6, length=3.9, yaw=math.pi)
+        b = flat_box(x=1.0, width=1.6, length=3.9, yaw=-math.pi)
+        assert iou(a, b) == pytest.approx(1.0, abs=1e-12)
+
+
+def jittered_frames(rng, n_frames=6):
+    """GT of two classes plus jittered detections and distractors per frame."""
+    frames = []
+    for f in range(n_frames):
+        gts = []
+        for i in range(int(rng.integers(3, 8))):
+            box = random_box(rng, z_range=(8.0, 30.0))
+            gts.append(make_label(class_name=("Car", "Pedestrian")[i % 2], box=box))
+        dets = []
+        for gt in gts:
+            box = gt.box3d()
+            for _ in range(int(rng.integers(1, 3))):
+                yaw = box.yaw + float(rng.normal(0.0, 0.2))
+                moved = make_box(
+                    x=box.center.x + float(rng.normal(0.0, 0.3)),
+                    y=box.center.y + float(rng.normal(0.0, 0.1)),
+                    z=box.center.z + float(rng.normal(0.0, 0.3)),
+                    height=box.height, width=box.width * float(rng.uniform(0.9, 1.1)),
+                    length=box.length, yaw=(yaw + math.pi) % (2 * math.pi) - math.pi,
+                )
+                label = make_label(class_name=gt.class_name, box=moved)
+                dets.append(with_score(label, float(rng.uniform(0.1, 1.0))))
+        for i in range(3):
+            label = make_label(class_name=("Car", "Pedestrian")[i % 2], box=random_box(rng))
+            dets.append(with_score(label, float(rng.uniform(0.1, 1.0))))
+        frames.append(detection_frame(gts, dets, frame_id=f"{f:06d}"))
+    return frames
+
+
+class TestIouMatrix:
+    @pytest.mark.parametrize("kind", ["2d", "bev", "3d"])
+    def test_matched_ious_equal_scalar_iou_bit_for_bit(self, kind):
+        scalar = {
+            "2d": iou_2d,
+            "bev": lambda d, g: iou_bev(d.box3d(), g.box3d()),
+            "3d": lambda d, g: iou_3d(d.box3d(), g.box3d()),
+        }[kind]
+        pairs = 0
+        for frame in jittered_frames(np.random.default_rng(47)):
+            result = match_frame(frame, kind, threshold=0.3, difficulty=DifficultyBin.HARD)
+            for gt_j, det_i, iou in result.pairs:
+                assert iou == scalar(frame.detections[det_i], frame.ground_truth[gt_j])
+            pairs += len(result.pairs)
+        assert pairs >= 10
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from camperturb import (
     SceneFrame,
     SingularHomography,
     image_homography,
+    parse_label_file,
     perturb_labels,
     perturbation_matrix,
     project,
@@ -131,6 +132,26 @@ class TestPerturbLabels:
             box.width,
             box.length,
         )
+
+    def test_mixed_frame_matches_per_label_calls(self):
+        dontcare = parse_label_file(
+            b"DontCare -1 -1 -10 100.0 120.0 300.0 300.0 -1 -1 -1 -1000 -1000 -1000 -10"
+        )[0]
+        labels = [
+            make_label(box=make_box(x=2.0, z=15.0, yaw=0.4)),
+            dontcare,
+            # straddles the principal plane, so it is dropped
+            make_label(box=make_box(x=0.0, z=1.0), bbox=(500.0, 100.0, 700.0, 300.0)),
+            make_label(class_name="Pedestrian", box=make_box(x=-3.0, z=25.0, yaw=-2.0)),
+        ]
+        rotation = perturbation_matrix(ExtrinsicPerturbation(pitch=0.05, roll=-0.03))
+        out, dropped = transform_labels(labels, K, rotation, image_size=(1242, 375))
+        assert dropped == 1
+        assert [label.class_name for label in out] == ["Car", "DontCare", "Pedestrian"]
+        assert out[1] is dontcare
+        one_by_one = [transform_labels([lab], K, rotation, (1242, 375)) for lab in labels]
+        assert out == [moved for labs, _ in one_by_one for moved in labs]
+        assert dropped == sum(n for _, n in one_by_one)
 
     def test_alpha_recomputed_from_geometry(self):
         box = make_box(x=3.0, y=1.7, z=15.0, yaw=0.5)
