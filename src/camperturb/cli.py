@@ -45,8 +45,14 @@ from .errors import (
     NoMatches,
     ShapeMismatch,
 )
-from .geometry import ExtrinsicPerturbation, perturbation_matrix
-from .horizon import HorizonLine, VanishingPoint, angular_error, extrinsics_from_horizon_vp
+from .geometry import ExtrinsicPerturbation, _perturbation_matrices, perturbation_matrix
+from .horizon import (
+    HorizonLine,
+    VanishingPoint,
+    _angular_errors,
+    angular_error,
+    extrinsics_from_horizon_vp,
+)
 from .kitti import (
     DifficultyBin,
     parse_calib_file,
@@ -56,10 +62,11 @@ from .kitti import (
 )
 from .losses import (
     FeatureTensor,
+    _loss_gradients,
+    _style_losses,
+    _target_grams,
+    _total_loss,
     content_loss,
-    loss_gradients,
-    style_loss,
-    total_loss,
 )
 from .metrics import (
     DetectionFrame,
@@ -842,16 +849,19 @@ _POSE_ERROR_OPTIONS = [
 ]
 
 
-def _load_estimates(path: Path) -> list[np.ndarray]:
-    """Estimated rotations: either a pitch/roll JSON-lines sidecar or a pose file.
+def _load_estimates(path: Path) -> np.ndarray:
+    """Estimated rotations as one (n, 3, 3) stack, from a pitch/roll JSON-lines
+    sidecar or a pose file.
 
     Sidecar entries align with ground-truth pose lines by file order.
     """
     data = _read_bytes(path, "estimates")
     if data.lstrip()[:1] == b"{":
         sidecar = _read_json_lines(path, "estimates", _extrinsics)
-        return [perturbation_matrix(p) for p in sidecar]
-    return [pose.rotation for pose in parse_odometry_poses(data)]
+        return _perturbation_matrices(
+            np.array([p.pitch for p in sidecar]), np.array([p.roll for p in sidecar])
+        )
+    return np.array([pose.rotation for pose in parse_odometry_poses(data)])
 
 
 def cmd_pose_error(cfg: argparse.Namespace) -> int:
@@ -866,12 +876,13 @@ def cmd_pose_error(cfg: argparse.Namespace) -> int:
         )
     if not poses:
         raise _UsageError("no poses to compare")
-    errors_deg = [
-        angular_error(est, pose.rotation) for est, pose in zip(estimates, poses)
-    ]
+    # both stacks were checked when parsed or built from angles
+    errors_deg = _angular_errors(estimates, np.array([pose.rotation for pose in poses]))
+    steps = np.diff([pose.translation for pose in poses], axis=0)
     path_length = 0.0
-    for prev, curr in zip(poses, poses[1:]):
-        path_length += float(np.linalg.norm(curr.translation - prev.translation))
+    # each step's length as np.linalg.norm computes it (one BLAS dot), summed left to right
+    for step in np.sqrt(steps[:, None, :] @ steps[:, :, None]).ravel().tolist():
+        path_length += step
     mean_deg = sum(errors_deg) / len(errors_deg)
     deg_per_m = (mean_deg / path_length) if path_length > 0 else "n/a"
     report = {
@@ -918,10 +929,14 @@ _GRAD_CHECK_SAMPLES = 64
 
 
 def _finite_difference_check(
-    out: FeatureTensor, content: FeatureTensor, styles, gamma_c, gamma_s, step
+    out: FeatureTensor, content: FeatureTensor, target_grams, gamma_c, gamma_s, step
 ):
-    """Central finite differences vs. analytic gradient on probe coordinates."""
-    analytic = loss_gradients(out, content, styles, gamma_c, gamma_s).data
+    """Central finite differences vs. analytic gradient on probe coordinates.
+
+    The style targets enter through their Gram matrices, computed once by
+    the caller; each probe computes the Gram matrix of its own output.
+    """
+    analytic = _loss_gradients(out, content, target_grams, gamma_c, gamma_s).data
     flat = out.data.ravel()
     size = flat.size
     if size <= _GRAD_CHECK_FULL_SIZE:
@@ -936,8 +951,8 @@ def _finite_difference_check(
         for sign in (+1.0, -1.0):
             data = out.data.copy()
             data.flat[idx] += sign * h
-            value = total_loss(
-                FeatureTensor(data=data), content, styles, gamma_c, gamma_s
+            value = _total_loss(
+                FeatureTensor(data=data), content, target_grams, gamma_c, gamma_s
             )
             if sign > 0:
                 plus = value
@@ -963,13 +978,10 @@ def cmd_loss(cfg: argparse.Namespace) -> int:
         load_tensor(_require(p, "style tensor", "file")) for p in cfg.style
     ]
     content_value = content_loss(out_tensor, content_tensor)
-    style_values = [style_loss(out_tensor, s) for s in style_tensors]
-    total_value = total_loss(
-        out_tensor,
-        content_tensor,
-        style_tensors,
-        cfg.gamma_content,
-        cfg.gamma_style,
+    target_grams = _target_grams(out_tensor, style_tensors)
+    style_values = _style_losses(out_tensor, target_grams)
+    total_value = _total_loss(
+        out_tensor, content_tensor, target_grams, cfg.gamma_content, cfg.gamma_style
     )
     report = {
         "content_loss": content_value,
@@ -983,7 +995,7 @@ def cmd_loss(cfg: argparse.Namespace) -> int:
         report["grad_check"] = _finite_difference_check(
             out_tensor,
             content_tensor,
-            style_tensors,
+            target_grams,
             cfg.gamma_content,
             cfg.gamma_style,
             cfg.fd_step,

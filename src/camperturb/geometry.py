@@ -198,7 +198,16 @@ def rot_z(angle: float) -> np.ndarray:
 
 def perturbation_matrix(p: ExtrinsicPerturbation) -> np.ndarray:
     """Rotation matrix of a perturbation: R_x(pitch) @ R_z(roll)."""
-    return rot_x(p.pitch) @ rot_z(p.roll)
+    return _perturbation_matrices(np.array([p.pitch]), np.array([p.roll]))[0]
+
+
+def _perturbation_matrices(pitch: np.ndarray, roll: np.ndarray) -> np.ndarray:
+    """R_x(pitch) @ R_z(roll) of each (pitch, roll) pair, shape (n, 3, 3)."""
+    zero, one = np.zeros_like(pitch), np.ones_like(pitch)
+    cp, sp, cr, sr = np.cos(pitch), np.sin(pitch), np.cos(roll), np.sin(roll)
+    r_x = np.stack([one, zero, zero, zero, cp, -sp, zero, sp, cp], axis=1)
+    r_z = np.stack([cr, -sr, zero, sr, cr, zero, zero, zero, one], axis=1)
+    return r_x.reshape(-1, 3, 3) @ r_z.reshape(-1, 3, 3)
 
 
 def perturbation_matrix_literal(p: ExtrinsicPerturbation) -> np.ndarray:
@@ -242,16 +251,30 @@ def ensure_rotation(m: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.shape != (3, 3):
         raise NotARotation(f"expected a 3x3 matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise NotARotation("matrix contains non-finite entries")
-    err = np.abs(m @ m.T - np.eye(3)).max()
-    if err > tol:
-        raise NotARotation(
-            f"matrix is not orthogonal within {tol:g} (residual {err:.3e})"
-        )
-    if np.linalg.det(m) <= 0:
-        raise NotARotation("matrix is orthogonal but not proper (det <= 0)")
+    fault = _rotation_fault(m[None], tol)
+    if fault is not None:
+        raise NotARotation(fault[1])
     return m
+
+
+def _rotation_fault(m: np.ndarray, tol: float) -> tuple[int, str] | None:
+    """First matrix of an (n, 3, 3) stack that is not a proper rotation, and why.
+
+    The package's one rotation rule, checked in this order: finite
+    entries, ``||M M^T - I||_inf <= tol``, ``det(M) > 0``.  ``None`` when
+    every matrix passes.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):  # non-finite matrices fail below
+        err = np.abs(m @ m.swapaxes(1, 2) - np.eye(3)).max(axis=(1, 2))
+        bad = np.flatnonzero(~((err <= tol) & (np.linalg.det(m) > 0)))
+    if bad.size == 0:
+        return None
+    i = int(bad[0])
+    if not np.isfinite(m[i]).all():
+        return i, "matrix contains non-finite entries"
+    if not err[i] <= tol:
+        return i, f"matrix is not orthogonal within {tol:g} (residual {err[i]:.3e})"
+    return i, "matrix is orthogonal but not proper (det <= 0)"
 
 
 def project(k: CameraIntrinsics, point: CameraPoint) -> ImagePoint:

@@ -111,8 +111,18 @@ def angular_error(r_est: np.ndarray, r_gt: np.ndarray) -> float:
     the two keeps full relative accuracy at small angles, where acos of
     the trace loses it (1e-8 rad would read as 0).  Result lies in [0, 180].
     """
-    r = ensure_rotation(r_est, tol=ROTATION_TOL).T @ ensure_rotation(r_gt, tol=ROTATION_TOL)
-    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = r.tolist()
-    sin_theta = math.hypot(r21 - r12, r02 - r20, r10 - r01) / 2.0
-    cos_theta = (r00 + r11 + r22 - 1.0) / 2.0
-    return math.degrees(math.atan2(sin_theta, cos_theta))
+    r_est = ensure_rotation(r_est, tol=ROTATION_TOL)
+    r_gt = ensure_rotation(r_gt, tol=ROTATION_TOL)
+    return _angular_errors(r_est[None], r_gt[None])[0]
+
+
+def _angular_errors(r_est: np.ndarray, r_gt: np.ndarray) -> list[float]:
+    """:func:`angular_error` of each pair of two (n, 3, 3) rotation stacks, unchecked."""
+    errors = []
+    for (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) in (
+        r_est.swapaxes(1, 2) @ r_gt
+    ).tolist():
+        sin_theta = math.hypot(r21 - r12, r02 - r20, r10 - r01) / 2.0
+        cos_theta = (r00 + r11 + r22 - 1.0) / 2.0
+        errors.append(math.degrees(math.atan2(sin_theta, cos_theta)))
+    return errors

@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import MalformedLine, MissingKey, NonFiniteValue, NotARotation
-from .geometry import ROTATION_TOL, Box3D, CameraIntrinsics, CameraPoint, ensure_rotation
+from .geometry import ROTATION_TOL, Box3D, CameraIntrinsics, CameraPoint, _rotation_fault
 
 DONTCARE = "DontCare"
 
@@ -357,34 +357,55 @@ def parse_calib_file(data: bytes | str) -> CalibrationSet:
     )
 
 
+_POSE_FIELDS = tuple(f"pose[{i}]" for i in range(12))
+
+
 def parse_odometry_poses(data: bytes | str) -> list[OdometryPose]:
     """Parse an odometry pose file (twelve floats per line, row-major 3x4).
 
-    The rotation block of every pose must pass :func:`ensure_rotation` at
-    ``ROTATION_TOL`` (orthogonal within 1e-6, determinant positive);
-    otherwise :class:`NotARotation` is raised with the offending line
-    number attached.
+    The rotation block of every pose must be a proper rotation at
+    ``ROTATION_TOL`` (orthogonal within 1e-6, determinant positive, the
+    rule of :func:`ensure_rotation`); otherwise :class:`NotARotation` is
+    raised with the offending line number attached.  All lines are parsed
+    into one (n, 3, 4) array whose rotation blocks are checked at once;
+    errors are still reported for the first bad line in file order.
     """
     text = _decode(data, "pose file")
-    poses: list[OdometryPose] = []
-    index = 0
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        tokens = line.split()
-        if not tokens:
-            continue
-        if len(tokens) != 12:
-            raise MalformedLine(line_no, f"expected 12 values, got {len(tokens)}")
-        values = [_parse_float(tok, line_no, f"pose[{i}]") for i, tok in enumerate(tokens)]
-        mat = np.array(values).reshape(3, 4)
-        try:
-            rot = ensure_rotation(mat[:, :3], tol=ROTATION_TOL)
-        except NotARotation as exc:
-            raise NotARotation(
-                f"line {line_no}: pose rotation block is not a rotation ({exc})",
-                line_no=line_no,
-            ) from None
-        poses.append(OdometryPose(frame_index=index, rotation=rot, translation=mat[:, 3]))
-        index += 1
+    lines = text.splitlines()
+    values = np.empty((len(lines), 12))
+    line_nos: list[int] = []
+    try:
+        for line_no, line in enumerate(lines, start=1):
+            tokens = line.split()
+            if not tokens:
+                continue
+            if len(tokens) != 12:
+                raise MalformedLine(line_no, f"expected 12 values, got {len(tokens)}")
+            values[len(line_nos)] = [
+                _parse_float(tok, line_no, field) for tok, field in zip(tokens, _POSE_FIELDS)
+            ]
+            line_nos.append(line_no)
+    except (MalformedLine, NonFiniteValue):
+        _require_pose_rotations(values, line_nos)  # a bad rotation above comes first
+        raise
+    poses = _require_pose_rotations(values, line_nos)
+    return [
+        OdometryPose(frame_index=index, rotation=pose[:, :3], translation=pose[:, 3])
+        for index, pose in enumerate(poses)
+    ]
+
+
+def _require_pose_rotations(values: np.ndarray, line_nos: list[int]) -> np.ndarray:
+    """The parsed rows of ``values`` as an (n, 3, 4) array, every rotation block checked."""
+    poses = values[:len(line_nos)].reshape(-1, 3, 4)
+    fault = _rotation_fault(poses[:, :, :3], ROTATION_TOL)
+    if fault is not None:
+        index, reason = fault
+        line_no = line_nos[index]
+        raise NotARotation(
+            f"line {line_no}: pose rotation block is not a rotation ({reason})",
+            line_no=line_no,
+        )
     return poses
 
 

@@ -71,19 +71,48 @@ def gram(t: FeatureTensor) -> np.ndarray:
     return (g + g.T) / 2.0
 
 
+def _require_same_shape(out: FeatureTensor, target: FeatureTensor) -> None:
+    if out.data.shape != target.data.shape:
+        raise ShapeMismatch(
+            f"content loss needs equal shapes, got {out.data.shape} "
+            f"and {target.data.shape}"
+        )
+
+
 def content_loss(out: FeatureTensor, target: FeatureTensor) -> float:
     """Mean squared difference ||out - target||^2 / (c*h*w).
 
     Shapes must match exactly; raises :class:`ShapeMismatch` (with both
     shapes in the message) otherwise.
     """
-    if out.data.shape != target.data.shape:
-        raise ShapeMismatch(
-            f"content loss needs equal shapes, got {out.data.shape} "
-            f"and {target.data.shape}"
-        )
+    _require_same_shape(out, target)
     diff = (out.data - target.data).ravel()
     return float(diff @ diff) / out.size
+
+
+def _target_grams(out: FeatureTensor, style_targets) -> list[np.ndarray]:
+    """Gram matrix of each style target, in order, each checked against ``out``'s channels."""
+    grams = []
+    for target in style_targets:
+        if out.channels != target.channels:
+            raise ChannelMismatch(
+                f"style loss needs equal channel counts, got {out.channels} "
+                f"and {target.channels}"
+            )
+        grams.append(gram(target))
+    return grams
+
+
+def _style_losses(out: FeatureTensor, target_grams) -> list[float]:
+    """Style loss of ``out`` against each target, given the targets' Gram matrices."""
+    if not target_grams:
+        return []
+    g_out = gram(out)
+    losses = []
+    for g_target in target_grams:
+        diff = g_out - g_target
+        losses.append(float(np.sum(diff * diff)))
+    return losses
 
 
 def style_loss(out: FeatureTensor, target: FeatureTensor) -> float:
@@ -93,13 +122,7 @@ def style_loss(out: FeatureTensor, target: FeatureTensor) -> float:
     Gram is normalized by its own c*h*w); raises
     :class:`ChannelMismatch` otherwise.
     """
-    if out.channels != target.channels:
-        raise ChannelMismatch(
-            f"style loss needs equal channel counts, got {out.channels} "
-            f"and {target.channels}"
-        )
-    diff = gram(out) - gram(target)
-    return float(np.sum(diff * diff))
+    return _style_losses(out, _target_grams(out, [target]))[0]
 
 
 def _check_gammas(gamma_content: float, gamma_style: float) -> None:
@@ -118,9 +141,22 @@ def total_loss(
 ) -> float:
     """Weighted sum gamma_content * content + gamma_style * sum of styles."""
     _check_gammas(gamma_content, gamma_style)
+    _require_same_shape(out, content_target)
+    target_grams = _target_grams(out, style_targets)
+    return _total_loss(out, content_target, target_grams, gamma_content, gamma_style)
+
+
+def _total_loss(
+    out: FeatureTensor,
+    content_target: FeatureTensor,
+    target_grams,
+    gamma_content: float,
+    gamma_style: float,
+) -> float:
+    """:func:`total_loss`, given the style targets' Gram matrices; styles added in order."""
     total = gamma_content * content_loss(out, content_target)
-    for target in style_targets:
-        total += gamma_style * style_loss(out, target)
+    for style in _style_losses(out, target_grams):
+        total += gamma_style * style
     return total
 
 
@@ -138,22 +174,25 @@ def loss_gradients(
     (4 / n) D psi reshaped back to (c, h, w); n = c*h*w of ``out``.
     """
     _check_gammas(gamma_content, gamma_style)
-    if out.data.shape != content_target.data.shape:
-        raise ShapeMismatch(
-            f"content loss needs equal shapes, got {out.data.shape} "
-            f"and {content_target.data.shape}"
-        )
+    _require_same_shape(out, content_target)
+    target_grams = _target_grams(out, style_targets)
+    return _loss_gradients(out, content_target, target_grams, gamma_content, gamma_style)
+
+
+def _loss_gradients(
+    out: FeatureTensor,
+    content_target: FeatureTensor,
+    target_grams,
+    gamma_content: float,
+    gamma_style: float,
+) -> FeatureTensor:
+    """:func:`loss_gradients`, given the style targets' Gram matrices."""
     n = out.size
     grad = gamma_content * 2.0 * (out.data - content_target.data) / n
-    if style_targets:
+    if target_grams:
         psi = out.data.reshape(out.channels, out.height * out.width)
         g_out = gram(out)
-        for target in style_targets:
-            if out.channels != target.channels:
-                raise ChannelMismatch(
-                    f"style loss needs equal channel counts, got {out.channels} "
-                    f"and {target.channels}"
-                )
-            diff = g_out - gram(target)
+        for g_target in target_grams:
+            diff = g_out - g_target
             grad = grad + gamma_style * (4.0 / n) * (diff @ psi).reshape(out.data.shape)
     return FeatureTensor(data=grad)

@@ -202,13 +202,21 @@ def perturb_labels(
     return transform_labels(labels, k, perturbation_matrix(p), image_size)
 
 
+#: Output rows :func:`warp_image` resamples per pass.  Its scratch memory
+#: scales with this block, not with the image, and a block this small
+#: keeps each pass's temporaries in cache (8 rows of 1242 px: ~4 MB peak).
+_WARP_BLOCK_ROWS = 8
+
+
 def warp_image(image: RasterImage, homography: np.ndarray, fill: int = 0) -> RasterImage:
     """Resample an image under a pixel homography (inverse mapping, bilinear).
 
     Each output pixel (u, v) is sampled at H^-1 (u, v, 1); samples falling
     outside the source, or mapping behind the camera (non-positive
     homogeneous w), take the constant ``fill`` value.  An exact identity
-    homography reproduces the input byte for byte.
+    homography reproduces the input byte for byte.  Output rows are
+    resampled a fixed-size block at a time, so scratch memory does not
+    grow with the image.
     """
     if not 0 <= fill <= 255:
         raise ValueError(f"fill must be a byte value, got {fill}")
@@ -221,9 +229,22 @@ def warp_image(image: RasterImage, homography: np.ndarray, fill: int = 0) -> Ras
     if np.array_equal(h, np.eye(3)):
         return RasterImage(data=image.data.copy())
     hinv = np.linalg.inv(h)
-    height, width = image.height, image.width
+    flat = image.data.reshape(-1, image.channels)
+    out = np.empty(image.data.shape, dtype=np.uint8)
+    for top in range(0, image.height, _WARP_BLOCK_ROWS):
+        rows = out[top:top + _WARP_BLOCK_ROWS]
+        rows[:] = _warp_rows(flat, image.data.shape, hinv, top, fill).reshape(rows.shape)
+    return RasterImage(data=out)
+
+
+def _warp_rows(
+    flat: np.ndarray, shape: tuple, hinv: np.ndarray, top: int, fill: int
+) -> np.ndarray:
+    """One block of :func:`warp_image`'s output rows, from the (pixels, channels) raster."""
+    height, width, _ = shape
+    count = min(_WARP_BLOCK_ROWS, height - top)
     us, vs = np.meshgrid(
-        np.arange(width, dtype=float), np.arange(height, dtype=float)
+        np.arange(width, dtype=float), np.arange(top, top + count, dtype=float)
     )
     ones = np.ones_like(us)
     src = hinv @ np.stack([us.ravel(), vs.ravel(), ones.ravel()])
@@ -246,20 +267,22 @@ def warp_image(image: RasterImage, homography: np.ndarray, fill: int = 0) -> Ras
     x0 = np.floor(x).astype(np.intp)
     y0 = np.floor(y).astype(np.intp)
     x1 = np.minimum(x0 + 1, width - 1)
-    y1 = np.minimum(y0 + 1, height - 1)
+    row0 = y0 * width
+    row1 = np.minimum(y0 + 1, height - 1) * width
     fx = (x - x0)[:, None]
     fy = (y - y0)[:, None]
-    flat = image.data.reshape(-1, image.channels).astype(float)
-    idx = lambda yy, xx: flat[yy * width + xx]  # noqa: E731
+    gx = 1 - fx
+    gy = 1 - fy
+    # gathering uint8 and then converting equals converting the whole raster first
+    px = lambda index: np.take(flat, index, axis=0).astype(float)  # noqa: E731
     value = (
-        idx(y0, x0) * (1 - fx) * (1 - fy)
-        + idx(y0, x1) * fx * (1 - fy)
-        + idx(y1, x0) * (1 - fx) * fy
-        + idx(y1, x1) * fx * fy
+        px(row0 + x0) * gx * gy
+        + px(row0 + x1) * fx * gy
+        + px(row1 + x0) * gx * fy
+        + px(row1 + x1) * fx * fy
     )
     value[~valid] = float(fill)
-    out = np.clip(np.rint(value), 0, 255).astype(np.uint8)
-    return RasterImage(data=out.reshape(height, width, image.channels))
+    return np.clip(np.rint(value), 0, 255).astype(np.uint8)
 
 
 def simulate_dataset(frames, spec: PerturbationSpec, fill: int = 0) -> SimulationResult:

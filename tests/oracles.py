@@ -228,3 +228,52 @@ def rotation_angle_deg(r_rel: np.ndarray) -> float:
     trace = float(r_rel[0, 0] + r_rel[1, 1] + r_rel[2, 2])
     cos_theta = max(-1.0, min(1.0, (trace - 1.0) / 2.0))
     return math.degrees(math.acos(cos_theta))
+
+
+def pairwise_angle_deg(r_est: np.ndarray, r_gt: np.ndarray) -> float:
+    """Angle of R_est^T R_gt in degrees, from one 3x3 product per pair.
+
+    atan2 of the skew part's norm (hypot) over the trace term, the
+    arithmetic the stacked ``angular_error`` kernel must reproduce bit
+    for bit.
+    """
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = (r_est.T @ r_gt).tolist()
+    sin_theta = math.hypot(r21 - r12, r02 - r20, r10 - r01) / 2.0
+    cos_theta = (r00 + r11 + r22 - 1.0) / 2.0
+    return math.degrees(math.atan2(sin_theta, cos_theta))
+
+
+# ---------------------------------------------------------------------------
+# image warp over the whole image at once
+
+
+def whole_image_warp(data: np.ndarray, homography: np.ndarray, fill: int) -> np.ndarray:
+    """Inverse-mapped bilinear warp of a (h, w, c) uint8 raster in one pass.
+
+    Every output pixel is mapped and weighted at once, in float64, with
+    the expressions ``warp_image`` applies to each block of rows; the
+    blocked warp must reproduce this byte for byte.
+    """
+    height, width, channels = data.shape
+    hinv = np.linalg.inv(homography)
+    us, vs = np.meshgrid(np.arange(width, dtype=float), np.arange(height, dtype=float))
+    src = hinv @ np.stack([us.ravel(), vs.ravel(), np.ones(us.size)])
+    in_front = src[2] > 1e-12
+    safe_w = np.where(in_front, src[2], 1.0)
+    x, y = src[0] / safe_w, src[1] / safe_w
+    eps = 1e-9
+    valid = in_front & (x >= -eps) & (x <= width - 1 + eps) & (y >= -eps) & (y <= height - 1 + eps)
+    x = np.clip(np.where(valid, x, 0.0), 0.0, width - 1.0)
+    y = np.clip(np.where(valid, y, 0.0), 0.0, height - 1.0)
+    x0, y0 = np.floor(x).astype(np.intp), np.floor(y).astype(np.intp)
+    x1, y1 = np.minimum(x0 + 1, width - 1), np.minimum(y0 + 1, height - 1)
+    fx, fy = (x - x0)[:, None], (y - y0)[:, None]
+    flat = data.reshape(-1, channels).astype(float)
+    value = (
+        flat[y0 * width + x0] * (1 - fx) * (1 - fy)
+        + flat[y0 * width + x1] * fx * (1 - fy)
+        + flat[y1 * width + x0] * (1 - fx) * fy
+        + flat[y1 * width + x1] * fx * fy
+    )
+    value[~valid] = float(fill)
+    return np.clip(np.rint(value), 0, 255).astype(np.uint8).reshape(data.shape)

@@ -32,8 +32,9 @@ from camperturb import (
     write_image,
     write_label_file,
 )
+from camperturb import losses
 from camperturb.cli import _ordered_map, build_parser, main, run
-from camperturb.tensorio import save_tensor
+from camperturb.tensorio import load_tensor, save_tensor
 
 
 def tree_bytes(root: Path) -> dict[str, bytes]:
@@ -979,6 +980,21 @@ class TestPoseError:
         report = json.loads(capsys.readouterr().out)
         assert report["mean_angular_error_deg"] == 0.0
 
+    def test_path_length_is_the_running_sum_of_step_norms(self, tmp_path, capsys):
+        """Bit for bit: float(np.linalg.norm(step)) per step, added left to right."""
+        rng = np.random.default_rng(61)
+        translations = np.cumsum(rng.normal(0.0, 1.5, size=(3000, 3)), axis=0)
+        poses = tmp_path / "poses.txt"
+        poses.write_text("".join(
+            f"1 0 0 {x!r} 0 1 0 {y!r} 0 0 1 {z!r}\n" for x, y, z in translations.tolist()
+        ))
+        code = main(["pose-error", "--est", str(poses), "--gt-poses", str(poses)])
+        assert code == 0
+        expected = 0.0
+        for prev, curr in zip(translations, translations[1:]):
+            expected += float(np.linalg.norm(curr - prev))
+        assert json.loads(capsys.readouterr().out)["path_length_m"] == expected
+
     def test_frame_count_mismatch_exits_1(self, tmp_path, capsys):
         poses = tmp_path / "poses.txt"
         write_straight_poses(poses, 5, 10.0)
@@ -1119,6 +1135,38 @@ class TestLoss:
         report = json.loads(capsys.readouterr().out)
         assert report["grad_check"]["max_relative_error"] < 1e-5
         assert report["grad_check"]["coords_checked"] == 60
+
+    def test_grad_check_computes_each_style_gram_once(self, tmp_path, capsys, monkeypatch):
+        rng = np.random.default_rng(35)
+        out = save_feature(tmp_path / "out.ftb", rng.normal(size=(3, 4, 5)))
+        content = save_feature(tmp_path / "content.ftb", rng.normal(size=(3, 4, 5)))
+        styles = [
+            save_feature(tmp_path / f"style{k}.ftb", rng.normal(size=(3, 2 + k, 6)))
+            for k in range(3)
+        ]
+        seen = []
+        real_gram = losses.gram
+
+        def counting_gram(t):
+            seen.append(t.data.copy())
+            return real_gram(t)
+
+        monkeypatch.setattr(losses, "gram", counting_gram)
+        code = main(
+            [
+                "loss",
+                "--output", str(out),
+                "--content", str(content),
+                "--style", ",".join(str(p) for p in styles),
+                "--grad-check",
+            ]
+        )
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["grad_check"]["max_relative_error"] < 1e-5
+        for path in styles:
+            target = load_tensor(path).data
+            assert sum(np.array_equal(data, target) for data in seen) == 1
 
     def test_shape_mismatch_exits_1_with_both_shapes(self, tmp_path, capsys):
         out = save_feature(tmp_path / "out.ftb", np.zeros((2, 1, 1)))

@@ -31,6 +31,7 @@ from camperturb import (
     transfer_matrix,
     transform_box,
 )
+from camperturb.geometry import ROTATION_TOL, _perturbation_matrices, _rotation_fault
 
 from helpers import DEFAULT_K, make_box
 from oracles import apply3, matmul3
@@ -182,6 +183,23 @@ class TestEnsureRotation:
         bad[0, 0] = math.nan
         with pytest.raises(NotARotation):
             ensure_rotation(bad)
+
+    def test_stacked_check_names_the_first_failing_matrix(self):
+        nan = np.eye(3)
+        nan[1, 2] = math.nan
+        for m in (np.eye(3) * 1.001, np.diag([1.0, -1.0, 1.0]), nan):
+            stack = np.stack([rot_x(0.3), rot_z(-0.2), m, np.eye(3) * 1.5])
+            with pytest.raises(NotARotation) as exc:
+                ensure_rotation(m, tol=ROTATION_TOL)
+            assert _rotation_fault(stack, ROTATION_TOL) == (2, str(exc.value))
+        assert _rotation_fault(np.stack([rot_x(0.3), rot_z(-0.2)]), ROTATION_TOL) is None
+        assert _rotation_fault(np.empty((0, 3, 3)), ROTATION_TOL) is None
+
+    def test_stacked_perturbation_matrices_equal_rot_x_times_rot_z(self):
+        rng = np.random.default_rng(53)
+        pitch, roll = rng.uniform(-1.5, 1.5, (2, 500))
+        for p, r, m in zip(pitch, roll, _perturbation_matrices(pitch, roll)):
+            assert np.array_equal(m, rot_x(p) @ rot_z(r))
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,12 @@ from camperturb import (
     horizon_vp_from_extrinsics,
     perturbation_matrix,
     rot_x,
+    rot_z,
 )
+from camperturb.horizon import _angular_errors
 
 from helpers import DEFAULT_K
-from oracles import apply3, matmul3, rotation_angle_deg
+from oracles import apply3, matmul3, pairwise_angle_deg, rotation_angle_deg
 
 K = DEFAULT_K
 
@@ -174,3 +176,16 @@ class TestAngularError:
             assert angular_error(g @ a, g @ b) == pytest.approx(
                 angular_error(a, b), abs=1e-9
             )
+
+    def test_equals_stacked_kernel_bit_for_bit(self):
+        rng = np.random.default_rng(47)
+        q, _ = np.linalg.qr(rng.normal(size=(1000, 3, 3)))
+        est = q * np.sign(np.linalg.det(q))[:, None, None]
+        q, _ = np.linalg.qr(rng.normal(size=(500, 3, 3)))
+        far = q * np.sign(np.linalg.det(q))[:, None, None]
+        near = [r @ (rot_x(1e-8) if i % 2 else rot_z(-1e-8)) for i, r in enumerate(est[500:])]
+        gt = np.concatenate([far, near])
+        expected = [pairwise_angle_deg(a, b) for a, b in zip(est, gt)]
+        assert _angular_errors(est, gt) == expected
+        assert [angular_error(a, b) for a, b in zip(est, gt)] == expected
+        assert all(e == pytest.approx(math.degrees(1e-8), rel=1e-6) for e in expected[500:])

@@ -9,6 +9,7 @@ import pytest
 from camperturb import (
     CamPerturbError,
     DifficultyBin,
+    ExtrinsicPerturbation,
     MalformedLine,
     MissingKey,
     NonFiniteValue,
@@ -18,6 +19,7 @@ from camperturb import (
     parse_calib_file,
     parse_label_file,
     parse_odometry_poses,
+    perturbation_matrix,
     write_label_file,
 )
 
@@ -280,6 +282,84 @@ class TestParseOdometryPoses:
         with pytest.raises(NotARotation) as exc:
             parse_odometry_poses(text)
         assert "2" in str(exc.value)
+
+
+IDENTITY_POSE = "1 0 0 0 0 1 0 0 0 0 1 0"
+SCALED_POSE = "1.001 0 0 0 0 1 0 0 0 0 1 0"
+REFLECTED_POSE = "1 0 0 0 0 -1 0 0 0 0 1 0"
+NOT_ORTHOGONAL = "matrix is not orthogonal within 1e-06 (residual 2.001e-03)"
+NOT_PROPER = "matrix is orthogonal but not proper (det <= 0)"
+
+
+def trajectory_lines(n: int, seed: int = 0) -> list[str]:
+    """``n`` pose lines with random proper rotations, written with repr."""
+    rng = np.random.default_rng(seed)
+    lines = []
+    for _ in range(n):
+        rot = perturbation_matrix(ExtrinsicPerturbation(*rng.uniform(-1.0, 1.0, 2)))
+        t = rng.normal(size=3)
+        values = [*rot[0], t[0], *rot[1], t[1], *rot[2], t[2]]
+        lines.append(" ".join(repr(float(v)) for v in values))
+    return lines
+
+
+def pose_text(lines: list[str]) -> bytes:
+    return ("\n".join(lines) + "\n").encode()
+
+
+class TestParseLongPoseFiles:
+    def test_values_and_indices_survive_the_round_trip(self):
+        lines = trajectory_lines(1000)
+        poses = parse_odometry_poses(pose_text(lines))
+        assert [p.frame_index for p in poses] == list(range(1000))
+        for line, pose in zip(lines, poses):
+            values = [float(tok) for tok in line.split()]
+            assert pose.rotation.tolist() == [values[0:3], values[4:7], values[8:11]]
+            assert pose.translation.tolist() == values[3::4]
+
+    @pytest.mark.parametrize(
+        "line_no, bad_line, reason",
+        [(777, SCALED_POSE, NOT_ORTHOGONAL), (901, REFLECTED_POSE, NOT_PROPER)],
+    )
+    def test_bad_rotation_block_names_its_line(self, line_no, bad_line, reason):
+        lines = trajectory_lines(1000)
+        lines[line_no - 1] = bad_line
+        with pytest.raises(NotARotation) as exc:
+            parse_odometry_poses(pose_text(lines))
+        assert exc.value.line_no == line_no
+        assert str(exc.value) == (
+            f"line {line_no}: pose rotation block is not a rotation ({reason})"
+        )
+
+    def test_first_bad_line_is_reported(self):
+        lines = trajectory_lines(1000)
+        lines[900] = SCALED_POSE
+        lines[776] = REFLECTED_POSE
+        with pytest.raises(NotARotation) as exc:
+            parse_odometry_poses(pose_text(lines))
+        assert exc.value.line_no == 777
+        assert NOT_PROPER in str(exc.value)
+
+    def test_bad_rotation_before_a_malformed_line_comes_first(self):
+        lines = [IDENTITY_POSE] * 4 + [SCALED_POSE] + [IDENTITY_POSE] * 4 + ["1 0 0"]
+        with pytest.raises(NotARotation) as exc:
+            parse_odometry_poses(pose_text(lines))
+        assert exc.value.line_no == 5
+
+    def test_bad_value_before_a_bad_rotation_comes_first(self):
+        for bad_value, error in (("x", MalformedLine), ("nan", NonFiniteValue)):
+            lines = [IDENTITY_POSE] * 2 + [f"1 0 0 {bad_value} 0 1 0 0 0 0 1 0"]
+            lines += [IDENTITY_POSE, SCALED_POSE]
+            with pytest.raises(error) as exc:
+                parse_odometry_poses(pose_text(lines))
+            assert exc.value.line_no == 3
+            assert "pose[3]" in str(exc.value)
+
+    def test_blank_lines_keep_line_numbers(self):
+        lines = [IDENTITY_POSE, "", "   ", REFLECTED_POSE]
+        with pytest.raises(NotARotation) as exc:
+            parse_odometry_poses(pose_text(lines))
+        assert exc.value.line_no == 4
 
 
 class TestDifficultyOf:

@@ -1,6 +1,7 @@
 """Gaussian pitch/roll sampling, label transfer, image warping, batch protocol."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,8 +27,10 @@ from camperturb import (
     warp_image,
 )
 from camperturb.geometry import CameraIntrinsics, CameraPoint, ImagePoint
+from camperturb.simulate import _WARP_BLOCK_ROWS
 
 from helpers import DEFAULT_K, make_box, make_label
+from oracles import whole_image_warp
 
 K = DEFAULT_K
 
@@ -321,6 +324,38 @@ class TestWarpImage:
         h = image_homography(K, perturbation_matrix(ExtrinsicPerturbation(0.05, 0.02)))
         out = warp_image(img, h)
         assert out.data.shape == img.data.shape
+
+    @pytest.mark.parametrize(
+        "height", [1, _WARP_BLOCK_ROWS - 1, _WARP_BLOCK_ROWS + 1, 375]
+    )
+    def test_row_blocks_equal_whole_image_warp(self, height):
+        # pixels lie in [100, 255], so the fill 77 appears only where no
+        # source pixel maps (bilinear mixes of the raster stay >= 100)
+        rng = np.random.default_rng(height)
+        data = rng.integers(100, 256, size=(height, 97, 3), dtype=np.uint8)
+        k = CameraIntrinsics(fx=90.0, fy=90.0, cx=48.0, cy=(height - 1) / 2.0)
+        homographies = [
+            image_homography(k, perturbation_matrix(ExtrinsicPerturbation(0.05, -0.3))),
+            np.array([[1.0, 0.0, 7.3], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+        ]
+        outs = [warp_image(RasterImage(data=data), h, fill=77).data for h in homographies]
+        for h, out in zip(homographies, outs):
+            assert np.array_equal(out, whole_image_warp(data, h, fill=77))
+        assert any((out == 77).any() for out in outs)
+        assert any((out != 77).any() for out in outs)
+
+    def test_scratch_memory_is_bounded_by_a_row_block(self):
+        # a whole-image float64 pass over 375x1242x3 peaks near 100 MB
+        img = self._image(375, 1242, 3)
+        k = CameraIntrinsics(fx=721.5, fy=721.5, cx=609.6, cy=172.9)
+        h = image_homography(k, perturbation_matrix(ExtrinsicPerturbation(0.02, -0.03)))
+        tracemalloc.start()
+        try:
+            warp_image(img, h, fill=77)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
 
 
 class TestSimulateDataset:
