@@ -18,6 +18,8 @@ Conventions
 * ``--jobs N`` streams frames through a window of 2 x N: each frame is
   written as soon as it and every frame before it are done, so memory
   does not grow with the number of frames.
+* Every output file is written as a new file: an existing one is unlinked
+  first, never truncated in place.
 * A flat ``key=value`` config file (``--config``) may supply any flag of
   its subcommand, spelled without the leading dashes; explicit flags win.
   The ``CAMPERTURB_SEED`` environment variable overrides the seed from
@@ -311,6 +313,23 @@ def _make_dir(path: Path) -> None:
         raise _IOFailure(f"cannot create output directory: {exc}") from exc
 
 
+def _write(path: Path, data: bytes | str, what: str) -> None:
+    """Write ``data`` to ``path`` as a new file; an old file there is unlinked first.
+
+    A rerun into a filled directory then creates its files as a run into an
+    empty one does, instead of truncating files written moments before, and
+    a hard link to an old output keeps the old bytes.
+    """
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    try:
+        path.unlink(missing_ok=True)
+        with open(path, "xb") as f:
+            f.write(data)
+    except OSError as exc:
+        raise _IOFailure(f"cannot write {what} {path}: {exc}") from exc
+
+
 def _read_bytes(path: Path, what: str) -> bytes:
     try:
         return path.read_bytes()
@@ -374,14 +393,15 @@ def _ordered_map(fn, items, jobs: int):
             yield window.popleft().result()
 
 
-def _stream_frames(frame_ids, process, jobs: int, label_out: Path, finish):
+def _stream_frames(frame_ids, process, jobs: int):
     """The per-frame pipeline of simulate and rectify.
 
-    ``process(frame_id)`` returns ``(labels, dropped, extra)``; an input or
-    domain error it raises fails that frame alone.  Frames arrive in
-    ``frame_id`` order; each one's labels are written to ``label_out`` and
-    ``finish(frame_id, extra)`` writes the rest as soon as it arrives.
-    Prints the summary and returns ``(processed, dropped, failures)``.
+    ``process(frame_id)`` returns ``(files, dropped, record)``, where
+    ``files`` holds the frame's ``(path, bytes)`` outputs, already encoded;
+    an input or domain error it raises fails that frame alone.  Frames
+    arrive in ``frame_id`` order, and each one's files are written as soon
+    as it arrives.  Prints the summary and returns ``(records, dropped,
+    failures)``.
     """
 
     def attempt(frame_id: str):
@@ -390,28 +410,25 @@ def _stream_frames(frame_ids, process, jobs: int, label_out: Path, finish):
         except (CamPerturbError, _IOFailure) as exc:
             return frame_id, None, str(exc)
 
-    processed = 0
+    records = []
     dropped = 0
     failures: list[tuple[str, str]] = []
     for frame_id, result, error in _ordered_map(attempt, frame_ids, jobs):
         if error is not None:
             failures.append((frame_id, error))
             continue
-        labels, frame_dropped, extra = result
-        try:
-            (label_out / f"{frame_id}.txt").write_bytes(write_label_file(list(labels)))
-            finish(frame_id, extra)
-        except OSError as exc:
-            raise _IOFailure(f"cannot write outputs for frame {frame_id}: {exc}") from exc
-        processed += 1
+        files, frame_dropped, record = result
+        for path, data in files:
+            _write(path, data, "output")
+        records.append(record)
         dropped += frame_dropped
 
-    print(f"frames processed: {processed}")
+    print(f"frames processed: {len(records)}")
     print(f"objects dropped: {dropped}")
     print(f"frame failures: {len(failures)}")
     for frame_id, reason in failures:
         print(f"  {frame_id}: {reason}")
-    return processed, dropped, failures
+    return records, dropped, failures
 
 
 def _json_dumps(obj) -> str:
@@ -420,11 +437,9 @@ def _json_dumps(obj) -> str:
 
 def _emit_report(text: str, out_path: str | None) -> None:
     if out_path:
-        try:
-            Path(out_path).parent.mkdir(parents=True, exist_ok=True)
-            Path(out_path).write_text(text)
-        except OSError as exc:
-            raise _IOFailure(f"cannot write report {out_path}: {exc}") from exc
+        path = Path(out_path)
+        _make_dir(path.parent)
+        _write(path, text, "report")
     else:
         sys.stdout.write(text)
 
@@ -523,31 +538,16 @@ def cmd_simulate(cfg: argparse.Namespace) -> int:
             image=image,
         )
         perturbed, warped = simulate_frame(frame, spec, fill=cfg.fill)
-        return perturbed.labels, perturbed.dropped, (perturbed.applied, warped, extension)
-
-    sidecar_lines: list[str] = []
-
-    def finish(frame_id: str, extra) -> None:
-        applied, warped, extension = extra
+        files = [(out_labels / f"{frame_id}.txt", write_label_file(perturbed.labels))]
         if warped is not None:
-            (out_images / f"{frame_id}{extension}").write_bytes(write_image(warped))
-        sidecar_lines.append(
-            json.dumps(
-                {"frame_id": frame_id, "pitch": applied.pitch, "roll": applied.roll},
-                sort_keys=True,
-            )
-        )
+            files.append((out_images / f"{frame_id}{extension}", write_image(warped)))
+        applied = perturbed.applied
+        record = {"frame_id": frame_id, "pitch": applied.pitch, "roll": applied.roll}
+        return files, perturbed.dropped, json.dumps(record, sort_keys=True) + "\n"
 
-    processed, _, _ = _stream_frames(
-        _frame_ids(label_dir), process, cfg.jobs, out_labels, finish
-    )
-    try:
-        (out_dir / "perturbations.jsonl").write_text(
-            "".join(line + "\n" for line in sidecar_lines)
-        )
-    except OSError as exc:
-        raise _IOFailure(f"cannot write sidecar: {exc}") from exc
-    if processed == 0:
+    records, _, _ = _stream_frames(_frame_ids(label_dir), process, cfg.jobs)
+    _write(out_dir / "perturbations.jsonl", "".join(records), "sidecar")
+    if not records:
         raise _IOFailure("no frame could be processed")
     return EXIT_OK
 
@@ -793,20 +793,14 @@ def cmd_rectify(cfg: argparse.Namespace) -> int:
         error_deg = None
         if truth is not None and frame_id in truth:
             error_deg = angular_error(forward, perturbation_matrix(truth[frame_id]))
-        return moved, dropped, error_deg
+        label_file = (out_dir / f"{frame_id}.txt", write_label_file(moved))
+        return [label_file], dropped, (frame_id, error_deg)
 
-    per_frame_errors: list[tuple[str, float]] = []
-
-    def finish(frame_id: str, error_deg) -> None:
-        if error_deg is not None:
-            per_frame_errors.append((frame_id, error_deg))
-
-    processed, dropped, failures = _stream_frames(
-        _frame_ids(det_dir), process, cfg.jobs, out_dir, finish
-    )
+    records, dropped, failures = _stream_frames(_frame_ids(det_dir), process, cfg.jobs)
+    per_frame_errors = [(f, e) for f, e in records if e is not None]
     report: dict = {
         "direction": cfg.direction,
-        "frames_processed": processed,
+        "frames_processed": len(records),
         "objects_dropped": dropped,
         "failures": [{"frame_id": f, "reason": r} for f, r in failures],
     }
@@ -829,7 +823,7 @@ def cmd_rectify(cfg: argparse.Namespace) -> int:
         )
     if cfg.report:
         _emit_report(_json_dumps(report), cfg.report)
-    if processed == 0:
+    if not records:
         raise _IOFailure("no frame could be processed")
     return EXIT_OK
 

@@ -18,16 +18,18 @@ Three whitespace-delimited text formats are supported:
 * **Odometry poses** — one 3x4 row-major rigid transform per line, twelve
   floats; the left 3x3 block must be a rotation (orthogonal within 1e-6).
 
-Numeric fields are written with two decimal places (the conventional
-fixed-point label format), so write-then-parse round-trips values to
-within 5e-3.
+Box fields are written with two decimal places (the conventional
+fixed-point label format), so write-then-parse round-trips them to within
+5e-3.  Scores are written exactly: with two decimals when that text parses
+back to the same float, and in the shortest round-trip form otherwise.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+import operator
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -43,24 +45,6 @@ MAX_OCCLUSION = {"easy": 0, "moderate": 1, "hard": 2}
 #: Maximum truncation fraction per bin.
 MAX_TRUNCATION = {"easy": 0.15, "moderate": 0.30, "hard": 0.50}
 
-_LABEL_FIELDS = (
-    "truncated",
-    "occluded",
-    "alpha",
-    "bbox_left",
-    "bbox_top",
-    "bbox_right",
-    "bbox_bottom",
-    "height",
-    "width",
-    "length",
-    "x",
-    "y",
-    "z",
-    "rotation_y",
-    "score",
-)
-
 
 class DifficultyBin(enum.IntEnum):
     """KITTI difficulty of a ground-truth object.
@@ -75,9 +59,19 @@ class DifficultyBin(enum.IntEnum):
     IGNORED = 3
 
 
+#: (bin, MIN_HEIGHT, MAX_OCCLUSION, MAX_TRUNCATION), easiest bin first.
+_BIN_LIMITS = tuple(
+    (DifficultyBin[name.upper()], MIN_HEIGHT[name], MAX_OCCLUSION[name], MAX_TRUNCATION[name])
+    for name in MIN_HEIGHT
+)
+
+
 @dataclass(frozen=True)
 class ObjectLabel:
-    """One object annotation (or detection, when ``score`` is present)."""
+    """One object annotation (or detection, when ``score`` is present).
+
+    The fields are the label file's columns, in file order.
+    """
 
     class_name: str
     truncated: float
@@ -97,14 +91,9 @@ class ObjectLabel:
     score: float | None = None
 
     def __post_init__(self):
-        values = [
-            self.truncated, self.alpha, self.bbox_left, self.bbox_top,
-            self.bbox_right, self.bbox_bottom, self.height, self.width,
-            self.length, self.x, self.y, self.z, self.rotation_y,
-        ]
-        if self.score is not None:
-            values.append(self.score)
-        for v in values:
+        for name, v in zip(_LABEL_FIELDS, _label_values(self)):
+            if name == "occluded" or (name == "score" and v is None):
+                continue
             if not math.isfinite(v):
                 raise ValueError(f"label field must be finite, got {v!r}")
         if not self.class_name or any(ch.isspace() for ch in self.class_name):
@@ -151,19 +140,14 @@ class ObjectLabel:
             yaw=self.rotation_y,
         )
 
-    def with_box3d(self, box: Box3D, alpha: float) -> "ObjectLabel":
-        """Copy of this label with a replacement 3D box and observation angle."""
-        return replace(
-            self,
-            alpha=alpha,
-            height=box.height,
-            width=box.width,
-            length=box.length,
-            x=box.center.x,
-            y=box.center.y,
-            z=box.center.z,
-            rotation_y=box.yaw,
-        )
+
+#: The columns after the class name, in file order.
+_LABEL_FIELDS = tuple(field.name for field in fields(ObjectLabel))[1:]
+_label_values = operator.attrgetter(*_LABEL_FIELDS)
+#: Every column but the score: ``occluded`` as an integer, the rest to 2 decimals.
+_LINE_FORMAT = " ".join(
+    ["{}"] + ["{:d}" if name == "occluded" else "{:.2f}" for name in _LABEL_FIELDS[:-1]]
+)
 
 
 def _box_rows(labels) -> np.ndarray:
@@ -241,66 +225,35 @@ def parse_label_file(data: bytes | str) -> list[ObjectLabel]:
             _parse_float(tok, line_no, _LABEL_FIELDS[i])
             for i, tok in enumerate(tokens[1:])
         ]
-        occluded_raw = values[1]
-        if occluded_raw != int(occluded_raw):
+        if values[1] != int(values[1]):
             raise MalformedLine(
                 line_no, f"field 'occluded': expected an integer, got {tokens[2]!r}"
             )
+        values[1] = int(values[1])
         try:
-            labels.append(
-                ObjectLabel(
-                    class_name=name,
-                    truncated=values[0],
-                    occluded=int(occluded_raw),
-                    alpha=values[2],
-                    bbox_left=values[3],
-                    bbox_top=values[4],
-                    bbox_right=values[5],
-                    bbox_bottom=values[6],
-                    height=values[7],
-                    width=values[8],
-                    length=values[9],
-                    x=values[10],
-                    y=values[11],
-                    z=values[12],
-                    rotation_y=values[13],
-                    score=values[14] if len(values) == 15 else None,
-                )
-            )
+            labels.append(ObjectLabel(name, *values))
         except ValueError as exc:
             raise MalformedLine(line_no, str(exc)) from exc
     return labels
 
 
 def write_label_file(labels: list[ObjectLabel]) -> bytes:
-    """Serialize labels in the fixed two-decimal text format.
+    """Serialize labels in the fixed two-decimal text format, scores exactly.
 
-    An empty list produces empty bytes.  ``occluded`` for DontCare rows is
-    written as-is (conventionally -1 via the sentinel convention is not
-    modeled; DontCare rows keep whatever integer they carry).
+    A score is written with two decimals when that text parses back to the
+    same float, and as its shortest round-trip form otherwise.  An empty
+    list produces empty bytes.  ``occluded`` for DontCare rows is written
+    as-is (conventionally -1 via the sentinel convention is not modeled;
+    DontCare rows keep whatever integer they carry).
     """
     lines = []
     for lab in labels:
-        fields = [
-            lab.class_name,
-            f"{lab.truncated:.2f}",
-            f"{lab.occluded:d}",
-            f"{lab.alpha:.2f}",
-            f"{lab.bbox_left:.2f}",
-            f"{lab.bbox_top:.2f}",
-            f"{lab.bbox_right:.2f}",
-            f"{lab.bbox_bottom:.2f}",
-            f"{lab.height:.2f}",
-            f"{lab.width:.2f}",
-            f"{lab.length:.2f}",
-            f"{lab.x:.2f}",
-            f"{lab.y:.2f}",
-            f"{lab.z:.2f}",
-            f"{lab.rotation_y:.2f}",
-        ]
-        if lab.score is not None:
-            fields.append(f"{lab.score:.2f}")
-        lines.append(" ".join(fields))
+        *columns, score = _label_values(lab)
+        line = _LINE_FORMAT.format(lab.class_name, *columns)
+        if score is not None:
+            text = f"{score:.2f}"
+            line += " " + (text if float(text) == score else repr(float(score)))
+        lines.append(line)
     if not lines:
         return b""
     return ("\n".join(lines) + "\n").encode("utf-8")
@@ -420,22 +373,11 @@ def difficulty_of(label: ObjectLabel) -> DifficultyBin:
     if label.class_name == DONTCARE:
         return DifficultyBin.IGNORED
     h = label.bbox_height
-    if (
-        h >= MIN_HEIGHT["easy"]
-        and label.occluded <= MAX_OCCLUSION["easy"]
-        and label.truncated <= MAX_TRUNCATION["easy"]
-    ):
-        return DifficultyBin.EASY
-    if (
-        h >= MIN_HEIGHT["moderate"]
-        and label.occluded <= MAX_OCCLUSION["moderate"]
-        and label.truncated <= MAX_TRUNCATION["moderate"]
-    ):
-        return DifficultyBin.MODERATE
-    if (
-        h >= MIN_HEIGHT["hard"]
-        and label.occluded <= MAX_OCCLUSION["hard"]
-        and label.truncated <= MAX_TRUNCATION["hard"]
-    ):
-        return DifficultyBin.HARD
+    for bin_, min_height, max_occlusion, max_truncation in _BIN_LIMITS:
+        if (
+            h >= min_height
+            and label.occluded <= max_occlusion
+            and label.truncated <= max_truncation
+        ):
+            return bin_
     return DifficultyBin.IGNORED

@@ -155,17 +155,20 @@ def transform_labels(
     objects (those rotated behind the camera or projected entirely outside
     the image).  An exact identity rotation returns the labels unchanged.
     All boxes of the call are moved, projected and clipped as one batch.
+    Raises :class:`OutOfRange` when a kept box, rotated or projected,
+    leaves the float range.
     """
     rotation = np.asarray(rotation, dtype=float)
     labels = list(labels)
     if np.array_equal(rotation, np.eye(3)):
         return labels, 0
     boxes = [label for label in labels if label.class_name != DONTCARE]
-    moved = _rotate_rows(rotation, _box_rows(boxes))
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
+        moved = _rotate_rows(rotation, _box_rows(boxes))
     if not np.isfinite(moved).all():
-        raise ValueError("camera point must be finite after the rotation")
+        raise OutOfRange("camera point must be finite after the rotation")
     x, y, z = np.moveaxis(_corners(moved), -1, 0)
-    with np.errstate(divide="ignore", invalid="ignore"):  # z <= 0 rows are dropped
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # checked below
         us = (k.fx * x + k.skew * y) / z + k.cx
         vs = k.fy * y / z + k.cy
     left, right = us.min(axis=1), us.max(axis=1)
@@ -176,6 +179,8 @@ def transform_labels(
         top, bottom = np.clip([top, bottom], 0.0, h - 1.0)
     keep = (moved[:, 2] > 0) & (z > 0).all(axis=1) & (right > left) & (bottom > top)
     bboxes = np.stack([left, top, right, bottom], axis=1)
+    if not np.isfinite(bboxes[keep]).all():
+        raise OutOfRange("projected 2D box must be finite")
     fields = zip(keep.tolist(), moved.tolist(), bboxes.tolist())
     out: list[ObjectLabel] = []
     for label in labels:

@@ -410,7 +410,21 @@ def test_09_cli_determinism_across_runs_and_jobs(capsys, tmp_path):
                 == 0
             )
             sim_trees.append(tree(out))
-        assert sim_trees[0] == sim_trees[1] == sim_trees[2]
+        # a rerun into a filled directory replaces every file with the same bytes
+        assert (
+            main(
+                [
+                    "simulate",
+                    "--labels", str(gt_labels),
+                    "--calib", str(calib_dir),
+                    "--out", str(tmp_path / "sim-a"),
+                    "--seed", "5",
+                ]
+            )
+            == 0
+        )
+        sim_trees.append(tree(tmp_path / "sim-a"))
+        assert sim_trees[0] == sim_trees[1] == sim_trees[2] == sim_trees[3]
 
         eval_reports = []
         for name, jobs in (("a", "1"), ("b", "1"), ("c", "4")):

@@ -15,6 +15,7 @@ import json
 import math
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -919,6 +920,148 @@ class TestRectify:
         )
         assert code == 2
         assert f"horizon annotations {annotations} line 2" in capsys.readouterr().err
+
+    def test_four_decimal_scores_survive_write_and_rectify(self, tmp_path):
+        label_dir, calib_dir = write_dataset(tmp_path / "in", n_frames=2)
+        det_dir = tmp_path / "det"
+        det_dir.mkdir()
+        scores = {}
+        for frame in helpers.reload_frames(label_dir, calib_dir):
+            dets = [
+                helpers.with_score(lab, 0.1234 + 0.0101 * i)
+                for i, lab in enumerate(frame.labels)
+            ]
+            data = write_label_file(dets)
+            assert parse_label_file(data) == dets
+            (det_dir / f"{frame.frame_id}.txt").write_bytes(data)
+            scores[frame.frame_id] = [lab.score for lab in dets]
+        sidecar = tmp_path / "zeros.jsonl"
+        write_sidecar(sidecar, dict.fromkeys(scores, ExtrinsicPerturbation(0.0, 0.0)))
+        out = tmp_path / "out"
+        code = main(
+            [
+                "rectify",
+                "--det", str(det_dir),
+                "--calib", str(calib_dir),
+                "--sidecar", str(sidecar),
+                "--out", str(out),
+            ]
+        )
+        assert code == 0
+        for frame_id, expected in scores.items():
+            written = (out / f"{frame_id}.txt").read_bytes()
+            assert written == (det_dir / f"{frame_id}.txt").read_bytes()
+            assert [lab.score for lab in parse_label_file(written)] == expected
+
+    @pytest.mark.parametrize(
+        "center, tilt, reason",
+        [
+            ("1.7e308 1.7e308 1.7e308", (0.1, 0.1), "camera point must be finite after the rotation"),
+            ("2.5e305 1.50 2.20", (0.01, 0.0), "projected 2D box must be finite"),
+        ],
+    )
+    def test_huge_finite_coordinates_fail_their_frame_only(
+        self, tmp_path, capsys, center, tilt, reason
+    ):
+        """A box whose rotated center or projected 2D box overflows fails its
+        own frame with a reason; the run goes on, writes the other frame and
+        warns nothing."""
+        calib_dir = tmp_path / "calib"
+        det_dir = tmp_path / "det"
+        calib_dir.mkdir()
+        det_dir.mkdir()
+        boxes = {"000000": center, "000001": "1.00 1.50 20.00"}
+        for frame_id, center in boxes.items():
+            (det_dir / f"{frame_id}.txt").write_text(
+                "Car 0.00 0 0.10 500.00 150.00 600.00 250.00 1.50 1.60 3.90 "
+                f"{center} 0.10 0.90\n"
+            )
+            helpers.write_calib(calib_dir / f"{frame_id}.txt")
+        sidecar = tmp_path / "tilt.jsonl"
+        write_sidecar(sidecar, dict.fromkeys(boxes, ExtrinsicPerturbation(*tilt)))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(
+                [
+                    "rectify",
+                    "--det", str(det_dir),
+                    "--calib", str(calib_dir),
+                    "--sidecar", str(sidecar),
+                    "--out", str(out),
+                ]
+            )
+        assert code == 0
+        stdout = capsys.readouterr().out
+        assert "frame failures: 1" in stdout
+        assert f"000000: {reason}" in stdout
+        assert sorted(p.name for p in out.iterdir()) == ["000001.txt"]
+
+
+# ---------------------------------------------------------------------------
+# outputs
+
+
+def write_image_dataset(root: Path, n_frames: int = 2) -> tuple[Path, Path, Path]:
+    """Small labelled .ppm frames; returns (label_dir, calib_dir, image_dir)."""
+    from camperturb import CameraIntrinsics
+
+    label_dir, calib_dir, image_dir = root / "label_2", root / "calib", root / "image_2"
+    for d in (label_dir, calib_dir, image_dir):
+        d.mkdir(parents=True)
+    k = CameraIntrinsics(fx=100.0, fy=100.0, cx=16.0, cy=12.0)
+    rng = np.random.default_rng(17)
+    for i in range(n_frames):
+        label = helpers.make_label("Car", helpers.make_box(x=0.0, y=1.5, z=20.0), k=k)
+        (label_dir / f"{i:06d}.txt").write_bytes(write_label_file([label]))
+        helpers.write_calib(calib_dir / f"{i:06d}.txt", "P2: 100 0 16 0 0 100 12 0 0 0 1 0\n")
+        data = rng.integers(0, 256, size=(24, 32, 3)).astype(np.uint8)
+        (image_dir / f"{i:06d}.ppm").write_bytes(write_image(RasterImage(data=data)))
+    return label_dir, calib_dir, image_dir
+
+
+def test_rerun_replaces_outputs_instead_of_rewriting_them(tmp_path):
+    """A rerun into the same directories creates every output as a new file:
+    a hard link to the first run's labels, image, sidecar or report keeps
+    the first run's bytes, and the path holds the rerun's."""
+    label_dir, calib_dir, image_dir = write_image_dataset(tmp_path / "in")
+    truth = tmp_path / "zeros.jsonl"
+    write_sidecar(truth, dict.fromkeys(["000000", "000001"], ExtrinsicPerturbation(0.0, 0.0)))
+
+    def run_pipeline(seed: str, root: Path) -> list[Path]:
+        sim, report = root / "sim", root / "rectify.json"
+        simulate = [
+            "simulate",
+            "--labels", str(label_dir),
+            "--calib", str(calib_dir),
+            "--images", str(image_dir),
+            "--out", str(sim),
+            "--seed", seed,
+        ]
+        assert main(simulate) == 0
+        rectify = [
+            "rectify",
+            "--det", str(sim / "labels"),
+            "--calib", str(calib_dir),
+            "--sidecar", str(sim / "perturbations.jsonl"),
+            "--truth-sidecar", str(truth),
+            "--out", str(root / "rect"),
+            "--report", str(report),
+        ]
+        assert main(rectify) == 0
+        outputs = ("labels/000000.txt", "images/000000.ppm", "perturbations.jsonl")
+        return [sim / name for name in outputs] + [report]
+
+    paths = run_pipeline("1", tmp_path / "rerun")
+    first = [p.read_bytes() for p in paths]
+    links = [tmp_path / f"link-{i}" for i in range(len(paths))]
+    for link, path in zip(links, paths):
+        link.hardlink_to(path)
+    assert run_pipeline("2", tmp_path / "rerun") == paths
+    fresh = run_pipeline("2", tmp_path / "fresh")
+    for link, path, old, new in zip(links, paths, first, fresh):
+        assert link.read_bytes() == old, path
+        assert path.read_bytes() == new.read_bytes() != old, path
 
 
 # ---------------------------------------------------------------------------

@@ -162,6 +162,21 @@ class TestWriteLabelFile:
         out = write_label_file([lab])
         assert len(out.split()) == 16
 
+    @pytest.mark.parametrize(
+        "score, text",
+        [(0.25, "0.25"), (0.5, "0.50"), (0.0, "0.00"), (1.0, "1.00"), (0.1234, "0.1234"),
+         (0.125, "0.125"), (1 / 3, "0.3333333333333333"), (1e-05, "1e-05")],
+    )
+    def test_score_is_written_exactly(self, score, text):
+        lab = dataclasses.replace(make_label(), score=score)
+        out = write_label_file([lab])
+        assert out.split()[-1].decode() == text
+        assert parse_label_file(out)[0].score == score
+
+    def test_numpy_score_is_written_as_a_plain_number(self):
+        lab = dataclasses.replace(make_label(), score=np.float64(0.1234))
+        assert write_label_file([lab]).split()[-1] == b"0.1234"
+
     def test_write_parse_write_is_stable(self):
         lab = make_label(alpha=0.123456, x=-3.14159)
         once = write_label_file([lab])
