@@ -18,8 +18,9 @@ Conventions
 * ``--jobs N`` streams frames through a window of 2 x N: each frame is
   written as soon as it and every frame before it are done, so memory
   does not grow with the number of frames.
-* Every output file is written as a new file: an existing one is unlinked
-  first, never truncated in place.
+* An output path that holds a regular file gets a new file: the old one is
+  unlinked first, never truncated in place.  Any other path (a symlink, a
+  device such as ``/dev/stdout``, a FIFO) is opened and written through.
 * A flat ``key=value`` config file (``--config``) may supply any flag of
   its subcommand, spelled without the leading dashes; explicit flags win.
   The ``CAMPERTURB_SEED`` environment variable overrides the seed from
@@ -34,6 +35,7 @@ import collections
 import json
 import math
 import os
+import stat
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -314,17 +316,23 @@ def _make_dir(path: Path) -> None:
 
 
 def _write(path: Path, data: bytes | str, what: str) -> None:
-    """Write ``data`` to ``path`` as a new file; an old file there is unlinked first.
+    """Write ``data`` to ``path``; a regular file there is replaced, not truncated.
 
     A rerun into a filled directory then creates its files as a run into an
     empty one does, instead of truncating files written moments before, and
-    a hard link to an old output keeps the old bytes.
+    a hard link to an old output keeps the old bytes.  Anything else at the
+    path (a symlink, a device, a FIFO) is opened and written through.
     """
     if isinstance(data, str):
         data = data.encode("utf-8")
     try:
-        path.unlink(missing_ok=True)
-        with open(path, "xb") as f:
+        try:
+            replace = stat.S_ISREG(os.lstat(path).st_mode)
+        except FileNotFoundError:
+            replace = True
+        if replace:
+            path.unlink(missing_ok=True)
+        with open(path, "xb" if replace else "wb") as f:
             f.write(data)
     except OSError as exc:
         raise _IOFailure(f"cannot write {what} {path}: {exc}") from exc

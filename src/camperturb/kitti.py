@@ -59,13 +59,6 @@ class DifficultyBin(enum.IntEnum):
     IGNORED = 3
 
 
-#: (bin, MIN_HEIGHT, MAX_OCCLUSION, MAX_TRUNCATION), easiest bin first.
-_BIN_LIMITS = tuple(
-    (DifficultyBin[name.upper()], MIN_HEIGHT[name], MAX_OCCLUSION[name], MAX_TRUNCATION[name])
-    for name in MIN_HEIGHT
-)
-
-
 @dataclass(frozen=True)
 class ObjectLabel:
     """One object annotation (or detection, when ``score`` is present).
@@ -373,11 +366,11 @@ def difficulty_of(label: ObjectLabel) -> DifficultyBin:
     if label.class_name == DONTCARE:
         return DifficultyBin.IGNORED
     h = label.bbox_height
-    for bin_, min_height, max_occlusion, max_truncation in _BIN_LIMITS:
+    for name in MIN_HEIGHT:  # easiest bin first
         if (
-            h >= min_height
-            and label.occluded <= max_occlusion
-            and label.truncated <= max_truncation
+            h >= MIN_HEIGHT[name]
+            and label.occluded <= MAX_OCCLUSION[name]
+            and label.truncated <= MAX_TRUNCATION[name]
         ):
-            return bin_
+            return DifficultyBin[name.upper()]
     return DifficultyBin.IGNORED

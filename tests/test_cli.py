@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import threading
 import time
 import warnings
@@ -60,6 +61,24 @@ def write_sidecar(path: Path, entries: dict[str, ExtrinsicPerturbation]) -> None
         for fid, p in sorted(entries.items())
     ]
     path.write_text("\n".join(lines) + "\n")
+
+
+def write_image_dataset(root: Path, n_frames: int = 2) -> tuple[Path, Path, Path]:
+    """Small labelled .ppm frames; returns (label_dir, calib_dir, image_dir)."""
+    from camperturb import CameraIntrinsics
+
+    label_dir, calib_dir, image_dir = root / "label_2", root / "calib", root / "image_2"
+    for d in (label_dir, calib_dir, image_dir):
+        d.mkdir(parents=True)
+    k = CameraIntrinsics(fx=100.0, fy=100.0, cx=16.0, cy=12.0)
+    rng = np.random.default_rng(17)
+    for i in range(n_frames):
+        label = helpers.make_label("Car", helpers.make_box(x=0.0, y=1.5, z=20.0), k=k)
+        (label_dir / f"{i:06d}.txt").write_bytes(write_label_file([label]))
+        helpers.write_calib(calib_dir / f"{i:06d}.txt", "P2: 100 0 16 0 0 100 12 0 0 0 1 0\n")
+        data = rng.integers(0, 256, size=(24, 32, 3)).astype(np.uint8)
+        (image_dir / f"{i:06d}.ppm").write_bytes(write_image(RasterImage(data=data)))
+    return label_dir, calib_dir, image_dir
 
 
 # ---------------------------------------------------------------------------
@@ -203,26 +222,7 @@ class TestSimulate:
         assert "angle" in capsys.readouterr().err
 
     def test_sigma_zero_images_pass_through_byte_identical(self, tmp_path):
-        root = tmp_path / "in"
-        k_text = "P2: 100 0 16 0 0 100 12 0 0 0 1 0\n"
-        label_dir = root / "label_2"
-        calib_dir = root / "calib"
-        image_dir = root / "image_2"
-        for d in (label_dir, calib_dir, image_dir):
-            d.mkdir(parents=True)
-        rng = np.random.default_rng(5)
-        from camperturb import CameraIntrinsics
-
-        k = CameraIntrinsics(fx=100.0, fy=100.0, cx=16.0, cy=12.0)
-        for i in range(3):
-            box = helpers.make_box(x=0.0, y=1.5, z=20.0)
-            label = helpers.make_label("Car", box, k=k)
-            (label_dir / f"{i:06d}.txt").write_bytes(write_label_file([label]))
-            (calib_dir / f"{i:06d}.txt").write_text(k_text)
-            data = rng.integers(0, 256, size=(24, 32, 3)).astype(np.uint8)
-            (image_dir / f"{i:06d}.ppm").write_bytes(
-                write_image(RasterImage(data=data))
-            )
+        label_dir, calib_dir, image_dir = write_image_dataset(tmp_path / "in", n_frames=3)
         out = tmp_path / "out"
         code = main(
             [
@@ -1002,24 +1002,6 @@ class TestRectify:
 # outputs
 
 
-def write_image_dataset(root: Path, n_frames: int = 2) -> tuple[Path, Path, Path]:
-    """Small labelled .ppm frames; returns (label_dir, calib_dir, image_dir)."""
-    from camperturb import CameraIntrinsics
-
-    label_dir, calib_dir, image_dir = root / "label_2", root / "calib", root / "image_2"
-    for d in (label_dir, calib_dir, image_dir):
-        d.mkdir(parents=True)
-    k = CameraIntrinsics(fx=100.0, fy=100.0, cx=16.0, cy=12.0)
-    rng = np.random.default_rng(17)
-    for i in range(n_frames):
-        label = helpers.make_label("Car", helpers.make_box(x=0.0, y=1.5, z=20.0), k=k)
-        (label_dir / f"{i:06d}.txt").write_bytes(write_label_file([label]))
-        helpers.write_calib(calib_dir / f"{i:06d}.txt", "P2: 100 0 16 0 0 100 12 0 0 0 1 0\n")
-        data = rng.integers(0, 256, size=(24, 32, 3)).astype(np.uint8)
-        (image_dir / f"{i:06d}.ppm").write_bytes(write_image(RasterImage(data=data)))
-    return label_dir, calib_dir, image_dir
-
-
 def test_rerun_replaces_outputs_instead_of_rewriting_them(tmp_path):
     """A rerun into the same directories creates every output as a new file:
     a hard link to the first run's labels, image, sidecar or report keeps
@@ -1350,6 +1332,39 @@ class TestLoss:
         assert code == 0
         report = json.loads(report_path.read_text())
         assert report["total_loss"] == 0.0
+
+    def test_report_written_through_symlink(self, tmp_path):
+        data = np.ones((2, 2, 2))
+        out = save_feature(tmp_path / "out.ftb", data)
+        content = save_feature(tmp_path / "content.ftb", data)
+        target = tmp_path / "target.json"
+        target.write_text("old\n")
+        link = tmp_path / "link.json"
+        link.symlink_to(target)
+        code = main(
+            ["loss", "--output", str(out), "--content", str(content), "--report", str(link)]
+        )
+        assert code == 0
+        assert link.is_symlink()
+        assert json.loads(target.read_text())["total_loss"] == 0.0
+
+    def test_report_written_into_fifo(self, tmp_path):
+        data = np.ones((2, 2, 2))
+        out = save_feature(tmp_path / "out.ftb", data)
+        content = save_feature(tmp_path / "content.ftb", data)
+        fifo = tmp_path / "report.fifo"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            code = main(
+                ["loss", "--output", str(out), "--content", str(content), "--report", str(fifo)]
+            )
+            received = os.read(reader, 1 << 16)
+        finally:
+            os.close(reader)
+        assert code == 0
+        assert fifo.is_fifo()
+        assert json.loads(received)["total_loss"] == 0.0
 
     def test_missing_tensor_file_exits_2(self, tmp_path, capsys):
         out = save_feature(tmp_path / "out.ftb", np.zeros((2, 1, 1)))
