@@ -345,6 +345,15 @@ def _read_bytes(path: Path, what: str) -> bytes:
         raise _IOFailure(f"cannot read {what} {path}: {exc}") from exc
 
 
+def _parse_file(path: Path, what: str, parse):
+    """``parse(data)`` of the file at ``path``; a parse error names the file."""
+    data = _read_bytes(path, what)
+    try:
+        return parse(data)
+    except CamPerturbError as exc:
+        raise _IOFailure(f"{what} {path}: {exc}") from exc
+
+
 def _read_json_lines(path: Path, what: str, build) -> list:
     """``build(record)`` for each record of a JSON-lines file, in file order.
 
@@ -607,36 +616,41 @@ _EVALUATE_OPTIONS = [
 ]
 
 
-def _load_detection_frames(
-    gt_dir: Path, det_dir: Path, jobs: int
-) -> list[DetectionFrame]:
-    """One DetectionFrame per gt file; a missing det file means no detections."""
+def _load_detection_frames(gt_dir: Path, det_dirs: list[Path], jobs: int) -> list[tuple]:
+    """For each detection directory, in order, a tuple of one DetectionFrame per gt file.
 
-    def load(frame_id: str) -> DetectionFrame:
-        gt = parse_label_file(_read_bytes(gt_dir / f"{frame_id}.txt", "gt labels"))
-        det_path = det_dir / f"{frame_id}.txt"
-        dets = []
-        if det_path.is_file():
-            dets = parse_label_file(_read_bytes(det_path, "detections"))
-        try:
-            return DetectionFrame(
-                frame_id=frame_id, ground_truth=tuple(gt), detections=tuple(dets)
-            )
-        except ValueError as exc:
-            raise _IOFailure(f"frame {frame_id}: {exc}") from exc
+    Each gt file is read once and its labels are shared by that frame in
+    every detection set; a missing detection file means no detections.
+    """
 
-    return list(_ordered_map(load, _frame_ids(gt_dir), jobs))
+    def load(frame_id: str) -> list[DetectionFrame]:
+        name = f"{frame_id}.txt"
+        gt = tuple(_parse_file(gt_dir / name, "gt labels", parse_label_file))
+        frames = []
+        for det_dir in det_dirs:
+            path = det_dir / name
+            dets = _parse_file(path, "detections", parse_label_file) if path.is_file() else ()
+            try:
+                frames.append(DetectionFrame(frame_id, ground_truth=gt, detections=dets))
+            except ValueError as exc:
+                raise _IOFailure(f"frame {frame_id}: {exc}") from exc
+        return frames
+
+    return list(zip(*_ordered_map(load, _frame_ids(gt_dir), jobs)))
 
 
 _KIND_BY_METRIC = {"ap2d": "2d", "apbev": "bev", "ap3d": "3d", "aos": "2d"}
+_NUSCENES_METRICS = ("nuscenes_ate", "nuscenes_ase", "nuscenes_aoe")
+_CELL_FIELDS = ("metric", "class", "difficulty", "threshold")
 
 
-def _sweep_values(frames, cfg) -> dict[tuple[str, str, str], float | str]:
-    """AP/AOS value per (metric, class, difficulty); 'n/a' when undefined.
+def _metric_values(frames, cfg) -> dict[tuple[str, str, str], float | str]:
+    """Value per (metric, class, difficulty) of one detection set; 'n/a' when undefined.
 
     One matching pass per (IoU kind, difficulty) serves every class, and
     ``ap2d`` and ``aos`` share the 2D pass.  Only the values are kept, so
-    at most one pass's records exist at a time.
+    at most one pass's records exist at a time.  The nuScenes errors are
+    stored under (nuscenes_ate|ase|aoe, class, "all").
     """
     values: dict[tuple[str, str, str], float | str] = {}
     sweeps = [m for m in cfg.metrics if m in _KIND_BY_METRIC]
@@ -653,74 +667,51 @@ def _sweep_values(frames, cfg) -> dict[tuple[str, str, str], float | str]:
                     except NoGroundTruth:
                         value = "n/a"
                     values[metric, class_name, difficulty] = value
+    if "nuscenes" in cfg.metrics:
+        for class_name in cfg.classes:
+            try:
+                errors = nuscenes_errors(frames, class_name, cfg.match_radius)
+                errs = (errors.ate, errors.ase, errors.aoe)
+            except (NoMatches, NoGroundTruth):
+                errs = ("n/a",) * len(_NUSCENES_METRICS)
+            for name, value in zip(_NUSCENES_METRICS, errs):
+                values[name, class_name, "all"] = value
     return values
 
 
-def _metric_cells(frames, cfg) -> list[dict]:
-    """One report cell per (metric, class, difficulty); 'n/a' when undefined."""
-    cells: list[dict] = []
-    sweep_values = _sweep_values(frames, cfg)
+def _cell_keys(cfg):
+    """The ``_CELL_FIELDS`` values of each report cell, in report order."""
     for metric in cfg.metrics:
         for class_name in cfg.classes:
             if metric == "nuscenes":
-                try:
-                    errors = nuscenes_errors(frames, class_name, cfg.match_radius)
-                    values = {
-                        "nuscenes_ate": errors.ate,
-                        "nuscenes_ase": errors.ase,
-                        "nuscenes_aoe": errors.aoe,
-                    }
-                except (NoMatches, NoGroundTruth):
-                    values = dict.fromkeys(
-                        ("nuscenes_ate", "nuscenes_ase", "nuscenes_aoe"), "n/a"
-                    )
-                for name, value in values.items():
-                    cell = {
-                        "metric": name,
-                        "class": class_name,
-                        "difficulty": "all",
-                        "threshold": cfg.match_radius,
-                        "value": value,
-                    }
-                    if name == "nuscenes_aoe" and value != "n/a":
-                        cell["value_degrees"] = math.degrees(value)
-                    cells.append(cell)
-                continue
-            for difficulty in cfg.difficulties:
-                cells.append(
-                    {
-                        "metric": metric,
-                        "class": class_name,
-                        "difficulty": difficulty,
-                        "threshold": cfg.iou_threshold,
-                        "value": sweep_values[metric, class_name, difficulty],
-                    }
-                )
-    return cells
+                for name in _NUSCENES_METRICS:
+                    yield name, class_name, "all", cfg.match_radius
+            else:
+                for difficulty in cfg.difficulties:
+                    yield metric, class_name, difficulty, cfg.iou_threshold
 
 
 def cmd_evaluate(cfg: argparse.Namespace) -> int:
     gt_dir = _require(cfg.gt, "ground-truth")
-    det_dir = _require(cfg.det, "detection")
-    frames = _load_detection_frames(gt_dir, det_dir, cfg.jobs)
-    cells = _metric_cells(frames, cfg)
-    value_columns = ["value"]
+    det_dirs = [_require(cfg.det, "detection")]
     if cfg.det_disturbed:
-        disturbed_dir = _require(cfg.det_disturbed, "disturbed detection")
-        disturbed_frames = _load_detection_frames(gt_dir, disturbed_dir, cfg.jobs)
-        disturbed_cells = _metric_cells(disturbed_frames, cfg)
-        merged = []
-        for original, disturbed in zip(cells, disturbed_cells):
-            cell = {k: original[k] for k in ("metric", "class", "difficulty", "threshold")}
-            cell["original"] = original["value"]
-            cell["disturbed"] = disturbed["value"]
-            if original["value"] == "n/a" or disturbed["value"] == "n/a":
-                cell["decrease"] = "n/a"
-            else:
-                cell["decrease"] = disturbed["value"] - original["value"]
-            merged.append(cell)
-        cells = merged
-        value_columns = ["original", "disturbed", "decrease"]
+        det_dirs.append(_require(cfg.det_disturbed, "disturbed detection"))
+    frame_sets = _load_detection_frames(gt_dir, det_dirs, cfg.jobs)
+    tables = [_metric_values(frames, cfg) for frames in frame_sets]
+    value_columns = ["value"] if len(tables) == 1 else ["original", "disturbed", "decrease"]
+    cells = []
+    for key in _cell_keys(cfg):
+        cell = dict(zip(_CELL_FIELDS, key))
+        values = [table[key[:3]] for table in tables]
+        if len(values) == 1:
+            cell["value"] = value = values[0]
+            if cell["metric"] == "nuscenes_aoe" and value != "n/a":
+                cell["value_degrees"] = math.degrees(value)
+        else:
+            original, disturbed = values
+            decrease = "n/a" if "n/a" in values else disturbed - original
+            cell.update(original=original, disturbed=disturbed, decrease=decrease)
+        cells.append(cell)
     report = {
         "parameters": {
             "classes": list(cfg.classes),
@@ -728,14 +719,14 @@ def cmd_evaluate(cfg: argparse.Namespace) -> int:
             "iou_threshold": cfg.iou_threshold,
             "match_radius": cfg.match_radius,
             "metrics": list(cfg.metrics),
-            "frames": len(frames),
+            "frames": len(frame_sets[0]),
         },
         "cells": cells,
     }
     if cfg.format == "json":
         text = _json_dumps(report)
     else:
-        header = ["metric", "class", "difficulty", "threshold", *value_columns]
+        header = [*_CELL_FIELDS, *value_columns]
         text = _csv_text(header, [[c[k] for k in header] for c in cells])
     _emit_report(text, cfg.out)
     return EXIT_OK
@@ -857,20 +848,23 @@ def _load_estimates(path: Path) -> np.ndarray:
 
     Sidecar entries align with ground-truth pose lines by file order.
     """
-    data = _read_bytes(path, "estimates")
-    if data.lstrip()[:1] == b"{":
-        sidecar = _read_json_lines(path, "estimates", _extrinsics)
-        return _perturbation_matrices(
-            np.array([p.pitch for p in sidecar]), np.array([p.roll for p in sidecar])
-        )
-    return np.array([pose.rotation for pose in parse_odometry_poses(data)])
+
+    def parse(data: bytes) -> np.ndarray:
+        if data.lstrip()[:1] == b"{":
+            sidecar = _read_json_lines(path, "estimates", _extrinsics)
+            return _perturbation_matrices(
+                np.array([p.pitch for p in sidecar]), np.array([p.roll for p in sidecar])
+            )
+        return np.array([pose.rotation for pose in parse_odometry_poses(data)])
+
+    return _parse_file(path, "estimates", parse)
 
 
 def cmd_pose_error(cfg: argparse.Namespace) -> int:
     est_path = _require(cfg.est, "estimates", "file")
     gt_path = _require(cfg.gt_poses, "ground-truth poses", "file")
     estimates = _load_estimates(est_path)
-    poses = parse_odometry_poses(_read_bytes(gt_path, "poses"))
+    poses = _parse_file(gt_path, "ground-truth poses", parse_odometry_poses)
     if len(estimates) != len(poses):
         raise _UsageError(
             f"frame count mismatch: {len(estimates)} estimates vs "

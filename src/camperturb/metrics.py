@@ -394,8 +394,8 @@ def average_orientation_similarity(
     return class_sweep(records, num_gt, class_name, difficulty, use_similarity=True)
 
 
-def _aligned_dims_iou(a: Box3D, b: Box3D) -> float:
-    """IoU of two boxes after aligning centers and yaw (dimension-only)."""
+def _aligned_dims_iou(a: ObjectLabel, b: ObjectLabel) -> float:
+    """IoU of two labels' boxes after aligning centers and yaw (dimension-only)."""
     inter = (
         min(a.height, b.height) * min(a.width, b.width) * min(a.length, b.length)
     )
@@ -415,10 +415,13 @@ def nuscenes_errors(
     Per pair: ATE is the BEV center distance in metres, ASE is one minus
     the center-and-yaw-aligned IoU of the dimensions, AOE is the absolute
     yaw difference wrapped to [0, pi].  Raises :class:`NoMatches` if no
-    detection matches anywhere.
+    detection matches anywhere.  DontCare rows are never scored, as in
+    :func:`match_frame`.
     """
     if not math.isfinite(match_radius) or match_radius <= 0:
         raise ValueError(f"match_radius must be positive, got {match_radius}")
+    if class_name == DONTCARE:
+        raise NoMatches(f"class {DONTCARE!r} marks regions and is never scored")
     ates: list[float] = []
     ases: list[float] = []
     aoes: list[float] = []
@@ -445,7 +448,7 @@ def nuscenes_errors(
             claimed.add(best_j)
             g = gts[best_j]
             ates.append(best_dist)
-            ases.append(1.0 - _aligned_dims_iou(det.box3d(), g.box3d()))
+            ases.append(1.0 - _aligned_dims_iou(det, g))
             aoes.append(abs(_wrap_angle(det.rotation_y - g.rotation_y)))
     if not ates:
         raise NoMatches(f"no detection of class {class_name!r} matched any ground truth")

@@ -83,9 +83,11 @@ def load_tensor(path) -> FeatureTensor:
     sidecar_file = _sidecar_path(path)
     if sidecar_file.exists():
         try:
-            meta = json.loads(sidecar_file.read_text())
-        except json.JSONDecodeError as exc:
+            meta = json.loads(sidecar_file.read_bytes().decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise MalformedTensor(f"unreadable sidecar {sidecar_file}: {exc}") from exc
+        if not isinstance(meta, dict):
+            raise MalformedTensor(f"sidecar {sidecar_file} is not a JSON object")
         declared = (meta.get("channels"), meta.get("height"), meta.get("width"))
         actual = (tensor.channels, tensor.height, tensor.width)
         if declared != actual:

@@ -377,8 +377,9 @@ def test_08_parser_golden_files_and_fuzzing(capsys):
 
 
 def test_09_cli_determinism_across_runs_and_jobs(capsys, tmp_path):
-    """simulate and evaluate must emit byte-identical artifacts when run
-    twice, and when run with --jobs 1 vs --jobs 4."""
+    """simulate, evaluate and evaluate --det-disturbed must emit
+    byte-identical artifacts when run twice, and when run with --jobs 1
+    vs --jobs 4."""
     with announced(capsys, "09 CLI determinism across runs and jobs"):
         frames = helpers.desk_scene_frames(n_frames=12)
         gt_labels, calib_dir = helpers.write_kitti_dataset(tmp_path / "gt", frames)
@@ -444,6 +445,33 @@ def test_09_cli_determinism_across_runs_and_jobs(capsys, tmp_path):
             )
             eval_reports.append(out.read_bytes())
         assert eval_reports[0] == eval_reports[1] == eval_reports[2]
+
+        # the A/B report: a second detection set, one object fewer per frame
+        disturbed_labels, _ = helpers.write_kitti_dataset(
+            tmp_path / "det-disturbed",
+            [dataclasses.replace(f, labels=f.labels[:-1]) for f in frames],
+            scores=True,
+        )
+        ab_reports = []
+        for name, jobs in (("a", "1"), ("b", "1"), ("c", "4")):
+            out = tmp_path / f"eval-ab-{name}.json"
+            assert (
+                main(
+                    [
+                        "evaluate",
+                        "--gt", str(gt_labels),
+                        "--det", str(det_labels),
+                        "--det-disturbed", str(disturbed_labels),
+                        "--metrics", "ap3d,aos,nuscenes",
+                        "--out", str(out),
+                        "--jobs", jobs,
+                    ]
+                )
+                == 0
+            )
+            ab_reports.append(out.read_bytes())
+        assert ab_reports[0] == ab_reports[1] == ab_reports[2]
+        assert b'"decrease"' in ab_reports[0]
 
 
 def test_10_trajectory_angular_error_rate(capsys, tmp_path):

@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import json
 import math
+import operator
 import os
 import threading
 import time
@@ -727,6 +728,105 @@ class TestEvaluate:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
 
+    def test_disturbed_run_reads_each_ground_truth_file_once(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import camperturb.cli as cli
+
+        gt_dir, det_dir = self._perfect_dirs(tmp_path, n_frames=3)
+        reads = []
+        read_bytes = cli._read_bytes
+
+        def counting(path, what):
+            reads.append(path)
+            return read_bytes(path, what)
+
+        monkeypatch.setattr(cli, "_read_bytes", counting)
+        code = main(
+            [
+                "evaluate",
+                "--gt", str(gt_dir),
+                "--det", str(det_dir),
+                "--det-disturbed", str(det_dir),
+                "--metrics", "ap3d,nuscenes",
+            ]
+        )
+        assert code == 0
+        gt_reads = sorted(p.name for p in reads if p.parent == gt_dir)
+        assert gt_reads == sorted(p.name for p in gt_dir.glob("*.txt"))
+
+    def test_ab_cells_equal_two_single_set_runs(self, tmp_path, capsys):
+        gt_dir, det_dir = self._perfect_dirs(tmp_path, n_frames=3)
+        empty_det = tmp_path / "empty-det"  # no matches: nuScenes cells read n/a
+        empty_det.mkdir()
+        common = ["--gt", str(gt_dir), "--classes", "Car,Pedestrian",
+                  "--metrics", "ap3d,nuscenes"]
+
+        def cells(*extra):
+            assert main(["evaluate", *common, *extra]) == 0
+            return json.loads(capsys.readouterr().out)["cells"]
+
+        original = cells("--det", str(det_dir))
+        disturbed = cells("--det", str(empty_det))
+        ab = cells("--det", str(det_dir), "--det-disturbed", str(empty_det))
+        key = operator.itemgetter("metric", "class", "difficulty", "threshold")
+        assert [key(c) for c in ab] == [key(c) for c in original]
+        assert [key(c) for c in ab] == [key(c) for c in disturbed]
+        for cell, one, two in zip(ab, original, disturbed):
+            assert set(cell) == {"metric", "class", "difficulty", "threshold",
+                                 "original", "disturbed", "decrease"}
+            assert cell["original"] == one["value"]
+            assert cell["disturbed"] == two["value"]
+            if "n/a" in (one["value"], two["value"]):
+                assert cell["decrease"] == "n/a"
+            else:
+                assert cell["decrease"] == two["value"] - one["value"]
+        values = {(c["metric"], c["class"]): c for c in ab}
+        assert values["nuscenes_aoe", "Car"]["original"] == 0.0
+        assert values["nuscenes_aoe", "Car"]["decrease"] == "n/a"
+        assert values["ap3d", "Pedestrian"]["original"] == "n/a"
+
+    def test_dontcare_class_reads_na(self, tmp_path, capsys):
+        from camperturb import ObjectLabel
+
+        region = ObjectLabel("DontCare", -1.0, -1, -10.0, 100.0, 150.0, 180.0, 200.0,
+                             -1.0, -1.0, -1.0, -1000.0, -1000.0, -1000.0, -10.0)
+        frames = helpers.desk_scene_frames(n_frames=2)
+        frames = [dataclasses.replace(f, labels=(*f.labels, region)) for f in frames]
+        dets = {
+            f.frame_id: [*(helpers.with_score(lab, 0.9) for lab in f.labels[:-1]), region]
+            for f in frames
+        }
+        gt_dir, det_dir = write_eval_dirs(tmp_path, frames, dets)
+        code = main(
+            [
+                "evaluate",
+                "--gt", str(gt_dir),
+                "--det", str(det_dir),
+                "--classes", "DontCare",
+                "--metrics", "ap3d,nuscenes",
+            ]
+        )
+        assert code == 0
+        cells = json.loads(capsys.readouterr().out)["cells"]
+        assert len(cells) == 3 + 3
+        assert {c["value"] for c in cells} == {"n/a"}
+
+    @pytest.mark.parametrize("bad", ["gt", "det"])
+    def test_malformed_label_names_its_file(self, tmp_path, capsys, bad):
+        gt_dir, det_dir = self._perfect_dirs(tmp_path, n_frames=2)
+        broken = {"gt": gt_dir, "det": det_dir}[bad] / "000001.txt"
+        with broken.open("a") as f:
+            f.write("Car 0 0\n")
+        lines = len(broken.read_text().splitlines())
+        code = main(["evaluate", "--gt", str(gt_dir), "--det", str(det_dir)])
+        assert code == 2
+        what = {"gt": "gt labels", "det": "detections"}[bad]
+        assert (
+            f"error: {what} {broken}: line {lines}: expected 15 or 16 fields, got 3"
+            in capsys.readouterr().err
+        )
+
 
 # ---------------------------------------------------------------------------
 # rectify
@@ -1157,6 +1257,23 @@ class TestPoseError:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("bad", ["est", "gt-poses"])
+    def test_bad_pose_line_names_its_file(self, tmp_path, capsys, bad):
+        paths = {"est": tmp_path / "est.txt", "gt-poses": tmp_path / "poses.txt"}
+        for path in paths.values():
+            write_straight_poses(path, 6, 1.0)
+        with paths[bad].open("a") as f:
+            f.write("1 0 0\n")
+        code = main(
+            ["pose-error", "--est", str(paths["est"]), "--gt-poses", str(paths["gt-poses"])]
+        )
+        assert code == 2
+        what = {"est": "estimates", "gt-poses": "ground-truth poses"}[bad]
+        assert (
+            f"error: {what} {paths[bad]}: line 7: expected 12 values, got 3"
+            in capsys.readouterr().err
+        )
+
     def test_poses_at_kitti_precision(self, tmp_path, capsys):
         """KITTI pose files carry %e values: 7 digits, orthogonal only to ~1e-7."""
         rng = np.random.default_rng(31)
@@ -1372,6 +1489,17 @@ class TestLoss:
             ["loss", "--output", str(out), "--content", str(tmp_path / "gone.ftb")]
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "sidecar", [b"\xff\xfe{}", b"[1, 2]\n"], ids=["not-utf8", "not-an-object"]
+    )
+    def test_malformed_sidecar_exits_2_naming_it(self, tmp_path, capsys, sidecar):
+        out = save_feature(tmp_path / "out.ftb", np.zeros((2, 1, 1)))
+        content = save_feature(tmp_path / "content.ftb", np.zeros((2, 1, 1)))
+        (tmp_path / "content.ftb.json").write_bytes(sidecar)
+        code = main(["loss", "--output", str(out), "--content", str(content)])
+        assert code == 2
+        assert str(tmp_path / "content.ftb.json") in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -116,3 +116,14 @@ class TestFileIo:
         sidecar_path.write_text(json.dumps(meta))
         with pytest.raises(MalformedTensor):
             load_tensor(path)
+
+    @pytest.mark.parametrize(
+        "sidecar", [b'{"channels": 2, "height": \xff}', b"[1, 2]\n"],
+        ids=["not-utf8", "not-an-object"],
+    )
+    def test_malformed_sidecar_rejected_naming_it(self, tmp_path, sidecar):
+        path = tmp_path / "feat.ftb"
+        save_tensor(path, sample_tensor(7, shape=(2, 2, 2)))
+        (tmp_path / "feat.ftb.json").write_bytes(sidecar)
+        with pytest.raises(MalformedTensor, match="feat.ftb.json"):
+            load_tensor(path)
