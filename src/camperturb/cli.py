@@ -45,6 +45,7 @@ import numpy as np
 from .errors import (
     CamPerturbError,
     ChannelMismatch,
+    MalformedLine,
     NoGroundTruth,
     NoMatches,
     ShapeMismatch,
@@ -59,9 +60,9 @@ from .horizon import (
 )
 from .kitti import (
     DifficultyBin,
+    _pose_stack,
     parse_calib_file,
     parse_label_file,
-    parse_odometry_poses,
     write_label_file,
 )
 from .losses import (
@@ -87,7 +88,7 @@ from .simulate import (
     simulate_frame,
     transform_labels,
 )
-from .tensorio import load_tensor
+from .tensorio import _check_sidecar, tensor_from_bytes
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -354,21 +355,21 @@ def _parse_file(path: Path, what: str, parse):
         raise _IOFailure(f"{what} {path}: {exc}") from exc
 
 
-def _read_json_lines(path: Path, what: str, build) -> list:
-    """``build(record)`` for each record of a JSON-lines file, in file order.
+def _json_lines(data: bytes, build) -> list:
+    """``build(record)`` for each record of JSON-lines ``data``, in file order.
 
     Blank lines are skipped.  A line that is not JSON, or whose record
-    ``build`` rejects, fails the whole file as ``<what> <path> line N: ...``.
+    ``build`` rejects, raises :class:`MalformedLine` with its number.
     """
     built = []
-    text = _read_bytes(path, what).decode("utf-8", errors="replace")
+    text = data.decode("utf-8", errors="replace")
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
             built.append(build(json.loads(line)))
         except (KeyError, TypeError, ValueError, CamPerturbError) as exc:
-            raise _IOFailure(f"{what} {path} line {line_no}: {exc}") from exc
+            raise MalformedLine(line_no, str(exc)) from exc
     return built
 
 
@@ -378,9 +379,8 @@ def _extrinsics(record) -> ExtrinsicPerturbation:
 
 def _load_sidecar(path: Path) -> dict[str, ExtrinsicPerturbation]:
     """Read a {frame_id, pitch, roll} JSON-lines sidecar."""
-    return dict(
-        _read_json_lines(path, "sidecar", lambda r: (str(r["frame_id"]), _extrinsics(r)))
-    )
+    entry = lambda record: (str(record["frame_id"]), _extrinsics(record))  # noqa: E731
+    return dict(_parse_file(path, "sidecar", lambda data: _json_lines(data, entry)))
 
 
 def _frame_ids(label_dir: Path) -> list[str]:
@@ -475,11 +475,8 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
 def _load_calibration(calib_path: Path, frame_id: str):
     """Calibration for one frame: per-frame file in a dir, or one shared file."""
     if calib_path.is_dir():
-        per_frame = calib_path / f"{frame_id}.txt"
-        if not per_frame.is_file():
-            raise _IOFailure(f"calibration file does not exist: {per_frame}")
-        return parse_calib_file(_read_bytes(per_frame, "calibration"))
-    return parse_calib_file(_read_bytes(calib_path, "calibration"))
+        calib_path = calib_path / f"{frame_id}.txt"
+    return _parse_file(calib_path, "calibration", parse_calib_file)
 
 
 # ---------------------------------------------------------------------------
@@ -535,9 +532,7 @@ def cmd_simulate(cfg: argparse.Namespace) -> int:
         _make_dir(out_images)
 
     def process(frame_id: str):
-        labels = parse_label_file(
-            _read_bytes(label_dir / f"{frame_id}.txt", "label file")
-        )
+        labels = _parse_file(label_dir / f"{frame_id}.txt", "label file", parse_label_file)
         calib = _load_calibration(calib_path, frame_id)
         image = None
         extension = None
@@ -545,7 +540,7 @@ def cmd_simulate(cfg: argparse.Namespace) -> int:
             for ext in (".ppm", ".pgm"):
                 candidate = image_dir / f"{frame_id}{ext}"
                 if candidate.is_file():
-                    image = read_image(_read_bytes(candidate, "image"))
+                    image = _parse_file(candidate, "image", read_image)
                     extension = ext
                     break
         frame = SceneFrame(
@@ -773,13 +768,13 @@ def cmd_rectify(cfg: argparse.Namespace) -> int:
         source, estimates = "sidecar", _load_sidecar(Path(cfg.sidecar))
     else:
         source = "horizon annotations"
-        estimates = dict(_read_json_lines(Path(cfg.horizon), source, _horizon_entry))
+        estimates = dict(
+            _parse_file(Path(cfg.horizon), source, lambda d: _json_lines(d, _horizon_entry))
+        )
     truth = _load_sidecar(Path(cfg.truth_sidecar)) if cfg.truth_sidecar else None
 
     def process(frame_id: str):
-        labels = parse_label_file(
-            _read_bytes(det_dir / f"{frame_id}.txt", "detections")
-        )
+        labels = _parse_file(det_dir / f"{frame_id}.txt", "detections", parse_label_file)
         intrinsics = _load_calibration(calib_path, frame_id).intrinsics()
         if frame_id not in estimates:
             raise _IOFailure(f"frame {frame_id} missing from {source}")
@@ -842,39 +837,34 @@ _POSE_ERROR_OPTIONS = [
 ]
 
 
-def _load_estimates(path: Path) -> np.ndarray:
+def _load_estimates(data: bytes) -> np.ndarray:
     """Estimated rotations as one (n, 3, 3) stack, from a pitch/roll JSON-lines
     sidecar or a pose file.
 
     Sidecar entries align with ground-truth pose lines by file order.
     """
-
-    def parse(data: bytes) -> np.ndarray:
-        if data.lstrip()[:1] == b"{":
-            sidecar = _read_json_lines(path, "estimates", _extrinsics)
-            return _perturbation_matrices(
-                np.array([p.pitch for p in sidecar]), np.array([p.roll for p in sidecar])
-            )
-        return np.array([pose.rotation for pose in parse_odometry_poses(data)])
-
-    return _parse_file(path, "estimates", parse)
+    if data.lstrip()[:1] == b"{":
+        angles = [(p.pitch, p.roll) for p in _json_lines(data, _extrinsics)]
+        pitch, roll = np.array(angles).reshape(-1, 2).T
+        return _perturbation_matrices(pitch, roll)
+    return _pose_stack(data)[:, :, :3]
 
 
 def cmd_pose_error(cfg: argparse.Namespace) -> int:
     est_path = _require(cfg.est, "estimates", "file")
     gt_path = _require(cfg.gt_poses, "ground-truth poses", "file")
-    estimates = _load_estimates(est_path)
-    poses = _parse_file(gt_path, "ground-truth poses", parse_odometry_poses)
+    estimates = _parse_file(est_path, "estimates", _load_estimates)
+    poses = _parse_file(gt_path, "ground-truth poses", _pose_stack)
     if len(estimates) != len(poses):
         raise _UsageError(
             f"frame count mismatch: {len(estimates)} estimates vs "
             f"{len(poses)} ground-truth poses"
         )
-    if not poses:
+    if not len(poses):
         raise _UsageError("no poses to compare")
     # both stacks were checked when parsed or built from angles
-    errors_deg = _angular_errors(estimates, np.array([pose.rotation for pose in poses]))
-    steps = np.diff([pose.translation for pose in poses], axis=0)
+    errors_deg = _angular_errors(estimates, poses[:, :, :3])
+    steps = np.diff(poses[:, :, 3], axis=0)
     path_length = 0.0
     # each step's length as np.linalg.norm computes it (one BLAS dot), summed left to right
     for step in np.sqrt(steps[:, None, :] @ steps[:, :, None]).ravel().tolist():
@@ -968,11 +958,13 @@ def _finite_difference_check(
 
 
 def cmd_loss(cfg: argparse.Namespace) -> int:
-    out_tensor = load_tensor(_require(cfg.output, "output tensor", "file"))
-    content_tensor = load_tensor(_require(cfg.content, "content tensor", "file"))
-    style_tensors = [
-        load_tensor(_require(p, "style tensor", "file")) for p in cfg.style
-    ]
+    def load(path: str, what: str) -> FeatureTensor:
+        path = _require(path, what, "file")
+        return _parse_file(path, what, lambda d: _check_sidecar(path, tensor_from_bytes(d)))
+
+    out_tensor = load(cfg.output, "output tensor")
+    content_tensor = load(cfg.content, "content tensor")
+    style_tensors = [load(p, "style tensor") for p in cfg.style]
     content_value = content_loss(out_tensor, content_tensor)
     target_grams = _target_grams(out_tensor, style_tensors)
     style_values = _style_losses(out_tensor, target_grams)

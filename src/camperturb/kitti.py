@@ -312,10 +312,17 @@ def parse_odometry_poses(data: bytes | str) -> list[OdometryPose]:
     The rotation block of every pose must be a proper rotation at
     ``ROTATION_TOL`` (orthogonal within 1e-6, determinant positive, the
     rule of :func:`ensure_rotation`); otherwise :class:`NotARotation` is
-    raised with the offending line number attached.  All lines are parsed
-    into one (n, 3, 4) array whose rotation blocks are checked at once;
-    errors are still reported for the first bad line in file order.
+    raised with the offending line number attached.  Errors are reported
+    for the first bad line in file order.
     """
+    return [
+        OdometryPose(frame_index=index, rotation=pose[:, :3], translation=pose[:, 3])
+        for index, pose in enumerate(_pose_stack(data))
+    ]
+
+
+def _pose_stack(data: bytes | str) -> np.ndarray:
+    """The poses of :func:`parse_odometry_poses` as one (n, 3, 4) array, checked at once."""
     text = _decode(data, "pose file")
     lines = text.splitlines()
     values = np.empty((len(lines), 12))
@@ -334,11 +341,7 @@ def parse_odometry_poses(data: bytes | str) -> list[OdometryPose]:
     except (MalformedLine, NonFiniteValue):
         _require_pose_rotations(values, line_nos)  # a bad rotation above comes first
         raise
-    poses = _require_pose_rotations(values, line_nos)
-    return [
-        OdometryPose(frame_index=index, rotation=pose[:, :3], translation=pose[:, 3])
-        for index, pose in enumerate(poses)
-    ]
+    return _require_pose_rotations(values, line_nos)
 
 
 def _require_pose_rotations(values: np.ndarray, line_nos: list[int]) -> np.ndarray:

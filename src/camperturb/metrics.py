@@ -297,7 +297,8 @@ def match_pass(
     then its false positives in index order); ``similarity`` is
     (1 + cos(alpha_det - alpha_gt)) / 2 for true positives and 0
     otherwise.  ``num_gt`` maps each class to its in-bin ground-truth
-    count.  Raises ``ValueError`` on an empty frame list.
+    count.  Raises ``ValueError`` on an empty frame list, and
+    :class:`DegenerateBox` naming the frame whose box has no footprint.
     """
     frames = list(frames)
     if not frames:
@@ -305,7 +306,10 @@ def match_pass(
     records: list[tuple[str, float, bool, float]] = []
     num_gt: Counter[str] = Counter()
     for frame in frames:
-        result = match_frame(frame, iou_kind, threshold, difficulty)
+        try:
+            result = match_frame(frame, iou_kind, threshold, difficulty)
+        except DegenerateBox as exc:
+            raise DegenerateBox(f"frame {frame.frame_id}: {exc}") from exc
         gt, dets = frame.ground_truth, frame.detections
         in_bin = [j for j, _, _ in result.pairs] + list(result.unmatched_gt)
         num_gt.update(gt[j].class_name for j in in_bin)

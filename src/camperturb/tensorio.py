@@ -79,7 +79,11 @@ def save_tensor(path, t: FeatureTensor) -> None:
 def load_tensor(path) -> FeatureTensor:
     """Read a tensor; if the JSON sidecar exists it must agree with the header."""
     path = Path(path)
-    tensor = tensor_from_bytes(path.read_bytes())
+    return _check_sidecar(path, tensor_from_bytes(path.read_bytes()))
+
+
+def _check_sidecar(path: Path, tensor: FeatureTensor) -> FeatureTensor:
+    """``tensor`` read from ``path``, once its JSON sidecar, if any, agrees with it."""
     sidecar_file = _sidecar_path(path)
     if sidecar_file.exists():
         try:

@@ -379,7 +379,8 @@ def test_08_parser_golden_files_and_fuzzing(capsys):
 def test_09_cli_determinism_across_runs_and_jobs(capsys, tmp_path):
     """simulate, evaluate and evaluate --det-disturbed must emit
     byte-identical artifacts when run twice, and when run with --jobs 1
-    vs --jobs 4."""
+    vs --jobs 4; pose-error must emit the same report bytes twice and on
+    stdout, for either kind of estimates."""
     with announced(capsys, "09 CLI determinism across runs and jobs"):
         frames = helpers.desk_scene_frames(n_frames=12)
         gt_labels, calib_dir = helpers.write_kitti_dataset(tmp_path / "gt", frames)
@@ -472,6 +473,43 @@ def test_09_cli_determinism_across_runs_and_jobs(capsys, tmp_path):
             ab_reports.append(out.read_bytes())
         assert ab_reports[0] == ab_reports[1] == ab_reports[2]
         assert b'"decrease"' in ab_reports[0]
+
+        # pose-error from a pitch/roll sidecar and from a pose file, twice to a
+        # report file and once to stdout, in both formats
+        rng = np.random.default_rng(9)
+
+        def pose_lines(n: int) -> str:
+            lines = []
+            for i in range(n):
+                rotation = perturbation_matrix(random_perturbation(rng, limit=0.2))
+                pose = np.column_stack([rotation, [0.1 * i, 0.0, 1.5 * i]])
+                lines.append(" ".join(repr(v) for v in pose.ravel().tolist()) + "\n")
+            return "".join(lines)
+
+        gt_poses = tmp_path / "poses.txt"
+        gt_poses.write_text(pose_lines(40))
+        est_sidecar = tmp_path / "est.jsonl"
+        est_sidecar.write_text("".join(
+            json.dumps({"frame_id": f"{i:06d}", **dataclasses.asdict(random_perturbation(rng))})
+            + "\n"
+            for i in range(40)
+        ))
+        est_poses = tmp_path / "est-poses.txt"
+        est_poses.write_text(pose_lines(40))
+        for est in (est_sidecar, est_poses):
+            for fmt in ("json", "csv"):
+                args = ["pose-error", "--est", str(est), "--gt-poses", str(gt_poses),
+                        "--format", fmt]
+                pose_reports = []
+                for name in ("a", "b"):
+                    out = tmp_path / f"pose-{est.stem}-{name}.{fmt}"
+                    assert main([*args, "--report", str(out)]) == 0
+                    pose_reports.append(out.read_bytes())
+                capsys.readouterr()
+                assert main(args) == 0
+                pose_reports.append(capsys.readouterr().out.encode())
+                assert pose_reports[0] == pose_reports[1] == pose_reports[2]
+                assert b"angular_error_deg_per_m" in pose_reports[0]
 
 
 def test_10_trajectory_angular_error_rate(capsys, tmp_path):

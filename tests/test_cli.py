@@ -30,6 +30,7 @@ from camperturb import (
     RasterImage,
     horizon_vp_from_extrinsics,
     parse_label_file,
+    parse_odometry_poses,
     rot_x,
     rot_z,
     write_image,
@@ -37,6 +38,8 @@ from camperturb import (
 )
 from camperturb import losses
 from camperturb.cli import _ordered_map, build_parser, main, run
+from camperturb.geometry import _perturbation_matrices
+from camperturb.horizon import _angular_errors
 from camperturb.tensorio import load_tensor, save_tensor
 
 
@@ -827,6 +830,22 @@ class TestEvaluate:
             in capsys.readouterr().err
         )
 
+    def test_degenerate_detection_footprint_names_its_frame(self, tmp_path, capsys):
+        gt_dir, det_dir = self._perfect_dirs(tmp_path, n_frames=2)
+        det = det_dir / "000001.txt"
+        lines = det.read_text().splitlines()
+        fields = lines[0].split()
+        fields[9] = fields[10] = "1e-7"  # width and length
+        det.write_text("\n".join([" ".join(fields), *lines[1:]]) + "\n")
+        code = main(
+            ["evaluate", "--gt", str(gt_dir), "--det", str(det_dir), "--metrics", "apbev"]
+        )
+        assert code == 2
+        assert (
+            "error: frame 000001: BEV footprint has (near-)zero area"
+            in capsys.readouterr().err
+        )
+
 
 # ---------------------------------------------------------------------------
 # rectify
@@ -1019,7 +1038,32 @@ class TestRectify:
             ]
         )
         assert code == 2
-        assert f"horizon annotations {annotations} line 2" in capsys.readouterr().err
+        assert f"horizon annotations {annotations}: line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--sidecar", "--truth-sidecar", "--horizon"])
+    def test_json_lines_error_names_file_and_line(self, tmp_path, capsys, flag):
+        label_dir, calib_dir = write_dataset(tmp_path / "in", n_frames=2)
+        good = tmp_path / "zeros.jsonl"
+        write_sidecar(good, dict.fromkeys(("000000", "000001"), ExtrinsicPerturbation(0, 0)))
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('\n{"frame_id": "000001"}\n')  # a blank line 1 still counts
+        if flag == "--truth-sidecar":
+            sources = ["--sidecar", str(good), flag, str(bad)]
+        else:
+            sources = [flag, str(bad)]
+        code = main(
+            [
+                "rectify",
+                "--det", str(label_dir),
+                "--calib", str(calib_dir),
+                "--out", str(tmp_path / "out"),
+                *sources,
+            ]
+        )
+        assert code == 2
+        what = "horizon annotations" if flag == "--horizon" else "sidecar"
+        key = "slope" if flag == "--horizon" else "pitch"
+        assert f"error: {what} {bad}: line 2: '{key}'\n" in capsys.readouterr().err
 
     def test_four_decimal_scores_survive_write_and_rectify(self, tmp_path):
         label_dir, calib_dir = write_dataset(tmp_path / "in", n_frames=2)
@@ -1096,6 +1140,35 @@ class TestRectify:
         assert "frame failures: 1" in stdout
         assert f"000000: {reason}" in stdout
         assert sorted(p.name for p in out.iterdir()) == ["000001.txt"]
+
+
+@pytest.mark.parametrize("subcommand", ["simulate", "rectify"])
+@pytest.mark.parametrize("bad", ["labels", "calibration", "missing calibration"])
+def test_bad_frame_input_fails_its_frame_naming_the_file(tmp_path, capsys, subcommand, bad):
+    label_dir, calib_dir = write_dataset(tmp_path / "in", n_frames=2)
+    broken = (label_dir if bad == "labels" else calib_dir) / "000001.txt"
+    if bad == "missing calibration":
+        broken.unlink()
+    else:
+        broken.write_text("Car 0 0\n")
+    what = {
+        "labels": "label file" if subcommand == "simulate" else "detections",
+        "calibration": "calibration",
+        "missing calibration": "cannot read calibration",
+    }[bad]
+    if subcommand == "simulate":
+        args = ["--labels", str(label_dir)]
+    else:
+        sidecar = tmp_path / "zeros.jsonl"
+        write_sidecar(sidecar, dict.fromkeys(("000000", "000001"), ExtrinsicPerturbation(0, 0)))
+        args = ["--det", str(label_dir), "--sidecar", str(sidecar)]
+    code = main(
+        [subcommand, *args, "--calib", str(calib_dir), "--out", str(tmp_path / "out")]
+    )
+    assert code == 0
+    stdout = capsys.readouterr().out
+    assert "frame failures: 1" in stdout
+    assert f"  000001: {what} {broken}: " in stdout
 
 
 # ---------------------------------------------------------------------------
@@ -1273,6 +1346,88 @@ class TestPoseError:
             f"error: {what} {paths[bad]}: line 7: expected 12 values, got 3"
             in capsys.readouterr().err
         )
+
+    def test_json_lines_estimates_are_read_once(self, tmp_path, capsys, monkeypatch):
+        import camperturb.cli as cli
+
+        poses = tmp_path / "poses.txt"
+        write_straight_poses(poses, 4, 1.0)
+        est = tmp_path / "est.jsonl"
+        write_estimates(est, 4, pitch=0.01)
+        reads = []
+        read_bytes = cli._read_bytes
+
+        def counting(path, what):
+            reads.append(path)
+            return read_bytes(path, what)
+
+        monkeypatch.setattr(cli, "_read_bytes", counting)
+        assert main(["pose-error", "--est", str(est), "--gt-poses", str(poses)]) == 0
+        assert sorted(reads) == sorted([est, poses])
+
+    def test_bad_json_estimate_names_file_and_line(self, tmp_path, capsys):
+        poses = tmp_path / "poses.txt"
+        write_straight_poses(poses, 2, 1.0)
+        est = tmp_path / "est.jsonl"
+        est.write_text(
+            '{"frame_id": "000000", "pitch": 0.0, "roll": 0.0}\n'
+            '{"frame_id": "000001", "pitch": 2.0, "roll": 0.0}\n'
+        )
+        code = main(["pose-error", "--est", str(est), "--gt-poses", str(poses)])
+        assert code == 2
+        assert (
+            f"error: estimates {est}: line 2: pitch must satisfy |angle| < pi/2, got 2.0\n"
+            in capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize("est_kind", ["sidecar", "poses"])
+    def test_report_equals_one_built_from_pose_objects(self, tmp_path, capsys, est_kind):
+        """The report from the pose stacks is the bytes that per-pose
+        ``OdometryPose`` rotations and translations give."""
+        rng = np.random.default_rng(83)
+        n = 300
+
+        def random_poses(path: Path) -> None:
+            angles = rng.uniform(-math.pi / 2, math.pi / 2, size=(n, 3))
+            translations = np.cumsum(rng.normal(0.0, 2.0, size=(n, 3)), axis=0)
+            lines = []
+            for (a, b, c), t in zip(angles, translations):
+                pose = np.column_stack([rot_x(a) @ rot_z(b) @ rot_x(c), t])
+                lines.append(" ".join(repr(v) for v in pose.ravel().tolist()) + "\n")
+            path.write_text("".join(lines))
+
+        poses = tmp_path / "poses.txt"
+        random_poses(poses)
+        if est_kind == "sidecar":
+            est = tmp_path / "est.jsonl"
+            pitch, roll = rng.uniform(-0.2, 0.2, size=(2, n))
+            est.write_text("".join(
+                json.dumps({"frame_id": f"{i:06d}", "pitch": p, "roll": r}) + "\n"
+                for i, (p, r) in enumerate(zip(pitch.tolist(), roll.tolist()))
+            ))
+            r_est = _perturbation_matrices(pitch, roll)
+        else:
+            est = tmp_path / "est.txt"
+            random_poses(est)
+            r_est = np.array([p.rotation for p in parse_odometry_poses(est.read_bytes())])
+        assert main(["pose-error", "--est", str(est), "--gt-poses", str(poses)]) == 0
+
+        gt = parse_odometry_poses(poses.read_bytes())
+        errors = _angular_errors(r_est, np.array([p.rotation for p in gt]))
+        path_length = 0.0
+        for prev, curr in zip(gt, gt[1:]):
+            path_length += float(np.linalg.norm(curr.translation - prev.translation))
+        mean_deg = sum(errors) / len(errors)
+        expected = {
+            "frames": n,
+            "per_frame_deg": errors,
+            "mean_angular_error_deg": mean_deg,
+            "mean_angular_error_rad": math.radians(mean_deg),
+            "max_angular_error_deg": max(errors),
+            "path_length_m": path_length,
+            "angular_error_deg_per_m": mean_deg / path_length,
+        }
+        assert capsys.readouterr().out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
     def test_poses_at_kitti_precision(self, tmp_path, capsys):
         """KITTI pose files carry %e values: 7 digits, orthogonal only to ~1e-7."""
@@ -1489,6 +1644,25 @@ class TestLoss:
             ["loss", "--output", str(out), "--content", str(tmp_path / "gone.ftb")]
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            ("magic", "bad magic b'XXXX' (want b'FTB1')"),
+            ("sidecar", "sidecar shape (3, 1, 1) disagrees with header (2, 1, 1)"),
+        ],
+    )
+    def test_malformed_tensor_names_it(self, tmp_path, capsys, fault, message):
+        out = save_feature(tmp_path / "out.ftb", np.zeros((2, 1, 1)))
+        content = save_feature(tmp_path / "content.ftb", np.zeros((2, 1, 1)))
+        if fault == "magic":
+            content.write_bytes(b"XXXX" + content.read_bytes()[4:])
+        else:
+            sidecar = tmp_path / "content.ftb.json"
+            sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "channels": 3}))
+        code = main(["loss", "--output", str(out), "--content", str(content)])
+        assert code == 2
+        assert f"error: content tensor {content}: {message}\n" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "sidecar", [b"\xff\xfe{}", b"[1, 2]\n"], ids=["not-utf8", "not-an-object"]
