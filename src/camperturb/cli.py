@@ -60,6 +60,7 @@ from .horizon import (
 )
 from .kitti import (
     DifficultyBin,
+    _decode,
     _pose_stack,
     parse_calib_file,
     parse_label_file,
@@ -302,9 +303,9 @@ _CALIB_OPTION = _Option(
 
 
 def _require(path: str, what: str, kind: str = "directory") -> Path:
-    """``path`` as a Path; it must exist as a "directory", "file" or any "path"."""
+    """``path`` as a Path; it must exist as a "directory" or as any "path"."""
     p = Path(path)
-    if not {"directory": p.is_dir, "file": p.is_file, "path": p.exists}[kind]():
+    if not {"directory": p.is_dir, "path": p.exists}[kind]():
         raise _IOFailure(f"{what} {kind} does not exist: {p}")
     return p
 
@@ -362,24 +363,40 @@ def _json_lines(data: bytes, build) -> list:
     ``build`` rejects, raises :class:`MalformedLine` with its number.
     """
     built = []
-    text = data.decode("utf-8", errors="replace")
+    text = _decode(data, "JSON-lines file")
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
             built.append(build(json.loads(line)))
-        except (KeyError, TypeError, ValueError, CamPerturbError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError, CamPerturbError) as exc:
             raise MalformedLine(line_no, str(exc)) from exc
     return built
 
 
+def _number(record, key: str) -> float:
+    """``record[key]``, which must be a JSON number (``true`` is not one)."""
+    value = record[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"'{key}' must be a JSON number, got {value!r}")
+    return float(value)
+
+
+def _frame_id(record) -> str:
+    """``record["frame_id"]``, which must be a JSON string."""
+    value = record["frame_id"]
+    if not isinstance(value, str):
+        raise TypeError(f"'frame_id' must be a JSON string, got {value!r}")
+    return value
+
+
 def _extrinsics(record) -> ExtrinsicPerturbation:
-    return ExtrinsicPerturbation(pitch=float(record["pitch"]), roll=float(record["roll"]))
+    return ExtrinsicPerturbation(pitch=_number(record, "pitch"), roll=_number(record, "roll"))
 
 
 def _load_sidecar(path: Path) -> dict[str, ExtrinsicPerturbation]:
     """Read a {frame_id, pitch, roll} JSON-lines sidecar."""
-    entry = lambda record: (str(record["frame_id"]), _extrinsics(record))  # noqa: E731
+    entry = lambda record: (_frame_id(record), _extrinsics(record))  # noqa: E731
     return dict(_parse_file(path, "sidecar", lambda data: _json_lines(data, entry)))
 
 
@@ -410,27 +427,31 @@ def _ordered_map(fn, items, jobs: int):
             yield window.popleft().result()
 
 
-def _stream_frames(frame_ids, process, jobs: int):
+def _stream_frames(label_dir: Path, what: str, intrinsics_of, out_dir: Path, move, jobs: int):
     """The per-frame pipeline of simulate and rectify.
 
-    ``process(frame_id)`` returns ``(files, dropped, record)``, where
-    ``files`` holds the frame's ``(path, bytes)`` outputs, already encoded;
-    an input or domain error it raises fails that frame alone.  Frames
-    arrive in ``frame_id`` order, and each one's files are written as soon
-    as it arrives.  Prints the summary and returns ``(records, dropped,
-    failures)``.
+    For each ``<id>.txt`` in ``label_dir`` (``what`` names it in errors)
+    ``move(id, labels, intrinsics_of(id))`` returns ``(labels, dropped,
+    files, record)``: the moved labels are written to ``out_dir/<id>.txt``,
+    followed by ``files``, the frame's other ``(path, bytes)`` outputs.  An
+    input or domain error fails that frame alone.  Frames arrive in id
+    order, and each one's files are written as soon as it arrives.  Prints
+    the summary and returns ``(records, dropped, failures)``.
     """
 
     def attempt(frame_id: str):
         try:
-            return frame_id, process(frame_id), None
+            labels = _parse_file(label_dir / f"{frame_id}.txt", what, parse_label_file)
+            labels, dropped, files, record = move(frame_id, labels, intrinsics_of(frame_id))
+            files = [(out_dir / f"{frame_id}.txt", write_label_file(labels)), *files]
+            return frame_id, (files, dropped, record), None
         except (CamPerturbError, _IOFailure) as exc:
             return frame_id, None, str(exc)
 
     records = []
     dropped = 0
     failures: list[tuple[str, str]] = []
-    for frame_id, result, error in _ordered_map(attempt, frame_ids, jobs):
+    for frame_id, result, error in _ordered_map(attempt, _frame_ids(label_dir), jobs):
         if error is not None:
             failures.append((frame_id, error))
             continue
@@ -472,11 +493,15 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
-def _load_calibration(calib_path: Path, frame_id: str):
-    """Calibration for one frame: per-frame file in a dir, or one shared file."""
-    if calib_path.is_dir():
-        calib_path = calib_path / f"{frame_id}.txt"
-    return _parse_file(calib_path, "calibration", parse_calib_file)
+def _intrinsics_source(calib: str):
+    """``frame_id -> CameraIntrinsics`` for ``--calib``: a directory is read per
+    frame, as ``<calib>/<frame_id>.txt``; one file is parsed here, once."""
+    path = _require(calib, "calibration", "path")
+    parse = lambda data: parse_calib_file(data).intrinsics()  # noqa: E731
+    if path.is_dir():
+        return lambda frame_id: _parse_file(path / f"{frame_id}.txt", "calibration", parse)
+    intrinsics = _parse_file(path, "calibration", parse)
+    return lambda frame_id: intrinsics
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +547,7 @@ def cmd_simulate(cfg: argparse.Namespace) -> int:
     except (ValueError, CamPerturbError) as exc:
         raise _UsageError(str(exc)) from exc
     label_dir = _require(cfg.labels, "label")
-    calib_path = _require(cfg.calib, "calibration", "path")
+    calib = _intrinsics_source(cfg.calib)
     image_dir = _require(cfg.images, "image") if cfg.images else None
     out_dir = Path(cfg.out)
     out_labels = out_dir / "labels"
@@ -531,11 +556,8 @@ def cmd_simulate(cfg: argparse.Namespace) -> int:
     if image_dir is not None:
         _make_dir(out_images)
 
-    def process(frame_id: str):
-        labels = _parse_file(label_dir / f"{frame_id}.txt", "label file", parse_label_file)
-        calib = _load_calibration(calib_path, frame_id)
-        image = None
-        extension = None
+    def move(frame_id: str, labels, intrinsics):
+        image = extension = None
         if image_dir is not None:
             for ext in (".ppm", ".pgm"):
                 candidate = image_dir / f"{frame_id}{ext}"
@@ -545,19 +567,20 @@ def cmd_simulate(cfg: argparse.Namespace) -> int:
                     break
         frame = SceneFrame(
             frame_id=frame_id,
-            intrinsics=calib.intrinsics(),
+            intrinsics=intrinsics,
             labels=tuple(labels),
             image=image,
         )
         perturbed, warped = simulate_frame(frame, spec, fill=cfg.fill)
-        files = [(out_labels / f"{frame_id}.txt", write_label_file(perturbed.labels))]
+        files = []
         if warped is not None:
             files.append((out_images / f"{frame_id}{extension}", write_image(warped)))
         applied = perturbed.applied
         record = {"frame_id": frame_id, "pitch": applied.pitch, "roll": applied.roll}
-        return files, perturbed.dropped, json.dumps(record, sort_keys=True) + "\n"
+        line = json.dumps(record, sort_keys=True) + "\n"
+        return perturbed.labels, perturbed.dropped, files, line
 
-    records, _, _ = _stream_frames(_frame_ids(label_dir), process, cfg.jobs)
+    records, _, _ = _stream_frames(label_dir, "label file", calib, out_labels, move, cfg.jobs)
     _write(out_dir / "perturbations.jsonl", "".join(records), "sidecar")
     if not records:
         raise _IOFailure("no frame could be processed")
@@ -750,9 +773,9 @@ _RECTIFY_OPTIONS = [
 
 
 def _horizon_entry(record) -> tuple[str, tuple[HorizonLine, VanishingPoint]]:
-    return str(record["frame_id"]), (
-        HorizonLine(slope=float(record["slope"]), intercept_v=float(record["intercept_v"])),
-        VanishingPoint(u=float(record["vp_u"]), v=float(record["vp_v"])),
+    return _frame_id(record), (
+        HorizonLine(slope=_number(record, "slope"), intercept_v=_number(record, "intercept_v")),
+        VanishingPoint(u=_number(record, "vp_u"), v=_number(record, "vp_v")),
     )
 
 
@@ -760,7 +783,7 @@ def cmd_rectify(cfg: argparse.Namespace) -> int:
     if bool(cfg.sidecar) == bool(cfg.horizon):
         raise _UsageError("exactly one of --sidecar or --horizon is required")
     det_dir = _require(cfg.det, "detection")
-    calib_path = _require(cfg.calib, "calibration", "path")
+    calib = _intrinsics_source(cfg.calib)
     out_dir = Path(cfg.out)
     _make_dir(out_dir)
 
@@ -773,9 +796,7 @@ def cmd_rectify(cfg: argparse.Namespace) -> int:
         )
     truth = _load_sidecar(Path(cfg.truth_sidecar)) if cfg.truth_sidecar else None
 
-    def process(frame_id: str):
-        labels = _parse_file(det_dir / f"{frame_id}.txt", "detections", parse_label_file)
-        intrinsics = _load_calibration(calib_path, frame_id).intrinsics()
+    def move(frame_id: str, labels, intrinsics):
         if frame_id not in estimates:
             raise _IOFailure(f"frame {frame_id} missing from {source}")
         estimate = estimates[frame_id]
@@ -787,10 +808,11 @@ def cmd_rectify(cfg: argparse.Namespace) -> int:
         error_deg = None
         if truth is not None and frame_id in truth:
             error_deg = angular_error(forward, perturbation_matrix(truth[frame_id]))
-        label_file = (out_dir / f"{frame_id}.txt", write_label_file(moved))
-        return [label_file], dropped, (frame_id, error_deg)
+        return moved, dropped, [], (frame_id, error_deg)
 
-    records, dropped, failures = _stream_frames(_frame_ids(det_dir), process, cfg.jobs)
+    records, dropped, failures = _stream_frames(
+        det_dir, "detections", calib, out_dir, move, cfg.jobs
+    )
     per_frame_errors = [(f, e) for f, e in records if e is not None]
     report: dict = {
         "direction": cfg.direction,
@@ -851,10 +873,8 @@ def _load_estimates(data: bytes) -> np.ndarray:
 
 
 def cmd_pose_error(cfg: argparse.Namespace) -> int:
-    est_path = _require(cfg.est, "estimates", "file")
-    gt_path = _require(cfg.gt_poses, "ground-truth poses", "file")
-    estimates = _parse_file(est_path, "estimates", _load_estimates)
-    poses = _parse_file(gt_path, "ground-truth poses", _pose_stack)
+    estimates = _parse_file(Path(cfg.est), "estimates", _load_estimates)
+    poses = _parse_file(Path(cfg.gt_poses), "ground-truth poses", _pose_stack)
     if len(estimates) != len(poses):
         raise _UsageError(
             f"frame count mismatch: {len(estimates)} estimates vs "
@@ -959,7 +979,7 @@ def _finite_difference_check(
 
 def cmd_loss(cfg: argparse.Namespace) -> int:
     def load(path: str, what: str) -> FeatureTensor:
-        path = _require(path, what, "file")
+        path = Path(path)
         return _parse_file(path, what, lambda d: _check_sidecar(path, tensor_from_bytes(d)))
 
     out_tensor = load(cfg.output, "output tensor")

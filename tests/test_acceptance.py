@@ -379,7 +379,8 @@ def test_08_parser_golden_files_and_fuzzing(capsys):
 def test_09_cli_determinism_across_runs_and_jobs(capsys, tmp_path):
     """simulate, evaluate and evaluate --det-disturbed must emit
     byte-identical artifacts when run twice, and when run with --jobs 1
-    vs --jobs 4; pose-error must emit the same report bytes twice and on
+    vs --jobs 4; simulate with one shared calibration file must equal
+    simulate with the (identical) per-frame directory; pose-error must emit the same report bytes twice and on
     stdout, for either kind of estimates."""
     with announced(capsys, "09 CLI determinism across runs and jobs"):
         frames = helpers.desk_scene_frames(n_frames=12)
@@ -427,6 +428,24 @@ def test_09_cli_determinism_across_runs_and_jobs(capsys, tmp_path):
         )
         sim_trees.append(tree(tmp_path / "sim-a"))
         assert sim_trees[0] == sim_trees[1] == sim_trees[2] == sim_trees[3]
+        # every frame has the same calibration, so one shared --calib file
+        # (parsed once per run) gives the same tree as the directory
+        for name, jobs in (("shared-a", "1"), ("shared-c", "4")):
+            out = tmp_path / f"sim-{name}"
+            assert (
+                main(
+                    [
+                        "simulate",
+                        "--labels", str(gt_labels),
+                        "--calib", str(calib_dir / "000000.txt"),
+                        "--out", str(out),
+                        "--seed", "5",
+                        "--jobs", jobs,
+                    ]
+                )
+                == 0
+            )
+            assert tree(out) == sim_trees[0]
 
         eval_reports = []
         for name, jobs in (("a", "1"), ("b", "1"), ("c", "4")):

@@ -1171,6 +1171,145 @@ def test_bad_frame_input_fails_its_frame_naming_the_file(tmp_path, capsys, subco
     assert f"  000001: {what} {broken}: " in stdout
 
 
+def run_frames(subcommand: str, root: Path, calib: Path, label_dir: Path) -> list[str]:
+    """simulate or rectify ``label_dir`` into ``root``; returns the argv."""
+    if subcommand == "simulate":
+        args = ["--labels", str(label_dir), "--seed", "4"]
+    else:
+        sidecar = root.parent / "tilt.jsonl"
+        rng = np.random.default_rng(5)
+        write_sidecar(sidecar, {
+            p.stem: ExtrinsicPerturbation(*rng.uniform(-0.05, 0.05, size=2).tolist())
+            for p in label_dir.glob("*.txt")
+        })
+        args = ["--det", str(label_dir), "--sidecar", str(sidecar),
+                "--report", str(root / "report.json")]
+    return [subcommand, *args, "--calib", str(calib), "--out", str(root / "out")]
+
+
+@pytest.mark.parametrize("subcommand", ["simulate", "rectify"])
+def test_shared_calibration_file_gives_the_directory_bytes(tmp_path, capsys, subcommand):
+    label_dir, calib_dir = write_dataset(tmp_path / "in", n_frames=3)  # one calibration
+    trees = []
+    for name, calib in (("dir", calib_dir), ("file", calib_dir / "000000.txt")):
+        for jobs in ("1", "2"):
+            root = tmp_path / f"{name}-{jobs}"
+            assert main([*run_frames(subcommand, root, calib, label_dir), "--jobs", jobs]) == 0
+            trees.append((tree_bytes(root), capsys.readouterr()))
+    assert all(tree == trees[0] for tree in trees)
+    assert "frames processed: 3" in trees[0][1].out
+
+
+@pytest.mark.parametrize("subcommand", ["simulate", "rectify"])
+def test_shared_calibration_file_is_read_once(tmp_path, capsys, monkeypatch, subcommand):
+    import camperturb.cli as cli
+
+    label_dir, calib_dir = write_dataset(tmp_path / "in", n_frames=3)
+    shared = calib_dir / "000000.txt"
+    reads = []
+    read_bytes = cli._read_bytes
+
+    def counting(path, what):
+        reads.append(path)
+        return read_bytes(path, what)
+
+    monkeypatch.setattr(cli, "_read_bytes", counting)
+    assert main(run_frames(subcommand, tmp_path / "run", shared, label_dir)) == 0
+    assert [p for p in reads if p.parent == calib_dir] == [shared]
+    assert sorted(p.name for p in reads if p.parent == label_dir) == [
+        "000000.txt", "000001.txt", "000002.txt"
+    ]
+
+
+@pytest.mark.parametrize("subcommand", ["simulate", "rectify"])
+def test_malformed_shared_calibration_ends_the_run(tmp_path, capsys, subcommand):
+    label_dir, _ = write_dataset(tmp_path / "in", n_frames=3)
+    shared = tmp_path / "calib.txt"
+    shared.write_text("P2: 1 2 3\n")
+    root = tmp_path / "run"
+    root.mkdir()
+    code = main(run_frames(subcommand, root, shared, label_dir))
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: calibration {shared}: line 1: key 'P2': expected 12 values, got 3\n"
+    )
+    assert list(root.iterdir()) == []
+
+
+# ---------------------------------------------------------------------------
+# JSON-lines inputs
+
+
+_GOOD_RECORD = {
+    "--sidecar": {"frame_id": "000000", "pitch": 0.0, "roll": 0.0},
+    "--horizon": {
+        "frame_id": "000000", "slope": 0.0, "intercept_v": 40.0, "vp_u": 60.0, "vp_v": 40.0
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "flag, line, message",
+    [
+        ("--sidecar", b'{"frame_id": "000001", "pitch": true, "roll": 0.0}',
+         "'pitch' must be a JSON number, got True"),
+        ("--sidecar", b'{"frame_id": "000001", "pitch": 0.0, "roll": "0.01"}',
+         "'roll' must be a JSON number, got '0.01'"),
+        ("--sidecar", b'{"frame_id": 1, "pitch": 0.0, "roll": 0.0}',
+         "'frame_id' must be a JSON string, got 1"),
+        ("--sidecar", b'{"frame_id": "000001", "pitch": 0.0, "roll": 1' + b"0" * 400 + b"}",
+         "int too large to convert to float"),
+        ("--sidecar", b'{"frame_id": "00000\xff1", "pitch": 0.0, "roll": 0.0}',
+         "JSON-lines file is not valid UTF-8"),
+        ("--truth-sidecar", b'{"frame_id": "000001", "pitch": false, "roll": 0.0}',
+         "'pitch' must be a JSON number, got False"),
+        ("--horizon", b'{"frame_id": "000001", "slope": true, "intercept_v": 40.0, '
+                      b'"vp_u": 60.0, "vp_v": 40.0}',
+         "'slope' must be a JSON number, got True"),
+        ("--horizon", b'{"frame_id": 1, "slope": 0.0, "intercept_v": 40.0, '
+                      b'"vp_u": 60.0, "vp_v": 40.0}',
+         "'frame_id' must be a JSON string, got 1"),
+        ("--horizon", b'{"frame_id": "000001", "slope": 0.0, "intercept_v": 40.0, '
+                      b'"vp_u": "60", "vp_v": 40.0}',
+         "'vp_u' must be a JSON number, got '60'"),
+        ("--est", b'{"frame_id": "000001", "pitch": true, "roll": 0.0}',
+         "'pitch' must be a JSON number, got True"),
+    ],
+    ids=[
+        "sidecar-bool", "sidecar-string", "sidecar-int-frame-id", "sidecar-huge-int",
+        "sidecar-not-utf8", "truth-bool", "horizon-bool", "horizon-int-frame-id",
+        "horizon-string", "est-bool",
+    ],
+)
+def test_json_lines_values_must_be_utf8_json_numbers_and_strings(
+    tmp_path, capsys, flag, line, message
+):
+    """A record field of the wrong JSON type, or a line that is not UTF-8,
+    ends the run naming the file and line instead of being coerced."""
+    label_dir, calib_dir = write_dataset(tmp_path / "in", n_frames=2)
+    good = _GOOD_RECORD["--horizon" if flag == "--horizon" else "--sidecar"]
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes(json.dumps(good).encode() + b"\n" + line + b"\n")
+    if flag == "--est":
+        poses = tmp_path / "poses.txt"
+        write_straight_poses(poses, 2, 1.0)
+        argv = ["pose-error", "--est", str(bad), "--gt-poses", str(poses)]
+        what = "estimates"
+    else:
+        sources = [flag, str(bad)]
+        if flag == "--truth-sidecar":
+            zeros = tmp_path / "zeros.jsonl"
+            write_sidecar(zeros, dict.fromkeys(("000000", "000001"), ExtrinsicPerturbation(0, 0)))
+            sources = ["--sidecar", str(zeros), *sources]
+        argv = ["rectify", "--det", str(label_dir), "--calib", str(calib_dir),
+                "--out", str(tmp_path / "out"), *sources]
+        what = "horizon annotations" if flag == "--horizon" else "sidecar"
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {what} {bad}: line 2: {message}\n"
+
+
 # ---------------------------------------------------------------------------
 # outputs
 
@@ -1329,6 +1468,19 @@ class TestPoseError:
             ["pose-error", "--est", str(tmp_path / "gone"), "--gt-poses", str(poses)]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("missing", ["est", "gt-poses"])
+    def test_missing_pose_input_reads_cannot_read(self, tmp_path, capsys, missing):
+        paths = {"est": tmp_path / "est.txt", "gt-poses": tmp_path / "poses.txt"}
+        write_straight_poses(paths["est" if missing == "gt-poses" else "gt-poses"], 3, 1.0)
+        code = main(
+            ["pose-error", "--est", str(paths["est"]), "--gt-poses", str(paths["gt-poses"])]
+        )
+        assert code == 2
+        what = {"est": "estimates", "gt-poses": "ground-truth poses"}[missing]
+        assert capsys.readouterr().err.startswith(
+            f"error: cannot read {what} {paths[missing]}: "
+        )
 
     @pytest.mark.parametrize("bad", ["est", "gt-poses"])
     def test_bad_pose_line_names_its_file(self, tmp_path, capsys, bad):
@@ -1644,6 +1796,13 @@ class TestLoss:
             ["loss", "--output", str(out), "--content", str(tmp_path / "gone.ftb")]
         )
         assert code == 2
+
+    def test_missing_tensor_file_reads_cannot_read(self, tmp_path, capsys):
+        out = save_feature(tmp_path / "out.ftb", np.zeros((2, 1, 1)))
+        gone = tmp_path / "gone.ftb"
+        code = main(["loss", "--output", str(out), "--content", str(out), "--style", str(gone)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read style tensor {gone}: ")
 
     @pytest.mark.parametrize(
         "fault, message",
