@@ -559,12 +559,13 @@ def cmd_simulate(cfg: argparse.Namespace) -> int:
     def move(frame_id: str, labels, intrinsics):
         image = extension = None
         if image_dir is not None:
-            for ext in (".ppm", ".pgm"):
-                candidate = image_dir / f"{frame_id}{ext}"
+            for extension in (".ppm", ".pgm"):
+                candidate = image_dir / f"{frame_id}{extension}"
                 if candidate.is_file():
                     image = _parse_file(candidate, "image", read_image)
-                    extension = ext
                     break
+            else:
+                raise _IOFailure(f"no image {frame_id}.ppm or {frame_id}.pgm in {image_dir}")
         frame = SceneFrame(
             frame_id=frame_id,
             intrinsics=intrinsics,
@@ -665,17 +666,17 @@ _CELL_FIELDS = ("metric", "class", "difficulty", "threshold")
 def _metric_values(frames, cfg) -> dict[tuple[str, str, str], float | str]:
     """Value per (metric, class, difficulty) of one detection set; 'n/a' when undefined.
 
-    One matching pass per (IoU kind, difficulty) serves every class, and
+    One matching pass per IoU kind serves every difficulty and class, and
     ``ap2d`` and ``aos`` share the 2D pass.  Only the values are kept, so
     at most one pass's records exist at a time.  The nuScenes errors are
     stored under (nuscenes_ate|ase|aoe, class, "all").
     """
     values: dict[tuple[str, str, str], float | str] = {}
     sweeps = [m for m in cfg.metrics if m in _KIND_BY_METRIC]
+    bins = {_BIN_BY_NAME[d]: d for d in cfg.difficulties}
     for kind in dict.fromkeys(_KIND_BY_METRIC[m] for m in sweeps):
-        for difficulty in dict.fromkeys(cfg.difficulties):
-            bin_ = _BIN_BY_NAME[difficulty]
-            records, num_gt = match_pass(frames, kind, cfg.iou_threshold, bin_)
+        for bin_, (records, num_gt) in match_pass(frames, kind, cfg.iou_threshold, bins).items():
+            difficulty = bins[bin_]
             for metric in (m for m in sweeps if _KIND_BY_METRIC[m] == kind):
                 for class_name in cfg.classes:
                     try:

@@ -5,8 +5,8 @@ once: the bird's-eye-view (BEV) footprints are rectangles, the vertices
 of their intersection are the corners of each inside the other plus the
 crossings of their edges, and sorted by angle these give the area by the
 shoelace formula.  3D IoU multiplies the BEV intersection by the overlap
-of the vertical extents.  :func:`match_frame` scores all same-class
-pairs of a frame in one call; ``iou_2d``/``iou_bev``/``iou_3d`` score
+of the vertical extents.  Each frame's same-class pairs are scored in
+one call, once per IoU kind; ``iou_2d``/``iou_bev``/``iou_3d`` score
 one pair through the same kernel.
 
 AP40 follows the 40-recall-point protocol: detections are matched
@@ -16,17 +16,19 @@ the result is independent of tie ordering), and precision is
 max-interpolated at recalls 1/40 .. 40/40.  AOS runs the same sweep with
 the numerator replaced by accumulated orientation similarity
 (1 + cos(delta alpha)) / 2, which makes AOS <= AP on 2D matching.
-Matching does not depend on the class being scored, so one
-:func:`match_pass` per (IoU kind, difficulty) serves every class, and
+Matching is class-independent and IoU difficulty-independent, so one
+:func:`match_pass` per IoU kind serves every class and difficulty, and
 :func:`class_sweep` turns one class's share of it into AP40 or AOS.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
+from array import array
+from bisect import bisect_left
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import accumulate, groupby
 
 import numpy as np
 
@@ -206,6 +208,77 @@ def iou_3d(a: Box3D, b: Box3D) -> float:
 _IOU_KINDS = ("2d", "bev", "3d")
 
 
+def _greedy(order, rows, threshold: float, in_bin, covered):
+    """The one greedy matching rule: returns ``(pairs, ignored, false_pos)``.
+
+    Detections are visited in ``order``, (-score, index), and ``rows``
+    holds each one's (column, value) candidates in column order.  Each
+    claims the unclaimed column of highest value at or above ``threshold``;
+    an in-bin column beats an out-of-bin one, and the lowest index wins
+    exact ties.  Out-of-bin claims and ``covered`` detections are ignored.
+    """
+    claimed: set[int] = set()
+    pairs: list[tuple[int, int, float]] = []  # (column, detection, value)
+    ignored: list[int] = []
+    false_pos: list[int] = []
+    for di, row in zip(order, rows):
+        best_j, best = -1, (False, -math.inf)
+        for j, value in row:
+            if value >= threshold and j not in claimed and (in_bin[j], value) > best:
+                best_j, best = j, (in_bin[j], value)
+        if best[0]:
+            claimed.add(best_j)
+            pairs.append((best_j, di, best[1]))
+        elif best_j >= 0 or covered[di]:
+            ignored.append(di)
+        else:
+            false_pos.append(di)
+    return pairs, ignored, false_pos
+
+
+def _match_difficulties(frame, iou_kind: str, threshold: float, difficulties):
+    """One :class:`MatchResult` per difficulty, from one IoU table of the frame."""
+    if iou_kind not in _IOU_KINDS:
+        raise ValueError(f"iou_kind must be one of {_IOU_KINDS}, got {iou_kind!r}")
+    if not 0.0 < threshold <= 1.0:
+        raise ValueError(f"threshold must lie in (0, 1], got {threshold}")
+    gt = frame.ground_truth
+    dets = frame.detections
+    dontcare = [i for i, g in enumerate(gt) if g.class_name == DONTCARE]
+    order = sorted(
+        (i for i, d in enumerate(dets) if d.class_name != DONTCARE),
+        key=lambda i: (-dets[i].score, i),
+    )
+    # one IoU matrix per frame for every difficulty; -1 marks the pairs never compared
+    ious = np.full((len(dets), len(gt)), -1.0)
+    same_class = [
+        (i, j) for i in order for j, g in enumerate(gt) if g.class_name == dets[i].class_name
+    ]
+    if same_class:
+        det_idx, gt_idx = np.array(same_class).T
+        rows_det, rows_gt = _rows(iou_kind, dets), _rows(iou_kind, gt)
+        ious[det_idx, gt_idx] = _pair_ious(iou_kind, rows_det[det_idx], rows_gt[gt_idx])
+    covered = np.zeros(len(dets), dtype=bool)
+    if dontcare and order:
+        det_idx, dc_idx = np.repeat(order, len(dontcare)), np.tile(dontcare, len(order))
+        boxes_det, boxes_dc = _rows("2d", dets)[det_idx], _rows("2d", gt)[dc_idx]
+        inter, area_det, _ = _rect_overlap(boxes_det, boxes_dc)
+        coverage = np.where(inter > 0.0, inter / area_det, 0.0)
+        covered[order] = (coverage > threshold).reshape(len(order), -1).any(axis=1)
+    rows = [[(j, v) for j, v in enumerate(row) if v >= threshold] for row in ious[order].tolist()]
+    levels = [difficulty_of(g) for g in gt]  # DontCare is IGNORED, never in bin
+    results = []
+    for difficulty in difficulties:
+        in_bin = [level <= min(difficulty, DifficultyBin.HARD) for level in levels]
+        pairs, ignored, false_pos = _greedy(order, rows, threshold, in_bin, covered)
+        claimed = {j for j, _, _ in pairs}
+        unmatched_gt = tuple(j for j, b in enumerate(in_bin) if b and j not in claimed)
+        results.append(MatchResult(
+            tuple(pairs), unmatched_gt, tuple(sorted(false_pos)), tuple(sorted(ignored))
+        ))
+    return results
+
+
 def match_frame(
     frame: DetectionFrame,
     iou_kind: str = "2d",
@@ -221,106 +294,45 @@ def match_frame(
     such detections are *ignored* rather than counted, as are detections
     mostly covered by a DontCare region.
     """
-    if iou_kind not in _IOU_KINDS:
-        raise ValueError(f"iou_kind must be one of {_IOU_KINDS}, got {iou_kind!r}")
-    if not 0.0 < threshold <= 1.0:
-        raise ValueError(f"threshold must lie in (0, 1], got {threshold}")
-    gt = frame.ground_truth
-    dets = frame.detections
-    dontcare = [i for i, g in enumerate(gt) if g.class_name == DONTCARE]
-    real_gt = [i for i, g in enumerate(gt) if g.class_name != DONTCARE]
-    hardest = min(difficulty, DifficultyBin.HARD)
-    in_bin = {i: difficulty_of(gt[i]) <= hardest for i in real_gt}
-    order = sorted(
-        (i for i, d in enumerate(dets) if d.class_name != DONTCARE),
-        key=lambda i: (-dets[i].score, i),
-    )
-    # one IoU matrix per call; -1 marks the pairs that are never compared
-    ious = np.full((len(dets), len(gt)), -1.0)
-    same_class = [
-        (i, j) for i in order for j in real_gt if gt[j].class_name == dets[i].class_name
-    ]
-    if same_class:
-        det_idx, gt_idx = np.array(same_class).T
-        rows_det, rows_gt = _rows(iou_kind, dets), _rows(iou_kind, gt)
-        ious[det_idx, gt_idx] = _pair_ious(iou_kind, rows_det[det_idx], rows_gt[gt_idx])
-    covered = np.zeros(len(dets), dtype=bool)
-    if dontcare and order:
-        det_idx, dc_idx = np.repeat(order, len(dontcare)), np.tile(dontcare, len(order))
-        boxes_det, boxes_dc = _rows("2d", dets)[det_idx], _rows("2d", gt)[dc_idx]
-        inter, area_det, _ = _rect_overlap(boxes_det, boxes_dc)
-        coverage = np.where(inter > 0.0, inter / area_det, 0.0)
-        covered[order] = (coverage > threshold).reshape(len(order), -1).any(axis=1)
-    claimed: set[int] = set()
-    pairs: list[tuple[int, int, float]] = []
-    ignored: list[int] = []
-    false_pos: list[int] = []
-    for di, row in zip(order, ious[order].tolist()):
-        best_j = -1
-        best_iou = 0.0
-        best_eligible = False
-        for j, iou in enumerate(row):
-            if iou < threshold or j in claimed:
-                continue
-            eligible = in_bin[j]
-            # an in-bin match always beats an out-of-bin one; within a
-            # group, highest IoU wins (lowest index on exact ties)
-            if (eligible, iou) > (best_eligible, best_iou):
-                best_j, best_iou, best_eligible = j, iou, eligible
-        if best_j >= 0 and best_eligible:
-            claimed.add(best_j)
-            pairs.append((best_j, di, best_iou))
-        elif best_j >= 0 or covered[di]:
-            ignored.append(di)  # out-of-bin match or DontCare: neither TP nor FP
-        else:
-            false_pos.append(di)
-    unmatched_gt = tuple(j for j in real_gt if in_bin[j] and j not in claimed)
-    return MatchResult(
-        pairs=tuple(pairs),
-        unmatched_gt=unmatched_gt,
-        unmatched_det=tuple(sorted(false_pos)),
-        ignored_det=tuple(sorted(ignored)),
-    )
+    return _match_difficulties(frame, iou_kind, threshold, (difficulty,))[0]
 
 
 def match_pass(
     frames,
     iou_kind: str = "2d",
     threshold: float = 0.7,
-    difficulty: DifficultyBin = DifficultyBin.MODERATE,
-) -> tuple[list[tuple[str, float, bool, float]], dict[str, int]]:
-    """Match every frame once, for all classes at the same time.
+    difficulties=(DifficultyBin.MODERATE,),
+) -> dict[DifficultyBin, tuple[dict[str, array], Counter]]:
+    """Match every frame at each of ``difficulties``, for all classes at once.
 
-    Returns ``(records, num_gt)``.  ``records`` holds one
-    (class_name, score, is_tp, similarity) entry per true or false
-    positive, in frame order (each frame's true positives in match order,
-    then its false positives in index order); ``similarity`` is
-    (1 + cos(alpha_det - alpha_gt)) / 2 for true positives and 0
-    otherwise.  ``num_gt`` maps each class to its in-bin ground-truth
-    count.  Raises ``ValueError`` on an empty frame list, and
+    Returns ``{difficulty: (records, num_gt)}``.  ``records`` maps each
+    class to a flat array of (score, is_tp, similarity) triples, one per
+    true or false positive, in frame order (each frame's true positives
+    in match order, then its false positives in index order);
+    ``similarity`` is (1 + cos(alpha_det - alpha_gt)) / 2 for true
+    positives and 0 otherwise.  ``num_gt`` counts each class's in-bin
+    ground truth.  Raises ``ValueError`` on an empty frame list, and
     :class:`DegenerateBox` naming the frame whose box has no footprint.
     """
     frames = list(frames)
     if not frames:
         raise ValueError("frames must be non-empty")
-    records: list[tuple[str, float, bool, float]] = []
-    num_gt: Counter[str] = Counter()
+    passes = {d: (defaultdict(lambda: array("d")), Counter()) for d in difficulties}
     for frame in frames:
         try:
-            result = match_frame(frame, iou_kind, threshold, difficulty)
+            results = _match_difficulties(frame, iou_kind, threshold, passes)
         except DegenerateBox as exc:
             raise DegenerateBox(f"frame {frame.frame_id}: {exc}") from exc
         gt, dets = frame.ground_truth, frame.detections
-        in_bin = [j for j, _, _ in result.pairs] + list(result.unmatched_gt)
-        num_gt.update(gt[j].class_name for j in in_bin)
-        for gt_j, det_i, _ in result.pairs:
-            det = dets[det_i]
-            sim = (1.0 + math.cos(det.alpha - gt[gt_j].alpha)) / 2.0
-            records.append((det.class_name, det.score, True, sim))
-        for det_i in result.unmatched_det:
-            det = dets[det_i]
-            records.append((det.class_name, det.score, False, 0.0))
-    return records, num_gt
+        for (records, num_gt), result in zip(passes.values(), results):
+            num_gt.update(gt[j].class_name for j, _, _ in result.pairs)
+            num_gt.update(gt[j].class_name for j in result.unmatched_gt)
+            for j, i, _ in result.pairs:
+                sim = (1.0 + math.cos(dets[i].alpha - gt[j].alpha)) / 2.0
+                records[dets[i].class_name].extend((dets[i].score, 1.0, sim))
+            for i in result.unmatched_det:
+                records[dets[i].class_name].extend((dets[i].score, 0.0, 0.0))
+    return passes
 
 
 def class_sweep(
@@ -345,23 +357,25 @@ def class_sweep(
             f"no ground truth of class {class_name!r} in difficulty bin "
             f"{difficulty.name}"
         )
-    ranked = sorted((r[1:] for r in records if r[0] == class_name), key=lambda r: -r[0])
-    points: list[tuple[float, float]] = []  # (recall, value)
+    scores, is_tp, sims = (records.get(class_name, array("d"))[k::3] for k in range(3))
+    ranked = sorted(range(len(scores)), key=lambda k: -scores[k])
+    recalls: list[float] = []
+    values: list[float] = []
     tp = 0
     fp = 0
     sim_sum = 0.0
-    for _, tied in groupby(ranked, key=lambda r: r[0]):
-        for _, is_tp, sim in tied:
-            if is_tp:
+    for _, tied in groupby(ranked, key=scores.__getitem__):
+        for k in tied:
+            if is_tp[k]:
                 tp += 1
-                sim_sum += sim
+                sim_sum += sims[k]
             else:
                 fp += 1
-        points.append((tp / total_gt, (sim_sum if use_similarity else tp) / (tp + fp)))
-    interpolated = [
-        max((value for recall, value in points if recall >= r), default=0.0)
-        for r in RECALL_POINTS
-    ]
+        recalls.append(tp / total_gt)
+        values.append((sim_sum if use_similarity else tp) / (tp + fp))
+    # best value at or after each curve point; recalls never decrease
+    best_after = [*reversed(list(accumulate(reversed(values), max))), 0.0]
+    interpolated = [best_after[bisect_left(recalls, r)] for r in RECALL_POINTS]
     ap = 100.0 * sum(interpolated) / len(RECALL_POINTS)
     return ap, PRCurve(recalls=RECALL_POINTS, precisions=tuple(interpolated))
 
@@ -378,7 +392,7 @@ def average_precision_40(
     Raises :class:`NoGroundTruth` when the class has no in-bin ground
     truth anywhere (the metric is undefined, not zero).
     """
-    records, num_gt = match_pass(frames, iou_kind, threshold, difficulty)
+    records, num_gt = match_pass(frames, iou_kind, threshold, (difficulty,))[difficulty]
     return class_sweep(records, num_gt, class_name, difficulty)
 
 
@@ -394,7 +408,7 @@ def average_orientation_similarity(
     positive contributes (1 + cos(alpha_det - alpha_gt)) / 2 instead of 1,
     so AOS never exceeds the 2D AP at the same threshold.
     """
-    records, num_gt = match_pass(frames, "2d", threshold, difficulty)
+    records, num_gt = match_pass(frames, "2d", threshold, (difficulty,))[difficulty]
     return class_sweep(records, num_gt, class_name, difficulty, use_similarity=True)
 
 
@@ -413,9 +427,10 @@ def nuscenes_errors(
 ) -> NuScenesErrors:
     """Mean translation / scale / orientation errors over matched pairs.
 
-    Detections are matched greedily in descending score order; each
-    claims the unmatched same-class ground truth with the smallest BEV
-    center distance, if that distance is within ``match_radius`` metres.
+    Detections are matched by the same greedy rule as AP: in descending
+    score order, each claims the unmatched same-class ground truth with
+    the smallest BEV center distance, if that distance is within
+    ``match_radius`` metres; the lowest index wins exact ties.
     Per pair: ATE is the BEV center distance in metres, ASE is one minus
     the center-and-yaw-aligned IoU of the dimensions, AOE is the absolute
     yaw difference wrapped to [0, pi].  Raises :class:`NoMatches` if no
@@ -430,30 +445,16 @@ def nuscenes_errors(
     ases: list[float] = []
     aoes: list[float] = []
     for frame in frames:
-        gts = [
-            g for g in frame.ground_truth if g.class_name == class_name
-        ]
-        dets = sorted(
-            (d for d in frame.detections if d.class_name == class_name),
-            key=lambda d: -d.score,
-        )
-        claimed: set[int] = set()
-        for det in dets:
-            best_j = -1
-            best_dist = match_radius
-            for j, g in enumerate(gts):
-                if j in claimed:
-                    continue
-                dist = math.hypot(det.x - g.x, det.z - g.z)
-                if dist <= best_dist:
-                    best_j, best_dist = j, dist
-            if best_j < 0:
-                continue
-            claimed.add(best_j)
-            g = gts[best_j]
-            ates.append(best_dist)
-            ases.append(1.0 - _aligned_dims_iou(det, g))
-            aoes.append(abs(_wrap_angle(det.rotation_y - g.rotation_y)))
+        gts = [g for g in frame.ground_truth if g.class_name == class_name]
+        dets = [d for d in frame.detections if d.class_name == class_name]
+        dets.sort(key=lambda d: -d.score)  # stable, so index order breaks ties
+        rows = [[(j, -math.hypot(d.x - g.x, d.z - g.z)) for j, g in enumerate(gts)] for d in dets]
+        order = range(len(dets))
+        pairs, _, _ = _greedy(order, rows, -match_radius, [True] * len(gts), [False] * len(dets))
+        for j, i, value in pairs:
+            ates.append(-value)
+            ases.append(1.0 - _aligned_dims_iou(dets[i], gts[j]))
+            aoes.append(abs(_wrap_angle(dets[i].rotation_y - gts[j].rotation_y)))
     if not ates:
         raise NoMatches(f"no detection of class {class_name!r} matched any ground truth")
     return NuScenesErrors(

@@ -492,6 +492,23 @@ def test_09_cli_determinism_across_runs_and_jobs(capsys, tmp_path):
             ab_reports.append(out.read_bytes())
         assert ab_reports[0] == ab_reports[1] == ab_reports[2]
         assert b'"decrease"' in ab_reports[0]
+        # one difficulty, or the nuScenes errors alone, give the cells of the full run
+        ab_args = ["evaluate", "--gt", str(gt_labels), "--det", str(det_labels),
+                   "--det-disturbed", str(disturbed_labels)]
+
+        def cells(report: bytes) -> dict:
+            return {
+                (c["metric"], c["class"], c["difficulty"]): c
+                for c in json.loads(report)["cells"]
+            }
+
+        full = cells(ab_reports[0])
+        for only in (["--metrics", "ap3d,aos,nuscenes", "--difficulties", "moderate"],
+                     ["--metrics", "nuscenes"]):
+            out = tmp_path / "eval-ab-part.json"
+            assert main([*ab_args, *only, "--out", str(out)]) == 0
+            part = cells(out.read_bytes())
+            assert part and all(full[key] == cell for key, cell in part.items())
 
         # pose-error from a pitch/roll sidecar and from a pose file, twice to a
         # report file and once to stdout, in both formats

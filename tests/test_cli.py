@@ -243,6 +243,30 @@ class TestSimulate:
         for src in sorted(image_dir.glob("*.ppm")):
             assert (out / "images" / src.name).read_bytes() == src.read_bytes()
 
+    def test_missing_image_fails_its_frame(self, tmp_path, capsys):
+        label_dir, calib_dir, image_dir = write_image_dataset(tmp_path / "in", n_frames=3)
+        images = sorted(image_dir.glob("*.ppm"))
+        images[1].unlink()
+        argv = [
+            "simulate",
+            "--labels", str(label_dir),
+            "--calib", str(calib_dir),
+            "--images", str(image_dir),
+        ]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+        out = capsys.readouterr().out
+        frame_id = images[1].stem
+        assert "frames processed: 2" in out
+        assert "frame failures: 1" in out
+        reason = f"no image {frame_id}.ppm or {frame_id}.pgm in {image_dir}"
+        assert f"  {frame_id}: {reason}" in out
+        assert not (tmp_path / "out" / "labels" / f"{frame_id}.txt").exists()
+        assert len((tmp_path / "out" / "perturbations.jsonl").read_text().splitlines()) == 2
+        for image in images:
+            image.unlink(missing_ok=True)
+        assert main([*argv, "--out", str(tmp_path / "none")]) == 2
+        assert "frame failures: 3" in capsys.readouterr().out
+
     def test_environment_seed_overrides_flag(self, tmp_path, monkeypatch):
         label_dir, calib_dir = write_dataset(tmp_path / "in")
         base = [
@@ -556,13 +580,13 @@ class TestEvaluate:
         gt_dir, det_dir = write_eval_dirs(tmp_path, frames, dets)
 
         calls = []
-        real_match_frame = metrics.match_frame
+        real_pair_ious = metrics._pair_ious
 
-        def counting_match_frame(*args, **kwargs):
-            calls.append(args[1:])
-            return real_match_frame(*args, **kwargs)
+        def counting_pair_ious(kind, *args):
+            calls.append(kind)
+            return real_pair_ious(kind, *args)
 
-        monkeypatch.setattr(metrics, "match_frame", counting_match_frame)
+        monkeypatch.setattr(metrics, "_pair_ious", counting_pair_ious)
         code = main(
             [
                 "evaluate",
@@ -574,7 +598,8 @@ class TestEvaluate:
             ]
         )
         assert code == 0
-        assert len(calls) == len(frames) * 3 * 3
+        # each frame's pairs are scored once per IoU kind, for all three difficulties
+        assert sorted(calls) == sorted(["2d", "bev", "3d"] * len(frames))
 
         loaded = [
             DetectionFrame(

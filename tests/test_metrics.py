@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from camperturb import (
     nuscenes_errors,
     parse_label_file,
 )
+from camperturb.metrics import match_pass
 
 from helpers import detection_frame, make_box, make_label, with_score
 from oracles import brute_force_ap40, exact_iou_bev, mc_iou_bev
@@ -442,6 +444,33 @@ class TestMatchFrame:
             detection_frame([], [bbox_label(0, 0, 10, 10)])
 
 
+class TestMatchPass:
+    @pytest.mark.parametrize("kind", ["2d", "bev", "3d"])
+    def test_all_difficulties_at_once_equal_match_frame_per_difficulty(self, kind):
+        frames = jittered_frames(np.random.default_rng(53))
+        bins = (DifficultyBin.EASY, DifficultyBin.MODERATE, DifficultyBin.HARD)
+        passes = match_pass(frames, kind, 0.5, bins)
+        assert list(passes) == list(bins)
+        for difficulty in bins:
+            records, num_gt = {}, Counter()
+            for frame in frames:
+                result = match_frame(frame, kind, 0.5, difficulty)
+                gt, dets = frame.ground_truth, frame.detections
+                num_gt.update(gt[j].class_name for j, _, _ in result.pairs)
+                num_gt.update(gt[j].class_name for j in result.unmatched_gt)
+                for j, i, _ in result.pairs:
+                    sim = (1.0 + math.cos(dets[i].alpha - gt[j].alpha)) / 2.0
+                    records.setdefault(dets[i].class_name, []).append((dets[i].score, 1, sim))
+                for i in result.unmatched_det:
+                    records.setdefault(dets[i].class_name, []).append((dets[i].score, 0, 0.0))
+            got_records, got_num_gt = passes[difficulty]
+            assert got_num_gt == num_gt
+            triples = {c: list(zip(flat[0::3], flat[1::3], flat[2::3])) for c, flat in got_records.items()}
+            assert triples == records
+        # the bins differ on these frames, so each difficulty was matched on its own
+        assert passes[DifficultyBin.EASY][1] != passes[DifficultyBin.HARD][1]
+
+
 # ---------------------------------------------------------------------------
 # AP40 / AOS
 
@@ -702,6 +731,16 @@ class TestNuScenesErrors:
         errors = nuscenes_errors([detection_frame([near, far], [det])], "Car")
         assert errors.matches == 1
         assert errors.ate == pytest.approx(0.2, abs=1e-12)
+
+    def test_exact_distance_tie_goes_to_lowest_index(self):
+        det_box = make_box(x=0.0, z=20.0, width=1.8, yaw=0.2)
+        first = make_label(box=make_box(x=-1.0, z=20.0, width=1.8, yaw=0.2))
+        second = make_label(box=make_box(x=1.0, z=20.0, width=1.6, yaw=1.2))
+        det = with_score(make_label(box=det_box), 0.9)
+        errors = nuscenes_errors([detection_frame([first, second], [det])], "Car")
+        assert errors.matches == 1
+        assert errors.ate == 1.0
+        assert (errors.ase, errors.aoe) == (0.0, 0.0)
 
     def test_rejects_bad_radius(self):
         with pytest.raises(ValueError):
