@@ -16,8 +16,9 @@ Conventions
   timestamps, map keys are sorted, and ``--jobs N`` produces artifacts
   byte-identical to ``--jobs 1``.
 * ``--jobs N`` streams frames through a window of 2 x N: each frame is
-  written as soon as it and every frame before it are done, so memory
-  does not grow with the number of frames.
+  written (``evaluate``: scored for every metric) as soon as it and every
+  frame before it are done, so memory does not grow with the number of
+  frames; ``evaluate`` keeps only the records its report is built from.
 * An output path that holds a regular file gets a new file: the old one is
   unlinked first, never truncated in place.  Any other path (a symlink, a
   device such as ``/dev/stdout``, a FIFO) is opened and written through.
@@ -37,6 +38,7 @@ import math
 import os
 import stat
 import sys
+from array import array
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -76,9 +78,11 @@ from .losses import (
 )
 from .metrics import (
     DetectionFrame,
+    _center_errors,
+    _mean_errors,
+    _passes,
+    _record_frame,
     class_sweep,
-    match_pass,
-    nuscenes_errors,
 )
 from .netpbm import read_image, write_image
 from .simulate import (
@@ -635,12 +639,48 @@ _EVALUATE_OPTIONS = [
 ]
 
 
-def _load_detection_frames(gt_dir: Path, det_dirs: list[Path], jobs: int) -> list[tuple]:
-    """For each detection directory, in order, a tuple of one DetectionFrame per gt file.
+_KIND_BY_METRIC = {"ap2d": "2d", "apbev": "bev", "ap3d": "3d", "aos": "2d"}
+_NUSCENES_FIELDS = {"nuscenes_ate": "ate", "nuscenes_ase": "ase", "nuscenes_aoe": "aoe"}
+_CELL_FIELDS = ("metric", "class", "difficulty", "threshold")
 
-    Each gt file is read once and its labels are shared by that frame in
-    every detection set; a missing detection file means no detections.
-    """
+
+def _value(tally, metric: str, class_name: str, difficulty: str):
+    """One report cell's value from a ``(passes, errors)`` tally; 'n/a' when undefined."""
+    passes, errors = tally
+    try:
+        if metric in _NUSCENES_FIELDS:
+            return getattr(_mean_errors(errors[class_name], class_name), _NUSCENES_FIELDS[metric])
+        bin_ = _BIN_BY_NAME[difficulty]
+        records, num_gt = passes[_KIND_BY_METRIC[metric]][bin_]
+        return class_sweep(records, num_gt, class_name, bin_, metric == "aos")[0]
+    except (NoGroundTruth, NoMatches):
+        return "n/a"
+
+
+def _cell_keys(cfg):
+    """The ``_CELL_FIELDS`` values of each report cell, in report order."""
+    for metric in cfg.metrics:
+        for class_name in cfg.classes:
+            if metric == "nuscenes":
+                for name in _NUSCENES_FIELDS:
+                    yield name, class_name, "all", cfg.match_radius
+            else:
+                for difficulty in cfg.difficulties:
+                    yield metric, class_name, difficulty, cfg.iou_threshold
+
+
+def cmd_evaluate(cfg: argparse.Namespace) -> int:
+    gt_dir = _require(cfg.gt, "ground-truth")
+    det_dirs = [_require(cfg.det, "detection")]
+    if cfg.det_disturbed:
+        det_dirs.append(_require(cfg.det_disturbed, "disturbed detection"))
+    frame_ids = _frame_ids(gt_dir)
+    # frames are read on the workers, scored here in id order and dropped; a (passes,
+    # errors) tally per detection set keeps AP/AOS records and nuScenes error triples
+    kinds = dict.fromkeys(_KIND_BY_METRIC[m] for m in cfg.metrics if m in _KIND_BY_METRIC)
+    bins = [_BIN_BY_NAME[d] for d in cfg.difficulties]
+    classes = cfg.classes if "nuscenes" in cfg.metrics else ()
+    tallies = [(_passes(kinds, bins), {c: array("d") for c in classes}) for _ in det_dirs]
 
     def load(frame_id: str) -> list[DetectionFrame]:
         name = f"{frame_id}.txt"
@@ -655,73 +695,17 @@ def _load_detection_frames(gt_dir: Path, det_dirs: list[Path], jobs: int) -> lis
                 raise _IOFailure(f"frame {frame_id}: {exc}") from exc
         return frames
 
-    return list(zip(*_ordered_map(load, _frame_ids(gt_dir), jobs)))
-
-
-_KIND_BY_METRIC = {"ap2d": "2d", "apbev": "bev", "ap3d": "3d", "aos": "2d"}
-_NUSCENES_METRICS = ("nuscenes_ate", "nuscenes_ase", "nuscenes_aoe")
-_CELL_FIELDS = ("metric", "class", "difficulty", "threshold")
-
-
-def _metric_values(frames, cfg) -> dict[tuple[str, str, str], float | str]:
-    """Value per (metric, class, difficulty) of one detection set; 'n/a' when undefined.
-
-    One matching pass per IoU kind serves every difficulty and class, and
-    ``ap2d`` and ``aos`` share the 2D pass.  Only the values are kept, so
-    at most one pass's records exist at a time.  The nuScenes errors are
-    stored under (nuscenes_ate|ase|aoe, class, "all").
-    """
-    values: dict[tuple[str, str, str], float | str] = {}
-    sweeps = [m for m in cfg.metrics if m in _KIND_BY_METRIC]
-    bins = {_BIN_BY_NAME[d]: d for d in cfg.difficulties}
-    for kind in dict.fromkeys(_KIND_BY_METRIC[m] for m in sweeps):
-        for bin_, (records, num_gt) in match_pass(frames, kind, cfg.iou_threshold, bins).items():
-            difficulty = bins[bin_]
-            for metric in (m for m in sweeps if _KIND_BY_METRIC[m] == kind):
-                for class_name in cfg.classes:
-                    try:
-                        value, _ = class_sweep(
-                            records, num_gt, class_name, bin_, metric == "aos"
-                        )
-                    except NoGroundTruth:
-                        value = "n/a"
-                    values[metric, class_name, difficulty] = value
-    if "nuscenes" in cfg.metrics:
-        for class_name in cfg.classes:
-            try:
-                errors = nuscenes_errors(frames, class_name, cfg.match_radius)
-                errs = (errors.ate, errors.ase, errors.aoe)
-            except (NoMatches, NoGroundTruth):
-                errs = ("n/a",) * len(_NUSCENES_METRICS)
-            for name, value in zip(_NUSCENES_METRICS, errs):
-                values[name, class_name, "all"] = value
-    return values
-
-
-def _cell_keys(cfg):
-    """The ``_CELL_FIELDS`` values of each report cell, in report order."""
-    for metric in cfg.metrics:
-        for class_name in cfg.classes:
-            if metric == "nuscenes":
-                for name in _NUSCENES_METRICS:
-                    yield name, class_name, "all", cfg.match_radius
-            else:
-                for difficulty in cfg.difficulties:
-                    yield metric, class_name, difficulty, cfg.iou_threshold
-
-
-def cmd_evaluate(cfg: argparse.Namespace) -> int:
-    gt_dir = _require(cfg.gt, "ground-truth")
-    det_dirs = [_require(cfg.det, "detection")]
-    if cfg.det_disturbed:
-        det_dirs.append(_require(cfg.det_disturbed, "disturbed detection"))
-    frame_sets = _load_detection_frames(gt_dir, det_dirs, cfg.jobs)
-    tables = [_metric_values(frames, cfg) for frames in frame_sets]
-    value_columns = ["value"] if len(tables) == 1 else ["original", "disturbed", "decrease"]
+    for frames in _ordered_map(load, frame_ids, cfg.jobs):
+        for frame, (passes, errors) in zip(frames, tallies):
+            if passes:
+                _record_frame(frame, cfg.iou_threshold, passes)
+            for class_name, class_errors in errors.items():
+                _center_errors(frame, class_name, cfg.match_radius, class_errors)
+    value_columns = ["value"] if len(tallies) == 1 else ["original", "disturbed", "decrease"]
     cells = []
     for key in _cell_keys(cfg):
         cell = dict(zip(_CELL_FIELDS, key))
-        values = [table[key[:3]] for table in tables]
+        values = [_value(tally, *key[:3]) for tally in tallies]
         if len(values) == 1:
             cell["value"] = value = values[0]
             if cell["metric"] == "nuscenes_aoe" and value != "n/a":
@@ -738,7 +722,7 @@ def cmd_evaluate(cfg: argparse.Namespace) -> int:
             "iou_threshold": cfg.iou_threshold,
             "match_radius": cfg.match_radius,
             "metrics": list(cfg.metrics),
-            "frames": len(frame_sets[0]),
+            "frames": len(frame_ids),
         },
         "cells": cells,
     }
@@ -951,21 +935,17 @@ def _finite_difference_check(
     else:
         stride = max(1, size // _GRAD_CHECK_SAMPLES)
         coords = range(0, size, stride)
+
+    def loss_moved(idx: int, delta: float) -> float:
+        data = out.data.copy()
+        data.flat[idx] += delta
+        return _total_loss(FeatureTensor(data=data), content, target_grams, gamma_c, gamma_s)
+
     fd_values = []
     an_values = []
     for idx in coords:
         h = step * max(1.0, abs(flat[idx]))
-        for sign in (+1.0, -1.0):
-            data = out.data.copy()
-            data.flat[idx] += sign * h
-            value = _total_loss(
-                FeatureTensor(data=data), content, target_grams, gamma_c, gamma_s
-            )
-            if sign > 0:
-                plus = value
-            else:
-                minus = value
-        fd_values.append((plus - minus) / (2.0 * h))
+        fd_values.append((loss_moved(idx, h) - loss_moved(idx, -h)) / (2.0 * h))
         an_values.append(float(analytic.flat[idx]))
     fd = np.array(fd_values)
     an = np.array(an_values)

@@ -17,8 +17,10 @@ max-interpolated at recalls 1/40 .. 40/40.  AOS runs the same sweep with
 the numerator replaced by accumulated orientation similarity
 (1 + cos(delta alpha)) / 2, which makes AOS <= AP on 2D matching.
 Matching is class-independent and IoU difficulty-independent, so one
-:func:`match_pass` per IoU kind serves every class and difficulty, and
-:func:`class_sweep` turns one class's share of it into AP40 or AOS.
+IoU table per frame and kind serves every class and difficulty; frames
+are folded into running tallies one at a time (:func:`_record_frame`,
+:func:`_center_errors`), and :func:`class_sweep` turns one class's
+records into AP40 or AOS.
 """
 
 from __future__ import annotations
@@ -236,10 +238,11 @@ def _greedy(order, rows, threshold: float, in_bin, covered):
     return pairs, ignored, false_pos
 
 
-def _match_difficulties(frame, iou_kind: str, threshold: float, difficulties):
-    """One :class:`MatchResult` per difficulty, from one IoU table of the frame."""
-    if iou_kind not in _IOU_KINDS:
-        raise ValueError(f"iou_kind must be one of {_IOU_KINDS}, got {iou_kind!r}")
+def _match_difficulties(frame, iou_kinds, threshold: float, difficulties):
+    """Yield ``(kind, difficulty, MatchResult)`` for each of ``iou_kinds`` and ``difficulties``."""
+    for iou_kind in iou_kinds:
+        if iou_kind not in _IOU_KINDS:
+            raise ValueError(f"iou_kind must be one of {_IOU_KINDS}, got {iou_kind!r}")
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"threshold must lie in (0, 1], got {threshold}")
     gt = frame.ground_truth
@@ -249,15 +252,6 @@ def _match_difficulties(frame, iou_kind: str, threshold: float, difficulties):
         (i for i, d in enumerate(dets) if d.class_name != DONTCARE),
         key=lambda i: (-dets[i].score, i),
     )
-    # one IoU matrix per frame for every difficulty; -1 marks the pairs never compared
-    ious = np.full((len(dets), len(gt)), -1.0)
-    same_class = [
-        (i, j) for i in order for j, g in enumerate(gt) if g.class_name == dets[i].class_name
-    ]
-    if same_class:
-        det_idx, gt_idx = np.array(same_class).T
-        rows_det, rows_gt = _rows(iou_kind, dets), _rows(iou_kind, gt)
-        ious[det_idx, gt_idx] = _pair_ious(iou_kind, rows_det[det_idx], rows_gt[gt_idx])
     covered = np.zeros(len(dets), dtype=bool)
     if dontcare and order:
         det_idx, dc_idx = np.repeat(order, len(dontcare)), np.tile(dontcare, len(order))
@@ -265,18 +259,26 @@ def _match_difficulties(frame, iou_kind: str, threshold: float, difficulties):
         inter, area_det, _ = _rect_overlap(boxes_det, boxes_dc)
         coverage = np.where(inter > 0.0, inter / area_det, 0.0)
         covered[order] = (coverage > threshold).reshape(len(order), -1).any(axis=1)
-    rows = [[(j, v) for j, v in enumerate(row) if v >= threshold] for row in ious[order].tolist()]
     levels = [difficulty_of(g) for g in gt]  # DontCare is IGNORED, never in bin
-    results = []
-    for difficulty in difficulties:
-        in_bin = [level <= min(difficulty, DifficultyBin.HARD) for level in levels]
-        pairs, ignored, false_pos = _greedy(order, rows, threshold, in_bin, covered)
-        claimed = {j for j, _, _ in pairs}
-        unmatched_gt = tuple(j for j, b in enumerate(in_bin) if b and j not in claimed)
-        results.append(MatchResult(
-            tuple(pairs), unmatched_gt, tuple(sorted(false_pos)), tuple(sorted(ignored))
-        ))
-    return results
+    in_bins = [[level <= min(d, DifficultyBin.HARD) for level in levels] for d in difficulties]
+    same_class = [
+        (i, j) for i in order for j, g in enumerate(gt) if g.class_name == dets[i].class_name
+    ]
+    for iou_kind in iou_kinds:
+        # one IoU matrix per kind for every difficulty; -1 marks the pairs never compared
+        ious = np.full((len(dets), len(gt)), -1.0)
+        if same_class:
+            det_idx, gt_idx = np.array(same_class).T
+            rows_det, rows_gt = _rows(iou_kind, dets), _rows(iou_kind, gt)
+            ious[det_idx, gt_idx] = _pair_ious(iou_kind, rows_det[det_idx], rows_gt[gt_idx])
+        rows = [[(j, v) for j, v in enumerate(r) if v >= threshold] for r in ious[order].tolist()]
+        for difficulty, in_bin in zip(difficulties, in_bins):
+            pairs, ignored, false_pos = _greedy(order, rows, threshold, in_bin, covered)
+            claimed = {j for j, _, _ in pairs}
+            unmatched_gt = tuple(j for j, b in enumerate(in_bin) if b and j not in claimed)
+            yield iou_kind, difficulty, MatchResult(
+                tuple(pairs), unmatched_gt, tuple(sorted(false_pos)), tuple(sorted(ignored))
+            )
 
 
 def match_frame(
@@ -294,7 +296,31 @@ def match_frame(
     such detections are *ignored* rather than counted, as are detections
     mostly covered by a DontCare region.
     """
-    return _match_difficulties(frame, iou_kind, threshold, (difficulty,))[0]
+    return next(_match_difficulties(frame, (iou_kind,), threshold, (difficulty,)))[2]
+
+
+def _passes(iou_kinds, difficulties) -> dict:
+    """Empty ``{kind: {difficulty: (records, num_gt)}}`` for :func:`_record_frame`."""
+    return {kind: {d: (defaultdict(lambda: array("d")), Counter()) for d in difficulties}
+            for kind in iou_kinds}
+
+
+def _record_frame(frame, threshold: float, passes) -> None:
+    """Add one frame's records for each kind and difficulty of ``passes``, as :func:`match_pass`."""
+    gt, dets = frame.ground_truth, frame.detections
+    bins = next(iter(passes.values()))
+    try:
+        for kind, bin_, result in _match_difficulties(frame, passes, threshold, bins):
+            records, num_gt = passes[kind][bin_]
+            num_gt.update(gt[j].class_name for j, _, _ in result.pairs)
+            num_gt.update(gt[j].class_name for j in result.unmatched_gt)
+            for j, i, _ in result.pairs:
+                sim = (1.0 + math.cos(dets[i].alpha - gt[j].alpha)) / 2.0
+                records[dets[i].class_name].extend((dets[i].score, 1.0, sim))
+            for i in result.unmatched_det:
+                records[dets[i].class_name].extend((dets[i].score, 0.0, 0.0))
+    except DegenerateBox as exc:
+        raise DegenerateBox(f"frame {frame.frame_id}: {exc}") from exc
 
 
 def match_pass(
@@ -317,22 +343,10 @@ def match_pass(
     frames = list(frames)
     if not frames:
         raise ValueError("frames must be non-empty")
-    passes = {d: (defaultdict(lambda: array("d")), Counter()) for d in difficulties}
+    passes = _passes((iou_kind,), difficulties)
     for frame in frames:
-        try:
-            results = _match_difficulties(frame, iou_kind, threshold, passes)
-        except DegenerateBox as exc:
-            raise DegenerateBox(f"frame {frame.frame_id}: {exc}") from exc
-        gt, dets = frame.ground_truth, frame.detections
-        for (records, num_gt), result in zip(passes.values(), results):
-            num_gt.update(gt[j].class_name for j, _, _ in result.pairs)
-            num_gt.update(gt[j].class_name for j in result.unmatched_gt)
-            for j, i, _ in result.pairs:
-                sim = (1.0 + math.cos(dets[i].alpha - gt[j].alpha)) / 2.0
-                records[dets[i].class_name].extend((dets[i].score, 1.0, sim))
-            for i in result.unmatched_det:
-                records[dets[i].class_name].extend((dets[i].score, 0.0, 0.0))
-    return passes
+        _record_frame(frame, threshold, passes)
+    return passes[iou_kind]
 
 
 def class_sweep(
@@ -422,6 +436,29 @@ def _aligned_dims_iou(a: ObjectLabel, b: ObjectLabel) -> float:
     return inter / (vol_a + vol_b - inter)
 
 
+def _center_errors(frame, class_name: str, match_radius: float, errors: array) -> None:
+    """Append (ATE, ASE, AOE) of each of the frame's ``class_name`` matches to ``errors``."""
+    if class_name == DONTCARE:  # regions, never paired
+        return
+    gts = [g for g in frame.ground_truth if g.class_name == class_name]
+    dets = [d for d in frame.detections if d.class_name == class_name]
+    dets.sort(key=lambda d: -d.score)  # stable, so index order breaks ties
+    rows = [[(j, -math.hypot(d.x - g.x, d.z - g.z)) for j, g in enumerate(gts)] for d in dets]
+    order = range(len(dets))
+    pairs, _, _ = _greedy(order, rows, -match_radius, [True] * len(gts), [False] * len(dets))
+    for j, i, value in pairs:
+        ase = 1.0 - _aligned_dims_iou(dets[i], gts[j])
+        errors.extend((-value, ase, abs(_wrap_angle(dets[i].rotation_y - gts[j].rotation_y))))
+
+
+def _mean_errors(errors: array, class_name: str) -> NuScenesErrors:
+    """Means of the (ATE, ASE, AOE) triples of :func:`_center_errors`."""
+    matches = len(errors) // 3
+    if not matches:
+        raise NoMatches(f"no detection of class {class_name!r} matched any ground truth")
+    return NuScenesErrors(*(sum(errors[k::3]) / matches for k in range(3)), matches=matches)
+
+
 def nuscenes_errors(
     frames, class_name: str, match_radius: float = 2.0
 ) -> NuScenesErrors:
@@ -441,25 +478,7 @@ def nuscenes_errors(
         raise ValueError(f"match_radius must be positive, got {match_radius}")
     if class_name == DONTCARE:
         raise NoMatches(f"class {DONTCARE!r} marks regions and is never scored")
-    ates: list[float] = []
-    ases: list[float] = []
-    aoes: list[float] = []
+    errors = array("d")
     for frame in frames:
-        gts = [g for g in frame.ground_truth if g.class_name == class_name]
-        dets = [d for d in frame.detections if d.class_name == class_name]
-        dets.sort(key=lambda d: -d.score)  # stable, so index order breaks ties
-        rows = [[(j, -math.hypot(d.x - g.x, d.z - g.z)) for j, g in enumerate(gts)] for d in dets]
-        order = range(len(dets))
-        pairs, _, _ = _greedy(order, rows, -match_radius, [True] * len(gts), [False] * len(dets))
-        for j, i, value in pairs:
-            ates.append(-value)
-            ases.append(1.0 - _aligned_dims_iou(dets[i], gts[j]))
-            aoes.append(abs(_wrap_angle(dets[i].rotation_y - gts[j].rotation_y)))
-    if not ates:
-        raise NoMatches(f"no detection of class {class_name!r} matched any ground truth")
-    return NuScenesErrors(
-        ate=sum(ates) / len(ates),
-        ase=sum(ases) / len(ases),
-        aoe=sum(aoes) / len(aoes),
-        matches=len(ates),
-    )
+        _center_errors(frame, class_name, match_radius, errors)
+    return _mean_errors(errors, class_name)

@@ -586,7 +586,15 @@ class TestEvaluate:
             calls.append(kind)
             return real_pair_ious(kind, *args)
 
+        levels = []
+        real_difficulty_of = metrics.difficulty_of
+
+        def counting_difficulty_of(label):
+            levels.append(label)
+            return real_difficulty_of(label)
+
         monkeypatch.setattr(metrics, "_pair_ious", counting_pair_ious)
+        monkeypatch.setattr(metrics, "difficulty_of", counting_difficulty_of)
         code = main(
             [
                 "evaluate",
@@ -600,6 +608,8 @@ class TestEvaluate:
         assert code == 0
         # each frame's pairs are scored once per IoU kind, for all three difficulties
         assert sorted(calls) == sorted(["2d", "bev", "3d"] * len(frames))
+        # and each ground-truth label is binned once, for every IoU kind
+        assert len(levels) == sum(len(f.labels) for f in frames)
 
         loaded = [
             DetectionFrame(
@@ -855,13 +865,17 @@ class TestEvaluate:
             in capsys.readouterr().err
         )
 
-    def test_degenerate_detection_footprint_names_its_frame(self, tmp_path, capsys):
-        gt_dir, det_dir = self._perfect_dirs(tmp_path, n_frames=2)
-        det = det_dir / "000001.txt"
+    @staticmethod
+    def _flatten_first_detection(det: Path) -> None:
+        """Give the first detection of ``det`` a BEV footprint of (near-)zero area."""
         lines = det.read_text().splitlines()
         fields = lines[0].split()
         fields[9] = fields[10] = "1e-7"  # width and length
         det.write_text("\n".join([" ".join(fields), *lines[1:]]) + "\n")
+
+    def test_degenerate_detection_footprint_names_its_frame(self, tmp_path, capsys):
+        gt_dir, det_dir = self._perfect_dirs(tmp_path, n_frames=2)
+        self._flatten_first_detection(det_dir / "000001.txt")
         code = main(
             ["evaluate", "--gt", str(gt_dir), "--det", str(det_dir), "--metrics", "apbev"]
         )
@@ -870,6 +884,61 @@ class TestEvaluate:
             "error: frame 000001: BEV footprint has (near-)zero area"
             in capsys.readouterr().err
         )
+
+    @pytest.mark.parametrize("jobs", ["1", "3"])
+    def test_first_failing_frame_ends_the_run(self, tmp_path, capsys, jobs):
+        """Of two bad frames the first in id order names the error, although it
+        fails only when matched and the later one already fails to parse."""
+        gt_dir, det_dir = self._perfect_dirs(tmp_path, n_frames=4)
+        self._flatten_first_detection(det_dir / "000001.txt")
+        with (det_dir / "000003.txt").open("a") as f:
+            f.write("Car 0 0\n")
+        code = main([
+            "evaluate", "--gt", str(gt_dir), "--det", str(det_dir),
+            "--metrics", "ap3d", "--jobs", jobs,
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: frame 000001: BEV footprint has (near-)zero area\n"
+        )
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_frames_are_dropped_once_scored(self, tmp_path, capsys, monkeypatch, jobs):
+        """Live detection frames stay within the read-ahead window of 2 x jobs
+        (plus the frames being scored and read), whatever the frame count."""
+        import weakref
+
+        import camperturb.cli as cli
+
+        gt_dir, det_dir = self._perfect_dirs(tmp_path, n_frames=40)
+        lock = threading.Lock()
+        live = peak = 0
+        real_frame = cli.DetectionFrame
+
+        def released():
+            nonlocal live
+            with lock:
+                live -= 1
+
+        def counted_frame(*args, **kwargs):
+            nonlocal live, peak
+            frame = real_frame(*args, **kwargs)
+            with lock:
+                live += 1
+                peak = max(peak, live)
+            weakref.finalize(frame, released)
+            return frame
+
+        monkeypatch.setattr(cli, "DetectionFrame", counted_frame)
+        code = main([
+            "evaluate", "--gt", str(gt_dir), "--det", str(det_dir),
+            "--det-disturbed", str(det_dir), "--metrics", "ap3d,aos,nuscenes",
+            "--jobs", str(jobs),
+        ])
+        assert code == 0
+        sets = 2
+        assert 0 < peak <= sets * (2 * jobs + 2)
+        assert json.loads(capsys.readouterr().out)["parameters"]["frames"] == 40
 
 
 # ---------------------------------------------------------------------------

@@ -714,6 +714,8 @@ class TestNuScenesErrors:
         det = with_score(make_label(box=make_box(x=10.0, z=20.0)), 0.9)
         with pytest.raises(NoMatches):
             nuscenes_errors([detection_frame([gt], [det])], "Car")
+        with pytest.raises(NoMatches):
+            nuscenes_errors([], "Car")
 
     def test_radius_limits_matching(self):
         gt = make_label(box=make_box(x=0.0, z=20.0))
