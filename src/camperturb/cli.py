@@ -19,6 +19,9 @@ Conventions
   written (``evaluate``: scored for every metric) as soon as it and every
   frame before it are done, so memory does not grow with the number of
   frames; ``evaluate`` keeps only the records its report is built from.
+  Labels-only ``simulate`` and ``rectify`` hand the workers chunks of 64
+  frames, whose labels move as one batch; ``simulate --images`` hands
+  them one frame at a time.
 * An output path that holds a regular file gets a new file: the old one is
   unlinked first, never truncated in place.  Any other path (a symlink, a
   device such as ``/dev/stdout``, a FIFO) is opened and written through.
@@ -36,6 +39,7 @@ import collections
 import json
 import math
 import os
+import re
 import stat
 import sys
 from array import array
@@ -52,7 +56,12 @@ from .errors import (
     NoMatches,
     ShapeMismatch,
 )
-from .geometry import ExtrinsicPerturbation, _perturbation_matrices, perturbation_matrix
+from .geometry import (
+    MAX_PERTURBATION_ANGLE,
+    ExtrinsicPerturbation,
+    _perturbation_matrices,
+    perturbation_matrix,
+)
 from .horizon import (
     HorizonLine,
     VanishingPoint,
@@ -62,11 +71,14 @@ from .horizon import (
 )
 from .kitti import (
     DifficultyBin,
-    _decode,
+    _label_table,
+    _labels_of,
     _pose_stack,
+    _table_of,
+    _table_text,
+    _text_lines,
     parse_calib_file,
     parse_label_file,
-    write_label_file,
 )
 from .losses import (
     FeatureTensor,
@@ -90,8 +102,9 @@ from .simulate import (
     DEFAULT_SIGMA,
     PerturbationSpec,
     SceneFrame,
+    _move_tables,
+    sample_perturbation,
     simulate_frame,
-    transform_labels,
 )
 from .tensorio import _check_sidecar, tensor_from_bytes
 
@@ -360,22 +373,20 @@ def _parse_file(path: Path, what: str, parse):
         raise _IOFailure(f"{what} {path}: {exc}") from exc
 
 
-def _json_lines(data: bytes, build) -> list:
-    """``build(record)`` for each record of JSON-lines ``data``, in file order.
+def _json_lines(data: bytes, build):
+    """Yield ``build(record)`` for each record of JSON-lines ``data``, in file order.
 
-    Blank lines are skipped.  A line that is not JSON, or whose record
-    ``build`` rejects, raises :class:`MalformedLine` with its number.
+    Blank lines are skipped, and the text is read a block at a time.  A
+    line that is not JSON, or whose record ``build`` rejects, raises
+    :class:`MalformedLine` with its number.
     """
-    built = []
-    text = _decode(data, "JSON-lines file")
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in _text_lines(data, "JSON-lines file"):
         if not line.strip():
             continue
         try:
-            built.append(build(json.loads(line)))
+            yield build(json.loads(line))
         except (KeyError, TypeError, ValueError, OverflowError, CamPerturbError) as exc:
             raise MalformedLine(line_no, str(exc)) from exc
-    return built
 
 
 def _number(record, key: str) -> float:
@@ -398,10 +409,18 @@ def _extrinsics(record) -> ExtrinsicPerturbation:
     return ExtrinsicPerturbation(pitch=_number(record, "pitch"), roll=_number(record, "roll"))
 
 
+def _angles(record) -> tuple[float, float]:
+    """``record``'s (pitch, roll), under the rules of :class:`ExtrinsicPerturbation`."""
+    pitch, roll = _number(record, "pitch"), _number(record, "roll")
+    if not (abs(pitch) < MAX_PERTURBATION_ANGLE and abs(roll) < MAX_PERTURBATION_ANGLE):
+        ExtrinsicPerturbation(pitch=pitch, roll=roll)  # raises with its own message
+    return pitch, roll
+
+
 def _load_sidecar(path: Path) -> dict[str, ExtrinsicPerturbation]:
     """Read a {frame_id, pitch, roll} JSON-lines sidecar."""
     entry = lambda record: (_frame_id(record), _extrinsics(record))  # noqa: E731
-    return dict(_parse_file(path, "sidecar", lambda data: _json_lines(data, entry)))
+    return _parse_file(path, "sidecar", lambda data: dict(_json_lines(data, entry)))
 
 
 def _frame_ids(label_dir: Path) -> list[str]:
@@ -431,39 +450,71 @@ def _ordered_map(fn, items, jobs: int):
             yield window.popleft().result()
 
 
-def _stream_frames(label_dir: Path, what: str, intrinsics_of, out_dir: Path, move, jobs: int):
-    """The per-frame pipeline of simulate and rectify.
+#: Frames a labels-only simulate or rectify moves as one batch.
+_CHUNK_FRAMES = 64
 
-    For each ``<id>.txt`` in ``label_dir`` (``what`` names it in errors)
-    ``move(id, labels, intrinsics_of(id))`` returns ``(labels, dropped,
-    files, record)``: the moved labels are written to ``out_dir/<id>.txt``,
-    followed by ``files``, the frame's other ``(path, bytes)`` outputs.  An
-    input or domain error fails that frame alone.  Frames arrive in id
-    order, and each one's files are written as soon as it arrives.  Prints
-    the summary and returns ``(records, dropped, failures)``.
+
+def _attempt(fn, *args):
+    """``(fn(*args), None)``, or ``(None, message)`` when it fails on its input."""
+    try:
+        return fn(*args), None
+    except (CamPerturbError, _IOFailure) as exc:
+        return None, str(exc)
+
+
+def _stream_frames(
+    label_dir: Path, what: str, intrinsics_of, out_dir: Path, prepare, move, jobs: int,
+    chunk: int = _CHUNK_FRAMES,
+):
+    """The frame pipeline of simulate and rectify.
+
+    The ``<id>.txt`` label files of ``label_dir`` (``what`` names them in
+    errors) go to the workers ``chunk`` frames at a time.  For each frame
+    ``prepare(id, table, intrinsics_of(id))`` reads the rest of its
+    inputs; ``move`` then takes the chunk's prepared frames together and
+    returns one ``(result, error)`` for each, ``result`` being ``(table,
+    dropped, files, record)``.  The moved table is written to
+    ``out_dir/<id>.txt``, followed by ``files``, the frame's other ``(path,
+    bytes)`` outputs.  An input or domain error fails that frame alone.
+    Frames arrive in id order, and each one's files are written as soon as
+    it arrives.  Prints the summary and returns ``(records, dropped,
+    failures)``.
     """
 
-    def attempt(frame_id: str):
-        try:
-            labels = _parse_file(label_dir / f"{frame_id}.txt", what, parse_label_file)
-            labels, dropped, files, record = move(frame_id, labels, intrinsics_of(frame_id))
-            files = [(out_dir / f"{frame_id}.txt", write_label_file(labels)), *files]
-            return frame_id, (files, dropped, record), None
-        except (CamPerturbError, _IOFailure) as exc:
-            return frame_id, None, str(exc)
+    def load(frame_id: str):
+        table = _parse_file(label_dir / f"{frame_id}.txt", what, _label_table)
+        return prepare(frame_id, table, intrinsics_of(frame_id))
 
+    def attempt(frame_ids: list[str]):
+        loaded = [_attempt(load, frame_id) for frame_id in frame_ids]
+        moved = iter(move([frame for frame, error in loaded if error is None]))
+        outcomes = []
+        for frame_id, (_, error) in zip(frame_ids, loaded):
+            result = None
+            if error is None:
+                result, error = next(moved)
+            if result is not None:
+                table, dropped, files, record = result
+                files = [(out_dir / f"{frame_id}.txt", _table_text(table)), *files]
+                result = files, dropped, record
+            outcomes.append((frame_id, result, error))
+        return outcomes
+
+    frame_ids = _frame_ids(label_dir)
+    chunks = [frame_ids[i:i + chunk] for i in range(0, len(frame_ids), chunk)]
     records = []
     dropped = 0
     failures: list[tuple[str, str]] = []
-    for frame_id, result, error in _ordered_map(attempt, _frame_ids(label_dir), jobs):
-        if error is not None:
-            failures.append((frame_id, error))
-            continue
-        files, frame_dropped, record = result
-        for path, data in files:
-            _write(path, data, "output")
-        records.append(record)
-        dropped += frame_dropped
+    for outcomes in _ordered_map(attempt, chunks, jobs):
+        for frame_id, result, error in outcomes:
+            if error is not None:
+                failures.append((frame_id, error))
+                continue
+            files, frame_dropped, record = result
+            for path, data in files:
+                _write(path, data, "output")
+            records.append(record)
+            dropped += frame_dropped
 
     print(f"frames processed: {len(records)}")
     print(f"objects dropped: {dropped}")
@@ -471,6 +522,27 @@ def _stream_frames(label_dir: Path, what: str, intrinsics_of, out_dir: Path, mov
     for frame_id, reason in failures:
         print(f"  {frame_id}: {reason}")
     return records, dropped, failures
+
+
+def _move_labels(prepared, undo: bool = False) -> list:
+    """The ``move`` of the labels-only pipeline: one batch for a chunk's frames.
+
+    Each prepared frame is ``(table, intrinsics, perturbation, record)``.
+    Its labels rotate by R_x(pitch) @ R_z(roll) of its perturbation, or by
+    the transpose of that with ``undo``.
+    """
+    if not prepared:
+        return []
+    tables, intrinsics, angles, records = zip(*prepared)
+    rotations = _perturbation_matrices(
+        np.array([p.pitch for p in angles]), np.array([p.roll for p in angles])
+    )
+    if undo:
+        rotations = rotations.swapaxes(1, 2)
+    return [
+        (None, str(moved)) if isinstance(moved, CamPerturbError) else ((*moved, [], record), None)
+        for moved, record in zip(_move_tables(tables, rotations, intrinsics), records)
+    ]
 
 
 def _json_dumps(obj) -> str:
@@ -560,32 +632,41 @@ def cmd_simulate(cfg: argparse.Namespace) -> int:
     if image_dir is not None:
         _make_dir(out_images)
 
-    def move(frame_id: str, labels, intrinsics):
-        image = extension = None
-        if image_dir is not None:
-            for extension in (".ppm", ".pgm"):
-                candidate = image_dir / f"{frame_id}{extension}"
-                if candidate.is_file():
-                    image = _parse_file(candidate, "image", read_image)
-                    break
-            else:
-                raise _IOFailure(f"no image {frame_id}.ppm or {frame_id}.pgm in {image_dir}")
-        frame = SceneFrame(
-            frame_id=frame_id,
-            intrinsics=intrinsics,
-            labels=tuple(labels),
-            image=image,
-        )
-        perturbed, warped = simulate_frame(frame, spec, fill=cfg.fill)
-        files = []
-        if warped is not None:
-            files.append((out_images / f"{frame_id}{extension}", write_image(warped)))
-        applied = perturbed.applied
-        record = {"frame_id": frame_id, "pitch": applied.pitch, "roll": applied.roll}
-        line = json.dumps(record, sort_keys=True) + "\n"
-        return perturbed.labels, perturbed.dropped, files, line
+    def sidecar_line(frame_id: str, p: ExtrinsicPerturbation) -> str:
+        record = {"frame_id": frame_id, "pitch": p.pitch, "roll": p.roll}
+        return json.dumps(record, sort_keys=True) + "\n"
 
-    records, _, _ = _stream_frames(label_dir, "label file", calib, out_labels, move, cfg.jobs)
+    def draw(frame_id: str, table, intrinsics):
+        p = sample_perturbation(spec, frame_id)
+        return table, intrinsics, p, sidecar_line(frame_id, p)
+
+    def load_image(frame_id: str, table, intrinsics):
+        for extension in (".ppm", ".pgm"):
+            candidate = image_dir / f"{frame_id}{extension}"
+            if candidate.is_file():
+                image = _parse_file(candidate, "image", read_image)
+                break
+        else:
+            raise _IOFailure(f"no image {frame_id}.ppm or {frame_id}.pgm in {image_dir}")
+        frame = SceneFrame(frame_id, intrinsics, labels=_labels_of(table), image=image)
+        return frame, out_images / f"{frame_id}{extension}"
+
+    def warp_one(frame: SceneFrame, image_path: Path):
+        perturbed, warped = simulate_frame(frame, spec, fill=cfg.fill)
+        files = [(image_path, write_image(warped))]
+        record = sidecar_line(frame.frame_id, perturbed.applied)
+        return _table_of(perturbed.labels), perturbed.dropped, files, record
+
+    def warp(prepared):
+        return [_attempt(warp_one, *frame) for frame in prepared]
+
+    if image_dir is None:
+        prepare, move, chunk = draw, _move_labels, _CHUNK_FRAMES
+    else:  # one frame per chunk, so at most 2 x jobs images are held
+        prepare, move, chunk = load_image, warp, 1
+    records, _, _ = _stream_frames(
+        label_dir, "label file", calib, out_labels, prepare, move, cfg.jobs, chunk
+    )
     _write(out_dir / "perturbations.jsonl", "".join(records), "sidecar")
     if not records:
         raise _IOFailure("no frame could be processed")
@@ -776,27 +857,28 @@ def cmd_rectify(cfg: argparse.Namespace) -> int:
         source, estimates = "sidecar", _load_sidecar(Path(cfg.sidecar))
     else:
         source = "horizon annotations"
-        estimates = dict(
-            _parse_file(Path(cfg.horizon), source, lambda d: _json_lines(d, _horizon_entry))
+        estimates = _parse_file(
+            Path(cfg.horizon), source, lambda d: dict(_json_lines(d, _horizon_entry))
         )
     truth = _load_sidecar(Path(cfg.truth_sidecar)) if cfg.truth_sidecar else None
 
-    def move(frame_id: str, labels, intrinsics):
+    def prepare(frame_id: str, table, intrinsics):
         if frame_id not in estimates:
             raise _IOFailure(f"frame {frame_id} missing from {source}")
         estimate = estimates[frame_id]
         if cfg.horizon:
             estimate = extrinsics_from_horizon_vp(*estimate, intrinsics)
-        forward = perturbation_matrix(estimate)
-        rotation = forward.T if cfg.direction == "undo" else forward
-        moved, dropped = transform_labels(labels, intrinsics, rotation)
         error_deg = None
         if truth is not None and frame_id in truth:
+            forward = perturbation_matrix(estimate)
             error_deg = angular_error(forward, perturbation_matrix(truth[frame_id]))
-        return moved, dropped, [], (frame_id, error_deg)
+        return table, intrinsics, estimate, (frame_id, error_deg)
+
+    def move(prepared):
+        return _move_labels(prepared, undo=cfg.direction == "undo")
 
     records, dropped, failures = _stream_frames(
-        det_dir, "detections", calib, out_dir, move, cfg.jobs
+        det_dir, "detections", calib, out_dir, prepare, move, cfg.jobs
     )
     per_frame_errors = [(f, e) for f, e in records if e is not None]
     report: dict = {
@@ -850,10 +932,9 @@ def _load_estimates(data: bytes) -> np.ndarray:
 
     Sidecar entries align with ground-truth pose lines by file order.
     """
-    if data.lstrip()[:1] == b"{":
-        angles = [(p.pitch, p.roll) for p in _json_lines(data, _extrinsics)]
-        pitch, roll = np.array(angles).reshape(-1, 2).T
-        return _perturbation_matrices(pitch, roll)
+    if re.match(rb"\s*{", data):
+        angles = np.fromiter(_json_lines(data, _angles), np.dtype((float, 2)))
+        return _perturbation_matrices(*angles.T)
     return _pose_stack(data)[:, :, :3]
 
 

@@ -29,7 +29,10 @@ from __future__ import annotations
 import enum
 import math
 import operator
+import sys
+from array import array
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -134,12 +137,13 @@ class ObjectLabel:
         )
 
 
-#: The columns after the class name, in file order.
-_LABEL_FIELDS = tuple(field.name for field in fields(ObjectLabel))[1:]
+#: Every field of a label, and the columns after the class name, in file order.
+_LABEL_ATTRIBUTES = tuple(field.name for field in fields(ObjectLabel))
+_LABEL_FIELDS = _LABEL_ATTRIBUTES[1:]
 _label_values = operator.attrgetter(*_LABEL_FIELDS)
 #: Every column but the score: ``occluded`` as an integer, the rest to 2 decimals.
 _LINE_FORMAT = " ".join(
-    ["{}"] + ["{:d}" if name == "occluded" else "{:.2f}" for name in _LABEL_FIELDS[:-1]]
+    ["%s"] + ["%d" if name == "occluded" else "%.2f" for name in _LABEL_FIELDS[:-1]]
 )
 
 
@@ -183,6 +187,29 @@ def _decode(data: bytes | str, what: str) -> str:
         raise MalformedLine(line_no, f"{what} is not valid UTF-8") from exc
 
 
+#: Bytes of text decoded and split into lines at a time by :func:`_text_lines`.
+_TEXT_BLOCK = 1 << 16
+
+
+def _text_lines(data: bytes | str, what: str):
+    """``(line_no, line)`` for each line of ``data``, numbered as ``splitlines``
+    numbers them, decoded and split a block of ``_TEXT_BLOCK`` at a time.
+
+    Only one block of the text is held at once.  An invalid UTF-8 byte
+    anywhere in ``data`` is raised before the first line.
+    """
+    if not isinstance(data, str) and not data.isascii():
+        _decode(data, what)  # raises at the first bad byte; the text is dropped
+    newline = "\n" if isinstance(data, str) else b"\n"
+    line_no = start = 0
+    while start < len(data):
+        end = data.find(newline, start + _TEXT_BLOCK) + 1 or len(data)
+        for line in _decode(data[start:end], what).splitlines():
+            line_no += 1
+            yield line_no, line
+        start = end
+
+
 def _parse_float(token: str, line_no: int, field: str) -> float:
     try:
         value = float(token)
@@ -195,39 +222,159 @@ def _parse_float(token: str, line_no: int, field: str) -> float:
     return value
 
 
+class _LabelTable(NamedTuple):
+    """Labels as columns: class names, the other columns as one (n, 15) array in
+    file order (0 in the score column of a row without a score), and which rows
+    have a score."""
+
+    names: list[str]
+    values: np.ndarray
+    scored: np.ndarray
+
+
+def _label_table(data: bytes | str) -> _LabelTable:
+    """The labels of :func:`parse_label_file` as one checked table.
+
+    Each line is converted by one ``map(float)`` and every row is checked
+    at once.  The first line that fails is parsed again by the per-line
+    rules of :func:`_parse_label_line`, so it fails with the same error.
+    """
+    lines = _decode(data, "label file").splitlines()
+    names: list[str] = []
+    rows: list[list[float]] = []
+    scored: list[bool] = []
+    line_nos: list[int] = []
+    failed = None
+    for line_no, line in enumerate(lines, start=1):
+        tokens = line.split()
+        if not tokens:
+            continue
+        try:
+            row = list(map(float, tokens[1:])) if len(tokens) in (15, 16) else None
+        except ValueError:
+            row = None
+        if row is None:
+            failed = line_no
+            break
+        scored.append(len(row) == 15)
+        if len(row) == 14:
+            row.append(0.0)
+        names.append(tokens[0])
+        rows.append(row)
+        line_nos.append(line_no)
+    values = np.array(rows, dtype=float).reshape(-1, 15)
+    bad = np.flatnonzero(~_valid_rows(names, values))
+    if bad.size:
+        failed = line_nos[bad[0]]  # the rows all come before a line that failed to convert
+    if failed is not None:
+        _parse_label_line(lines[failed - 1].split(), failed)  # raises: the line breaks a rule
+    return _LabelTable(names, values, np.array(scored, dtype=bool))
+
+
+def _column_bounds(**bounds) -> list[tuple[float, ...]]:
+    """Inclusive (lows, highs) of the table columns: ``bounds`` for the named
+    columns, the finite range for the rest."""
+    finite = (-sys.float_info.max, sys.float_info.max)
+    return list(zip(*(bounds.get(name, finite) for name in _LABEL_FIELDS)))
+
+
+#: Row bounds of DontCare rows (finite values) and of every other class.
+#: The smallest positive float as a low bound makes it ``> 0``.
+_POSITIVE = (math.ulp(0.0), sys.float_info.max)
+_ROW_BOUNDS = np.array([
+    _column_bounds(),
+    _column_bounds(
+        truncated=(0.0, 1.0), occluded=(0, 3), alpha=(-math.pi, math.pi),
+        height=_POSITIVE, width=_POSITIVE, length=_POSITIVE, rotation_y=(-math.pi, math.pi),
+    ),
+])
+
+
+def _valid_rows(names: list[str], values: np.ndarray) -> np.ndarray:
+    """Which table rows pass the rules of :func:`_parse_label_line`."""
+    low, high = _ROW_BOUNDS[[int(name != DONTCARE) for name in names]].swapaxes(0, 1)
+    _, occluded, _, left, top, right, bottom = values.T[:7]
+    return (
+        ((values >= low) & (values <= high)).all(axis=1)
+        & (occluded == np.trunc(occluded)) & (right > left) & (bottom > top)
+    )
+
+
+def _parse_label_line(tokens: list[str], line_no: int) -> ObjectLabel:
+    """One label line's tokens as an :class:`ObjectLabel`, by the per-field rules.
+
+    Raises :class:`MalformedLine` for a wrong field count, an unparsable
+    token or an out-of-range value, and :class:`NonFiniteValue` for NaN/inf;
+    the first failing field of the line decides.
+    """
+    if len(tokens) not in (15, 16):
+        raise MalformedLine(line_no, f"expected 15 or 16 fields, got {len(tokens)}")
+    values = [
+        _parse_float(tok, line_no, _LABEL_FIELDS[i]) for i, tok in enumerate(tokens[1:])
+    ]
+    if values[1] != int(values[1]):
+        raise MalformedLine(
+            line_no, f"field 'occluded': expected an integer, got {tokens[2]!r}"
+        )
+    values[1] = int(values[1])
+    try:
+        return ObjectLabel(tokens[0], *values)
+    except ValueError as exc:
+        raise MalformedLine(line_no, str(exc)) from exc
+
+
+def _labels_of(table: _LabelTable) -> list[ObjectLabel]:
+    """The table's rows as labels.  A table holds only rows that pass the
+    :class:`ObjectLabel` rules, so the labels are built without checking
+    them again."""
+    labels = []
+    for name, (truncated, occluded, *columns, score), scored in zip(
+        table.names, table.values.tolist(), table.scored.tolist()
+    ):
+        label = object.__new__(ObjectLabel)
+        label.__dict__.update(zip(
+            _LABEL_ATTRIBUTES,
+            (name, truncated, int(occluded), *columns, score if scored else None),
+        ))
+        labels.append(label)
+    return labels
+
+
+def _table_of(labels) -> _LabelTable:
+    rows = [_label_values(label) for label in labels]
+    values = [(*row[:-1], 0.0 if row[-1] is None else row[-1]) for row in rows]
+    return _LabelTable(
+        [label.class_name for label in labels],
+        np.array(values, dtype=float).reshape(-1, 15),
+        np.array([row[-1] is not None for row in rows], dtype=bool),
+    )
+
+
+def _table_text(table: _LabelTable) -> bytes:
+    """The label file of :func:`write_label_file` for a table."""
+    lines = []
+    for name, (*columns, score), scored in zip(
+        table.names, table.values.tolist(), table.scored.tolist()
+    ):
+        line = _LINE_FORMAT % (name, *columns)
+        if scored:
+            text = f"{score:.2f}"
+            line += " " + (text if float(text) == score else repr(score))
+        lines.append(line)
+    if not lines:
+        return b""
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
 def parse_label_file(data: bytes | str) -> list[ObjectLabel]:
     """Parse an object label file (15 or 16 fields per line).
 
     Blank lines are skipped.  Raises :class:`MalformedLine` for wrong
     field counts, unparsable tokens, or out-of-range values, and
     :class:`NonFiniteValue` for NaN/inf fields; both carry the 1-based
-    line number.
+    line number of the first bad line.
     """
-    text = _decode(data, "label file")
-    labels: list[ObjectLabel] = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        tokens = line.split()
-        if not tokens:
-            continue
-        if len(tokens) not in (15, 16):
-            raise MalformedLine(
-                line_no, f"expected 15 or 16 fields, got {len(tokens)}"
-            )
-        name = tokens[0]
-        values = [
-            _parse_float(tok, line_no, _LABEL_FIELDS[i])
-            for i, tok in enumerate(tokens[1:])
-        ]
-        if values[1] != int(values[1]):
-            raise MalformedLine(
-                line_no, f"field 'occluded': expected an integer, got {tokens[2]!r}"
-            )
-        values[1] = int(values[1])
-        try:
-            labels.append(ObjectLabel(name, *values))
-        except ValueError as exc:
-            raise MalformedLine(line_no, str(exc)) from exc
-    return labels
+    return _labels_of(_label_table(data))
 
 
 def write_label_file(labels: list[ObjectLabel]) -> bytes:
@@ -235,21 +382,10 @@ def write_label_file(labels: list[ObjectLabel]) -> bytes:
 
     A score is written with two decimals when that text parses back to the
     same float, and as its shortest round-trip form otherwise.  An empty
-    list produces empty bytes.  ``occluded`` for DontCare rows is written
-    as-is (conventionally -1 via the sentinel convention is not modeled;
-    DontCare rows keep whatever integer they carry).
+    list produces empty bytes.  ``occluded`` is written as the integer each
+    label carries; DontCare rows are not given the KITTI -1 sentinel.
     """
-    lines = []
-    for lab in labels:
-        *columns, score = _label_values(lab)
-        line = _LINE_FORMAT.format(lab.class_name, *columns)
-        if score is not None:
-            text = f"{score:.2f}"
-            line += " " + (text if float(text) == score else repr(float(score)))
-        lines.append(line)
-    if not lines:
-        return b""
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    return _table_text(_table_of(labels))
 
 
 _CALIB_SHAPES = {
@@ -285,8 +421,14 @@ def parse_calib_file(data: bytes | str) -> CalibrationSet:
                 line_no,
                 f"key '{key}': expected {expected} values, got {len(tokens)}",
             )
-        values = [_parse_float(tok, line_no, key) for tok in tokens]
-        found[key] = np.array(values).reshape(shape)
+        try:
+            values = np.array(list(map(float, tokens)))
+        except ValueError:
+            values = None
+        if values is None or not np.isfinite(values).all():
+            for token in tokens:
+                _parse_float(token, line_no, key)  # raises at the first bad token
+        found[key] = values.reshape(shape)
         key_lines[key] = line_no
     if "P2" not in found:
         raise MissingKey("P2")
@@ -322,29 +464,44 @@ def parse_odometry_poses(data: bytes | str) -> list[OdometryPose]:
 
 
 def _pose_stack(data: bytes | str) -> np.ndarray:
-    """The poses of :func:`parse_odometry_poses` as one (n, 3, 4) array, checked at once."""
-    text = _decode(data, "pose file")
-    lines = text.splitlines()
-    values = np.empty((len(lines), 12))
-    line_nos: list[int] = []
-    try:
-        for line_no, line in enumerate(lines, start=1):
-            tokens = line.split()
-            if not tokens:
-                continue
-            if len(tokens) != 12:
-                raise MalformedLine(line_no, f"expected 12 values, got {len(tokens)}")
-            values[len(line_nos)] = [
-                _parse_float(tok, line_no, field) for tok, field in zip(tokens, _POSE_FIELDS)
-            ]
-            line_nos.append(line_no)
-    except (MalformedLine, NonFiniteValue):
-        _require_pose_rotations(values, line_nos)  # a bad rotation above comes first
-        raise
+    """The poses of :func:`parse_odometry_poses` as one (n, 3, 4) array, checked at once.
+
+    The text is read a block at a time (:func:`_text_lines`) into one
+    preallocated array, each line converted by one ``map(float)``.  A line
+    that does not give twelve values with a finite sum is read again by
+    :func:`_pose_row`, which raises at its first bad value.
+    """
+    values = np.empty((data.count("\n" if isinstance(data, str) else b"\n") + 1, 12))
+    line_nos = array("q")
+    for line_no, line in _text_lines(data, "pose file"):
+        tokens = line.split()
+        if not tokens:
+            continue
+        try:
+            row = list(map(float, tokens)) if len(tokens) == 12 else None
+        except ValueError:
+            row = None
+        if row is None or not math.isfinite(sum(row)):
+            try:
+                row = _pose_row(tokens, line_no)
+            except (MalformedLine, NonFiniteValue):
+                _require_pose_rotations(values, line_nos)  # a bad rotation above comes first
+                raise
+        if len(line_nos) == len(values):  # more line breaks than newlines
+            values = np.resize(values, (2 * len(values), 12))
+        values[len(line_nos)] = row
+        line_nos.append(line_no)
     return _require_pose_rotations(values, line_nos)
 
 
-def _require_pose_rotations(values: np.ndarray, line_nos: list[int]) -> np.ndarray:
+def _pose_row(tokens: list[str], line_no: int) -> list[float]:
+    """One pose line's twelve values by the per-field rules, which raise at the first bad one."""
+    if len(tokens) != 12:
+        raise MalformedLine(line_no, f"expected 12 values, got {len(tokens)}")
+    return [_parse_float(tok, line_no, field) for tok, field in zip(tokens, _POSE_FIELDS)]
+
+
+def _require_pose_rotations(values: np.ndarray, line_nos) -> np.ndarray:
     """The parsed rows of ``values`` as an (n, 3, 4) array, every rotation block checked."""
     poses = values[:len(line_nos)].reshape(-1, 3, 4)
     fault = _rotation_fault(poses[:, :, :3], ROTATION_TOL)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .geometry import (
     image_homography,
     perturbation_matrix,
 )
-from .kitti import DONTCARE, ObjectLabel, _box_rows
+from .kitti import _LABEL_FIELDS, DONTCARE, ObjectLabel, _LabelTable, _labels_of, _table_of
 from .netpbm import RasterImage
 
 #: Default sampling width: one degree, in radians.
@@ -158,43 +158,109 @@ def transform_labels(
     Raises :class:`OutOfRange` when a kept box, rotated or projected,
     leaves the float range.
     """
-    rotation = np.asarray(rotation, dtype=float)
     labels = list(labels)
-    if np.array_equal(rotation, np.eye(3)):
-        return labels, 0
-    boxes = [label for label in labels if label.class_name != DONTCARE]
+    rotation = np.asarray(rotation, dtype=float)
+    moved = _move_tables([_table_of(labels)], rotation[None], [k], [image_size])[0]
+    if isinstance(moved, OutOfRange):
+        raise moved
+    table, dropped = moved
+    untouched = iter([label for label in labels if label.class_name == DONTCARE])
+    out = [
+        next(untouched) if name == DONTCARE else label
+        for name, label in zip(table.names, _labels_of(table))
+    ]
+    return out, dropped
+
+
+#: Label table columns of the (x, y, z, h, w, l, yaw) box rows, the 2D box and alpha.
+_BOX_COLUMNS = [
+    _LABEL_FIELDS.index(name)
+    for name in ("x", "y", "z", "height", "width", "length", "rotation_y")
+]
+_BBOX_COLUMNS = [
+    _LABEL_FIELDS.index(name) for name in ("bbox_left", "bbox_top", "bbox_right", "bbox_bottom")
+]
+_ALPHA_COLUMN = _LABEL_FIELDS.index("alpha")
+
+
+def _move_tables(tables, rotations: np.ndarray, intrinsics, sizes=None) -> list:
+    """Move each frame's label table by its own rotation, all frames' rows at once.
+
+    Frame ``i`` is ``tables[i]``, rotated by ``rotations[i]`` and projected
+    with ``intrinsics[i]``; its 2D boxes are clipped to ``sizes[i]`` (width,
+    height) unless that, or ``sizes``, is None.  Each frame follows the
+    rules of :func:`transform_labels` and fails alone.  Returns, per frame,
+    ``(table, dropped)`` or the :class:`OutOfRange` that fails it.
+    """
+    if not len(tables):
+        return []
+    counts = [len(table.names) for table in tables]
+    frame = np.repeat(np.arange(len(tables)), counts)
+    names = [name for table in tables for name in table.names]
+    values = np.concatenate([table.values for table in tables])
+    scored = np.concatenate([table.scored for table in tables])
+    identity = (rotations == np.eye(3)).all(axis=(1, 2))
+    box = ~identity[frame] & np.array([name != DONTCARE for name in names], dtype=bool)
+    box_frame = frame[box]
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
-        moved = _rotate_rows(rotation, _box_rows(boxes))
-    if not np.isfinite(moved).all():
-        raise OutOfRange("camera point must be finite after the rotation")
+        moved = _rotate_rows(rotations[box_frame], values[box][:, _BOX_COLUMNS])
+    unrotated = _frames_with(box_frame, ~np.isfinite(moved).all(axis=1), len(tables))
+    live = ~unrotated[box_frame]  # a frame that failed its rotation is not projected
+    moved, live_frame = moved[live], box_frame[live]
+    fx, fy, cx, cy, skew = np.array(
+        [(k.fx, k.fy, k.cx, k.cy, k.skew) for k in intrinsics], dtype=float
+    )[live_frame].T[:, :, None]
     x, y, z = np.moveaxis(_corners(moved), -1, 0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # checked below
-        us = (k.fx * x + k.skew * y) / z + k.cx
-        vs = k.fy * y / z + k.cy
+        us = (fx * x + skew * y) / z + cx
+        vs = fy * y / z + cy
     left, right = us.min(axis=1), us.max(axis=1)
     top, bottom = vs.min(axis=1), vs.max(axis=1)
-    if image_size is not None:
-        w, h = image_size
-        left, right = np.clip([left, right], 0.0, w - 1.0)
-        top, bottom = np.clip([top, bottom], 0.0, h - 1.0)
+    if sizes is not None:
+        inf = math.inf
+        low, u_max, v_max = np.array(
+            [(-inf, inf, inf) if size is None else (0.0, size[0] - 1.0, size[1] - 1.0)
+             for size in sizes]
+        )[live_frame].T
+        left, right = np.clip(left, low, u_max), np.clip(right, low, u_max)
+        top, bottom = np.clip(top, low, v_max), np.clip(bottom, low, v_max)
     keep = (moved[:, 2] > 0) & (z > 0).all(axis=1) & (right > left) & (bottom > top)
-    bboxes = np.stack([left, top, right, bottom], axis=1)
-    if not np.isfinite(bboxes[keep]).all():
-        raise OutOfRange("projected 2D box must be finite")
-    fields = zip(keep.tolist(), moved.tolist(), bboxes.tolist())
-    out: list[ObjectLabel] = []
-    for label in labels:
-        if label.class_name == DONTCARE:
-            out.append(label)
-            continue
-        kept, (cx, cy, cz, _, _, _, yaw), (left, top, right, bottom) = next(fields)
-        if kept:
-            alpha = _wrap_angle(yaw - math.atan2(cx, cz))
-            out.append(replace(
-                label, alpha=alpha, x=cx, y=cy, z=cz, rotation_y=yaw,
-                bbox_left=left, bbox_top=top, bbox_right=right, bbox_bottom=bottom,
-            ))
-    return out, len(boxes) - int(keep.sum())
+    bboxes = np.stack([left, top, right, bottom], axis=1)[keep]
+    unprojected = _frames_with(live_frame[keep], ~np.isfinite(bboxes).all(axis=1), len(tables))
+    kept = np.flatnonzero(box)[live][keep]
+    moved = moved[keep]
+    values = values.copy()
+    values[kept[:, None], _BOX_COLUMNS] = moved
+    values[kept[:, None], _BBOX_COLUMNS] = bboxes
+    values[kept, _ALPHA_COLUMN] = [
+        _wrap_angle(yaw - math.atan2(px, pz)) for px, pz, yaw in moved[:, [0, 2, 6]].tolist()
+    ]
+    stays = ~box
+    stays[kept] = True
+    dropped = np.bincount(box_frame, minlength=len(tables)) - np.bincount(
+        frame[kept], minlength=len(tables)
+    )
+    ends = np.cumsum(counts).tolist()
+    results = []
+    for i, (start, end) in enumerate(zip([0, *ends], ends)):
+        if unrotated[i]:
+            results.append(OutOfRange("camera point must be finite after the rotation"))
+        elif unprojected[i]:
+            results.append(OutOfRange("projected 2D box must be finite"))
+        else:
+            rows = stays[start:end]
+            table = _LabelTable(
+                [name for name, row in zip(names[start:end], rows) if row],
+                values[start:end][rows],
+                scored[start:end][rows],
+            )
+            results.append((table, int(dropped[i])))
+    return results
+
+
+def _frames_with(frame: np.ndarray, flags: np.ndarray, n_frames: int) -> np.ndarray:
+    """Which of ``n_frames`` frames own a flagged row (``frame`` numbers each row)."""
+    return np.bincount(frame[flags], minlength=n_frames) > 0
 
 
 def perturb_labels(

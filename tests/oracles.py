@@ -3,12 +3,13 @@
 Everything here deliberately avoids the code paths under test: IoU by
 Monte-Carlo point sampling and by exact rational polygon clipping, AP by
 exhaustive per-threshold evaluation, Gram matrices by direct double
-summation, gradients by central finite differences, and rotations by
-explicit 3x3 arithmetic.
+summation, gradients by central finite differences, rotations by
+explicit 3x3 arithmetic, and label files by the field-at-a-time parser.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -277,3 +278,53 @@ def whole_image_warp(data: np.ndarray, homography: np.ndarray, fill: int) -> np.
     )
     value[~valid] = float(fill)
     return np.clip(np.rint(value), 0, 255).astype(np.uint8).reshape(data.shape)
+
+
+# ---------------------------------------------------------------------------
+# label files one line and one field at a time
+
+
+def scalar_label_file(data: bytes):
+    """A KITTI label file parsed line by line and field by field.
+
+    Each token is converted and checked for finiteness in file order, then
+    ``occluded`` must be an integer and the line builds an ``ObjectLabel``,
+    whose own checks become a ``MalformedLine``.  The first bad line
+    decides the error; an invalid UTF-8 byte anywhere comes before all.
+    """
+    from camperturb import MalformedLine, NonFiniteValue, ObjectLabel
+
+    fields = [f.name for f in dataclasses.fields(ObjectLabel)][1:]
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = data[: exc.start].count(b"\n") + 1
+        raise MalformedLine(line_no, "label file is not valid UTF-8") from exc
+    labels = []
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        tokens = line.split()
+        if not tokens:
+            continue
+        if len(tokens) not in (15, 16):
+            raise MalformedLine(line_no, f"expected 15 or 16 fields, got {len(tokens)}")
+        values = []
+        for field, token in zip(fields, tokens[1:]):
+            try:
+                value = float(token)
+            except ValueError as exc:
+                raise MalformedLine(
+                    line_no, f"field '{field}': cannot parse {token!r} as a number"
+                ) from exc
+            if not math.isfinite(value):
+                raise NonFiniteValue(line_no, field)
+            values.append(value)
+        if values[1] != int(values[1]):
+            raise MalformedLine(
+                line_no, f"field 'occluded': expected an integer, got {tokens[2]!r}"
+            )
+        values[1] = int(values[1])
+        try:
+            labels.append(ObjectLabel(tokens[0], *values))
+        except ValueError as exc:
+            raise MalformedLine(line_no, str(exc)) from exc
+    return labels

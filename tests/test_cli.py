@@ -27,12 +27,16 @@ import helpers
 from camperturb import (
     ExtrinsicPerturbation,
     FeatureTensor,
+    PerturbationSpec,
     RasterImage,
     horizon_vp_from_extrinsics,
     parse_label_file,
     parse_odometry_poses,
+    perturbation_matrix,
     rot_x,
     rot_z,
+    sample_perturbation,
+    transform_labels,
     write_image,
     write_label_file,
 )
@@ -1626,6 +1630,25 @@ class TestPoseError:
             in capsys.readouterr().err
         )
 
+    @pytest.mark.parametrize("line_no, bad, after, reason", [
+        (2, '"pitch": 0.0, "roll": NaN', "not JSON", "perturbation angle must be finite, got nan"),
+        (2, '"pitch": 0.0, "roll": -1.6', '"roll": "x"', "roll must satisfy |angle| < pi/2, got -1.6"),
+        (2, '"pitch": "0.1", "roll": 0.0', '"pitch": 2.0', "'pitch' must be a JSON number, got '0.1'"),
+        (2999, '"pitch": 1.6, "roll": 0.0', "not JSON", "pitch must satisfy |angle| < pi/2, got 1.6"),
+    ])
+    def test_first_bad_json_estimate_line_decides(
+        self, tmp_path, capsys, line_no, bad, after, reason
+    ):
+        """The first bad line decides, also several text blocks into the file."""
+        poses = tmp_path / "poses.txt"
+        write_straight_poses(poses, line_no + 1, 1.0)
+        est = tmp_path / "est.jsonl"
+        good = '{"frame_id": "000000", "pitch": 0.0, "roll": 0.0}\n'
+        est.write_text(good * (line_no - 1) + f"{{{bad}}}\n{{{after}}}\n")
+        code = main(["pose-error", "--est", str(est), "--gt-poses", str(poses)])
+        assert code == 2
+        assert f"error: estimates {est}: line {line_no}: {reason}\n" in capsys.readouterr().err
+
     @pytest.mark.parametrize("est_kind", ["sidecar", "poses"])
     def test_report_equals_one_built_from_pose_objects(self, tmp_path, capsys, est_kind):
         """The report from the pose stacks is the bytes that per-pose
@@ -1989,3 +2012,155 @@ def test_ordered_map_keeps_input_order_within_a_bounded_window(jobs):
         time.sleep(0.0005)
     assert results == list(range(40))
     assert 1 <= most_ahead <= 2 * jobs
+
+
+# ---------------------------------------------------------------------------
+# simulate and rectify move a chunk of frames at a time
+
+
+def write_chunk_dataset(root: Path, n_frames: int) -> tuple[Path, Path]:
+    """Frames of 3-5 cars, every seventh with a DontCare region and a scored
+    car, every eleventh empty; returns (label_dir, calib_dir)."""
+    label_dir, calib_dir = write_dataset(root, n_frames=n_frames)
+    dontcare = write_label_file(parse_label_file(
+        b"DontCare -1 -1 -10 100.00 120.00 300.00 300.00 -1 -1 -1 -1000 -1000 -1000 -10"
+    ))
+    for i in range(n_frames):
+        path = label_dir / f"{i:06d}.txt"
+        if i % 11 == 5:
+            path.write_bytes(b"")
+        elif i % 7 == 3:
+            scored = path.read_bytes().splitlines()[0] + b" 0.8125\n"
+            path.write_bytes(dontcare + path.read_bytes() + scored)
+    return label_dir, calib_dir
+
+
+def tilt_sidecar(path: Path, frame_ids, seed: int = 9) -> dict[str, ExtrinsicPerturbation]:
+    rng = np.random.default_rng(seed)
+    tilts = {fid: ExtrinsicPerturbation(*rng.uniform(-0.05, 0.05, size=2).tolist())
+             for fid in frame_ids}
+    write_sidecar(path, tilts)
+    return tilts
+
+
+def frame_by_frame(label_dir: Path, rotations: dict[str, np.ndarray]) -> dict[str, bytes]:
+    """Each frame's labels moved alone through the public per-frame API."""
+    return {
+        f"{fid}.txt": write_label_file(transform_labels(
+            parse_label_file((label_dir / f"{fid}.txt").read_bytes()), helpers.DEFAULT_K, r,
+        )[0])
+        for fid, r in rotations.items()
+    }
+
+
+@pytest.mark.parametrize("n_frames", [1, 63, 64, 65, 129])
+def test_chunked_frames_match_frame_by_frame_at_any_jobs(tmp_path, capsys, n_frames):
+    """Around the 64-frame chunk size, every written label file equals that
+    frame moved alone, in simulate and in rectify, at --jobs 1 and 3."""
+    label_dir, calib_dir = write_chunk_dataset(tmp_path / "in", n_frames)
+    ids = [f"{i:06d}" for i in range(n_frames)]
+    spec = PerturbationSpec(seed=3)
+    drawn = {fid: perturbation_matrix(sample_perturbation(spec, fid)) for fid in ids}
+    tilts = tilt_sidecar(tmp_path / "tilt.jsonl", ids)
+    undone = {fid: perturbation_matrix(p).T for fid, p in tilts.items()}
+    for jobs in ("1", "3"):
+        sim, rect = tmp_path / f"sim{jobs}", tmp_path / f"rect{jobs}"
+        assert main(["simulate", "--labels", str(label_dir), "--calib", str(calib_dir),
+                     "--out", str(sim), "--seed", "3", "--jobs", jobs]) == 0
+        assert main(["rectify", "--det", str(label_dir), "--calib", str(calib_dir),
+                     "--sidecar", str(tmp_path / "tilt.jsonl"), "--out", str(rect),
+                     "--jobs", jobs]) == 0
+        assert tree_bytes(sim / "labels") == frame_by_frame(label_dir, drawn)
+        assert tree_bytes(rect) == frame_by_frame(label_dir, undone)
+        assert [json.loads(line)["frame_id"] for line in
+                (sim / "perturbations.jsonl").read_text().splitlines()] == ids
+    assert tree_bytes(tmp_path / "sim1") == tree_bytes(tmp_path / "sim3")
+    out = capsys.readouterr().out
+    assert out.count(f"frames processed: {n_frames}\n") == 4
+
+
+@pytest.mark.parametrize("jobs", ["1", "3"])
+@pytest.mark.parametrize("bad", ["malformed", "overflow", "missing estimate"])
+def test_bad_frame_in_a_chunk_fails_alone(tmp_path, capsys, jobs, bad):
+    """A bad frame in the middle of a chunk fails with its own reason, and
+    every other frame's output equals a run without that frame."""
+    label_dir, calib_dir = write_chunk_dataset(tmp_path / "in", 70)
+    ids = [f"{i:06d}" for i in range(70)]
+    tilt_sidecar(tmp_path / "tilt.jsonl", ids)
+    clean = tmp_path / "clean"
+    clean.mkdir()
+    for fid in ids:
+        if fid != "000030":
+            (clean / f"{fid}.txt").write_bytes((label_dir / f"{fid}.txt").read_bytes())
+    sidecar = tmp_path / "tilt.jsonl"
+    if bad == "malformed":
+        (label_dir / "000030.txt").write_text("Car 0.00 0 0.1 1 2 3 4\n")
+        reason = f"detections {label_dir / '000030.txt'}: line 1: expected 15 or 16 fields, got 8"
+    elif bad == "overflow":
+        with open(label_dir / "000030.txt", "a") as f:
+            f.write("Car 0.00 0 0.10 500.00 150.00 600.00 250.00 1.50 1.60 3.90 "
+                    "1.79e308 -1.79e308 1.79e308 0.10\n")
+        write_sidecar(sidecar, {**tilt_sidecar(sidecar, ids),
+                                "000030": ExtrinsicPerturbation(0.3, 0.3)})
+        reason = "camera point must be finite after the rotation"
+    else:
+        lines = sidecar.read_text().splitlines()
+        sidecar.write_text("".join(f"{line}\n" for line in lines if '"000030"' not in line))
+        reason = "frame 000030 missing from sidecar"
+    outputs = {}
+    for name, det in (("bad", label_dir), ("clean", clean)):
+        code = main(["rectify", "--det", str(det), "--calib", str(calib_dir),
+                     "--sidecar", str(sidecar), "--out", str(tmp_path / name), "--jobs", jobs])
+        assert code == 0
+        outputs[name] = (tree_bytes(tmp_path / name), capsys.readouterr().out)
+    assert outputs["bad"][0] == outputs["clean"][0]
+    assert "frames processed: 69\n" in outputs["bad"][1]
+    assert f"frame failures: 1\n  000030: {reason}\n" in outputs["bad"][1]
+
+
+def test_zero_sigma_keeps_every_label_of_every_chunk(tmp_path, capsys):
+    label_dir, calib_dir = write_chunk_dataset(tmp_path / "in", 130)
+    out = tmp_path / "out"
+    assert main(["simulate", "--labels", str(label_dir), "--calib", str(calib_dir),
+                 "--out", str(out), "--sigma-pitch", "0", "--sigma-roll", "0",
+                 "--jobs", "2"]) == 0
+    assert tree_bytes(out / "labels") == tree_bytes(label_dir)
+    assert "objects dropped: 0\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_simulate_images_holds_few_images(tmp_path, capsys, monkeypatch, jobs):
+    """Images go one frame at a time: live images (read and warped) stay
+    within the read-ahead window, whatever the frame count."""
+    import weakref
+
+    import camperturb.netpbm as netpbm
+    import camperturb.simulate as simulate
+
+    label_dir, calib_dir, image_dir = write_image_dataset(tmp_path / "in", n_frames=12)
+    lock = threading.Lock()
+    live = peak = 0
+    real_image = RasterImage
+
+    def released():
+        nonlocal live
+        with lock:
+            live -= 1
+
+    def counted_image(*args, **kwargs):
+        nonlocal live, peak
+        image = real_image(*args, **kwargs)
+        with lock:
+            live += 1
+            peak = max(peak, live)
+        weakref.finalize(image, released)
+        return image
+
+    monkeypatch.setattr(netpbm, "RasterImage", counted_image)
+    monkeypatch.setattr(simulate, "RasterImage", counted_image)
+    code = main(["simulate", "--labels", str(label_dir), "--calib", str(calib_dir),
+                 "--images", str(image_dir), "--out", str(tmp_path / "out"),
+                 "--jobs", str(jobs)])
+    assert code == 0
+    assert "frames processed: 12\n" in capsys.readouterr().out
+    assert 2 <= peak <= 2 * jobs + 2

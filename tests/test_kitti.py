@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import scalar_label_file
 from camperturb import (
     CamPerturbError,
     DifficultyBin,
@@ -122,6 +123,115 @@ class TestParseLabelFile:
                 parse_label_file(blob)
             except CamPerturbError:
                 pass
+
+
+def parse_outcome(parse, data: bytes):
+    """What ``parse(data)`` gives: the labels, or the error's type, text and line."""
+    try:
+        return parse(data)
+    except CamPerturbError as exc:
+        return type(exc), str(exc), getattr(exc, "line_no", None)
+
+
+GOOD = GOLDEN_LINE.decode()
+DONTCARE = "DontCare -1 -1 -10 100.0 120.0 180.0 160.0 -1 -1 -1 -1000 -1000 -1000 -10"
+
+
+def with_field(line: str, index: int, token: str) -> str:
+    tokens = line.split()
+    tokens[index] = token
+    return " ".join(tokens)
+
+
+#: Single-line mutations: (field index in the line, token).  Index 0 is the class.
+FIELD_MUTATIONS = [
+    (1, "abc"), (5, "1.2.3"), (14, "--1"), (3, "nan"), (9, "inf"), (13, "-inf"), (7, "NaN"),
+    (2, "1.5"), (2, "-0"), (2, "1e0"), (2, "4"), (2, "-1"), (2, "3"), (2, "inf"),
+    (1, "-0.01"), (1, "1.01"), (1, "1"), (3, "3.15"), (3, "-3.15"), (3, "3.141592653589793"),
+    (14, "3.2"), (14, "-3.1416"), (8, "0"), (9, "-1"), (10, "0.0"), (11, "-0.0"), (9, "5e-324"),
+    (6, "587.01"), (6, "500"), (7, "173.33"), (7, "100"), (12, "1e308"), (12, "1e309"),
+    (4, "1_000"), (4, "0x10"), (4, "١٢"),
+]
+
+
+class TestLabelParserMatchesScalarOracle:
+    """The columnar parser against the field-at-a-time oracle: the same
+    labels, or the same error type, message and line number."""
+
+    def check(self, data: bytes):
+        expected = parse_outcome(scalar_label_file, data)
+        assert parse_outcome(parse_label_file, data) == expected
+        return expected
+
+    @pytest.mark.parametrize("index, token", FIELD_MUTATIONS)
+    @pytest.mark.parametrize("base", [GOOD, GOOD + " 0.5", DONTCARE, DONTCARE + " 0.5"])
+    def test_one_mutated_field(self, base, index, token):
+        self.check(f"{GOOD}\n{with_field(base, index, token)}\n{base}\n".encode())
+
+    @pytest.mark.parametrize("score", ["0.5", "nan", "inf", "x", "1e999", "-3"])
+    def test_score_field(self, score):
+        self.check(f"{GOOD} {score}\n".encode())
+
+    @pytest.mark.parametrize("count", [1, 2, 14, 17, 30])
+    def test_wrong_field_count(self, count):
+        line = " ".join((GOOD.split() * 3)[:count])
+        assert self.check(f"{GOOD}\n{line}\n".encode())[2] == 2
+
+    def test_fifteen_and_sixteen_fields_mix(self):
+        labels = self.check(f"{GOOD} 0.25\n{GOOD}\n{DONTCARE} 0.5\n{DONTCARE}\n".encode())
+        assert [label.score for label in labels] == [0.25, None, 0.5, None]
+
+    def test_dontcare_is_exempt_from_range_rules_only(self):
+        exempt = "DontCare 5 7 9 100 120 180 160 0 -2 -1 -1000 -1000 -1000 -10"
+        assert self.check(exempt.encode())[0].occluded == 7
+        for bad in ("DontCare 5 7.5 9 100 120 180 160 0 -2 -1 -1000 -1000 -1000 -10",
+                    "DontCare 5 7 9 180 120 100 160 0 -2 -1 -1000 -1000 -1000 -10",
+                    "DontCare 5 7 9 100 120 180 160 0 -2 nan -1000 -1000 -1000 -10"):
+            assert self.check(bad.encode())[2] == 1
+
+    @pytest.mark.parametrize("data", [
+        b"", b"\n\n", b"   \n\t\n", f"\n{GOOD}\n \n{GOOD}".encode(),
+        f"{GOOD}\r\n{GOOD} 0.5\r\n".encode(), f"{GOOD}\r{GOOD}\x0b{GOOD}\x1c".encode(),
+        f"{GOOD}\r\n\r\n{with_field(GOOD, 3, 'nan')}\r\n".encode(),
+    ])
+    def test_blank_lines_and_line_endings(self, data):
+        self.check(data)
+
+    @pytest.mark.parametrize("data", [
+        b"\xff",
+        GOLDEN_LINE + b"\n\xc3(\n",
+        f"Car 0 0\n{GOOD}\n".encode() + b"\xfe\n",
+    ])
+    def test_invalid_utf8_comes_first(self, data):
+        assert "not valid UTF-8" in self.check(data)[1]
+
+    @pytest.mark.parametrize("first, second", [
+        ((3, "nan"), (1, "abc")), ((1, "abc"), (3, "nan")), ((2, "1.5"), (6, "1")),
+        ((6, "1"), (2, "1.5")), ((8, "-1"), "Car 0 0"), ("Car 0 0", (8, "-1")),
+        ((14, "4"), (4, "x")), ((4, "x"), (14, "4")),
+    ])
+    def test_two_bad_lines_the_first_wins(self, first, second):
+        first, second = (bad if isinstance(bad, str) else with_field(GOOD, *bad)
+                         for bad in (first, second))
+        assert self.check(f"{GOOD}\n{first}\n{GOOD}\n{second}\n".encode())[2] == 2
+
+    def test_two_bad_fields_of_one_line_the_first_wins(self):
+        for tokens in (("nan", "abc"), ("abc", "nan"), ("inf", "-inf")):
+            line = with_field(with_field(GOOD, 4, tokens[0]), 9, tokens[1])
+            self.check(line.encode())
+
+    def test_random_mutations(self):
+        rng = np.random.default_rng(12)
+        pool = [token for _, token in FIELD_MUTATIONS] + ["0", "1", "-1", "2.5", "1e-9"]
+        for _ in range(400):
+            lines = []
+            for _ in range(int(rng.integers(0, 6))):
+                line = [GOOD, GOOD + " 0.75", DONTCARE, "", "  "][int(rng.integers(0, 5))]
+                if line.strip() and rng.random() < 0.4:
+                    index = int(rng.integers(1, len(line.split())))
+                    line = with_field(line, index, pool[int(rng.integers(0, len(pool)))])
+                lines.append(line)
+            self.check("\n".join(lines).encode())
 
 
 class TestWriteLabelFile:
@@ -259,6 +369,24 @@ class TestParseCalibFile:
         assert calib.rectification.shape == (3, 3)
         assert calib.velo_to_cam.shape == (3, 4)
 
+    @pytest.mark.parametrize("rows, error, text", [
+        (["P2: 700 0 600 0 0 nan 180 0 0 0 x 0"], NonFiniteValue,
+         "line 2: non-finite value in field 'P2'"),
+        (["P2: 700 0 600 0 0 x 180 0 0 0 nan 0"], MalformedLine,
+         "line 2: field 'P2': cannot parse 'x' as a number"),
+        (["P0: 1 0 0 0 0 1 0 0 0 0 1 inf", "P2: 700 0 600 0 0 x 180 0 0 0 1 0"], NonFiniteValue,
+         "line 2: non-finite value in field 'P0'"),
+        (["R0_rect: 1 0 0 0 1 0 0 0 1e999", "P2: 1 2"], NonFiniteValue,
+         "line 2: non-finite value in field 'R0_rect'"),
+        (["Tr_velo_to_cam: 1 2", "P2: 700 0 600 0 0 nan 180 0 0 0 1 0"], MalformedLine,
+         "line 2: key 'Tr_velo_to_cam': expected 12 values, got 2"),
+    ])
+    def test_first_bad_value_in_file_order_decides(self, rows, error, text):
+        data = ("Q9: not a key we read\n" + "\n".join(rows) + "\n").encode()
+        with pytest.raises(error) as caught:
+            parse_calib_file(data)
+        assert str(caught.value) == text
+
     def test_never_crashes_on_arbitrary_bytes(self):
         rng = np.random.default_rng(59)
         for _ in range(300):
@@ -369,6 +497,29 @@ class TestParseLongPoseFiles:
                 parse_odometry_poses(pose_text(lines))
             assert exc.value.line_no == 3
             assert "pose[3]" in str(exc.value)
+
+    @pytest.mark.parametrize("separator", ["\r", "\x0b", "\x1c", "\u2028"])
+    def test_other_line_breaks_split_lines_as_splitlines_does(self, separator):
+        """More lines than newlines: each break ends a line, numbered in order."""
+        lines = trajectory_lines(3000)
+        data = (separator.join(lines[:2000]) + "\n" + "\n".join(lines[2000:])).encode()
+        poses = parse_odometry_poses(data)
+        assert len(poses) == 3000
+        assert poses[-1].translation.tolist() == [float(t) for t in lines[-1].split()[3::4]]
+        with pytest.raises(NotARotation) as exc:
+            parse_odometry_poses(data + f"{separator}{SCALED_POSE}".encode())
+        assert exc.value.line_no == 3001
+
+    def test_invalid_utf8_after_a_bad_line_comes_first(self):
+        lines = [IDENTITY_POSE, "1 0 0"] + trajectory_lines(2000)
+        with pytest.raises(MalformedLine) as exc:
+            parse_odometry_poses(pose_text(lines) + b"\xff\n")
+        assert exc.value.line_no == 2003
+        assert "not valid UTF-8" in str(exc.value)
+
+    def test_finite_values_with_an_overflowing_sum_are_kept(self):
+        pose = "1 0 0 1.5e308 0 1 0 1.5e308 0 0 1 1.5e308"
+        assert parse_odometry_poses(pose.encode())[0].translation.tolist() == [1.5e308] * 3
 
     def test_blank_lines_keep_line_numbers(self):
         lines = [IDENTITY_POSE, "", "   ", REFLECTED_POSE]

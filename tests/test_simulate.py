@@ -27,7 +27,8 @@ from camperturb import (
     warp_image,
 )
 from camperturb.geometry import CameraIntrinsics, CameraPoint, ImagePoint
-from camperturb.simulate import _WARP_BLOCK_ROWS
+from camperturb.kitti import _labels_of, _table_of
+from camperturb.simulate import _WARP_BLOCK_ROWS, _move_tables
 
 from helpers import DEFAULT_K, make_box, make_label
 from oracles import whole_image_warp
@@ -155,6 +156,55 @@ class TestPerturbLabels:
         one_by_one = [transform_labels([lab], K, rotation, (1242, 375)) for lab in labels]
         assert out == [moved for labs, _ in one_by_one for moved in labs]
         assert dropped == sum(n for _, n in one_by_one)
+
+    def test_one_batch_equals_each_frame_alone(self):
+        """Frames moved together, each by its own rotation, intrinsics and
+        image size, give exactly the labels, drop counts and failures of
+        each frame moved alone."""
+        rng = np.random.default_rng(31)
+        dontcare = parse_label_file(
+            b"DontCare -1 -1 -10 100.0 120.0 300.0 300.0 -1 -1 -1 -1000 -1000 -1000 -10"
+        )[0]
+        frames = []
+        for i in range(40):
+            k = CameraIntrinsics(fx=rng.uniform(500, 900), fy=rng.uniform(500, 900),
+                                 cx=rng.uniform(300, 700), cy=rng.uniform(150, 250),
+                                 skew=float(i % 3 == 0))
+            labels = [
+                make_label(box=make_box(x=rng.uniform(-15, 15), z=rng.uniform(0.5, 40),
+                                        yaw=rng.uniform(-3, 3)), bbox=(100.0, 90.0, 200.0, 210.0))
+                for _ in range(int(rng.integers(0, 6)))
+            ]
+            if i % 4 == 1:
+                labels.insert(int(rng.integers(0, len(labels) + 1)), dontcare)
+            angles = rng.normal(0, 0.05, 2) if i % 5 else (0.0, 0.0)
+            huge = {17: ((1.79e308, -1.79e308, 1.79e308), (0.3, 0.3)),
+                    23: ((2.5e305, 1.5, 2.2), (-0.01, 0.0))}
+            if i in huge:
+                (x, y, z), angles = huge[i]
+                k = K
+                labels.append(make_label(box=make_box(x=x, y=y, z=z),
+                                         bbox=(500.0, 150.0, 600.0, 250.0), alpha=0.1))
+            rotation = perturbation_matrix(ExtrinsicPerturbation(*angles))
+            if i % 6 == 2:
+                rotation = np.ascontiguousarray(rotation.T)  # C order, as np.stack gives below
+            size = None if i % 3 else (int(rng.integers(600, 1300)), int(rng.integers(200, 400)))
+            frames.append((labels, k, rotation, size))
+        batch = _move_tables(
+            [_table_of(labels) for labels, *_ in frames],
+            np.stack([rotation for _, _, rotation, _ in frames]),
+            [k for _, k, _, _ in frames], [size for *_, size in frames],
+        )
+        assert "rotation" in str(batch[17]) and "projected" in str(batch[23])
+        for moved, (labels, k, rotation, size) in zip(batch, frames):
+            try:
+                alone = transform_labels(labels, k, rotation, size)
+            except OutOfRange as exc:
+                assert str(moved) == str(exc)
+                continue
+            table, dropped = moved
+            assert (_labels_of(table), dropped) == alone
+            assert table.values.tobytes() == _table_of(alone[0]).values.tobytes()
 
     def test_alpha_recomputed_from_geometry(self):
         box = make_box(x=3.0, y=1.7, z=15.0, yaw=0.5)
