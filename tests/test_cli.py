@@ -2086,13 +2086,13 @@ def test_bad_frame_in_a_chunk_fails_alone(tmp_path, capsys, jobs, bad):
     every other frame's output equals a run without that frame."""
     label_dir, calib_dir = write_chunk_dataset(tmp_path / "in", 70)
     ids = [f"{i:06d}" for i in range(70)]
-    tilt_sidecar(tmp_path / "tilt.jsonl", ids)
+    sidecar = tmp_path / "tilt.jsonl"
+    tilts = tilt_sidecar(sidecar, ids)
     clean = tmp_path / "clean"
     clean.mkdir()
     for fid in ids:
         if fid != "000030":
             (clean / f"{fid}.txt").write_bytes((label_dir / f"{fid}.txt").read_bytes())
-    sidecar = tmp_path / "tilt.jsonl"
     if bad == "malformed":
         (label_dir / "000030.txt").write_text("Car 0.00 0 0.1 1 2 3 4\n")
         reason = f"detections {label_dir / '000030.txt'}: line 1: expected 15 or 16 fields, got 8"
@@ -2100,8 +2100,7 @@ def test_bad_frame_in_a_chunk_fails_alone(tmp_path, capsys, jobs, bad):
         with open(label_dir / "000030.txt", "a") as f:
             f.write("Car 0.00 0 0.10 500.00 150.00 600.00 250.00 1.50 1.60 3.90 "
                     "1.79e308 -1.79e308 1.79e308 0.10\n")
-        write_sidecar(sidecar, {**tilt_sidecar(sidecar, ids),
-                                "000030": ExtrinsicPerturbation(0.3, 0.3)})
+        write_sidecar(sidecar, {**tilts, "000030": ExtrinsicPerturbation(0.3, 0.3)})
         reason = "camera point must be finite after the rotation"
     else:
         lines = sidecar.read_text().splitlines()
