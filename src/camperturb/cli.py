@@ -56,19 +56,8 @@ from .errors import (
     NoMatches,
     ShapeMismatch,
 )
-from .geometry import (
-    MAX_PERTURBATION_ANGLE,
-    ExtrinsicPerturbation,
-    _perturbation_matrices,
-    perturbation_matrix,
-)
-from .horizon import (
-    HorizonLine,
-    VanishingPoint,
-    _angular_errors,
-    angular_error,
-    extrinsics_from_horizon_vp,
-)
+from .geometry import MAX_PERTURBATION_ANGLE, ExtrinsicPerturbation, _perturbation_matrices
+from .horizon import HorizonLine, VanishingPoint, _angular_errors, extrinsics_from_horizon_vp
 from .kitti import (
     DifficultyBin,
     _label_table,
@@ -78,7 +67,6 @@ from .kitti import (
     _table_text,
     _text_lines,
     parse_calib_file,
-    parse_label_file,
 )
 from .losses import (
     FeatureTensor,
@@ -89,12 +77,7 @@ from .losses import (
     content_loss,
 )
 from .metrics import (
-    DetectionFrame,
-    _center_errors,
-    _mean_errors,
-    _passes,
-    _record_frame,
-    class_sweep,
+    _center_errors, _mean_errors, _passes, _record_frame, _require_scores, class_sweep,
 )
 from .netpbm import read_image, write_image
 from .simulate import (
@@ -524,6 +507,13 @@ def _stream_frames(
     return records, dropped, failures
 
 
+def _rotations(perturbations) -> np.ndarray:
+    """R_x(pitch) @ R_z(roll) of each perturbation, as one (n, 3, 3) stack."""
+    return _perturbation_matrices(
+        np.array([p.pitch for p in perturbations]), np.array([p.roll for p in perturbations])
+    )
+
+
 def _move_labels(prepared, undo: bool = False) -> list:
     """The ``move`` of the labels-only pipeline: one batch for a chunk's frames.
 
@@ -534,9 +524,7 @@ def _move_labels(prepared, undo: bool = False) -> list:
     if not prepared:
         return []
     tables, intrinsics, angles, records = zip(*prepared)
-    rotations = _perturbation_matrices(
-        np.array([p.pitch for p in angles]), np.array([p.roll for p in angles])
-    )
+    rotations = _rotations(angles)
     if undo:
         rotations = rotations.swapaxes(1, 2)
     return [
@@ -763,25 +751,26 @@ def cmd_evaluate(cfg: argparse.Namespace) -> int:
     classes = cfg.classes if "nuscenes" in cfg.metrics else ()
     tallies = [(_passes(kinds, bins), {c: array("d") for c in classes}) for _ in det_dirs]
 
-    def load(frame_id: str) -> list[DetectionFrame]:
+    def load(frame_id: str):  # a missing detection file is a set without detections
         name = f"{frame_id}.txt"
-        gt = tuple(_parse_file(gt_dir / name, "gt labels", parse_label_file))
-        frames = []
+        gt = _parse_file(gt_dir / name, "gt labels", _label_table)
+        det_tables = []
         for det_dir in det_dirs:
             path = det_dir / name
-            dets = _parse_file(path, "detections", parse_label_file) if path.is_file() else ()
+            read = path.is_file()
+            dets = _parse_file(path, "detections", _label_table) if read else _label_table(b"")
             try:
-                frames.append(DetectionFrame(frame_id, ground_truth=gt, detections=dets))
+                _require_scores(frame_id, dets)
             except ValueError as exc:
                 raise _IOFailure(f"frame {frame_id}: {exc}") from exc
-        return frames
+            det_tables.append(dets)
+        return frame_id, gt, det_tables
 
-    for frames in _ordered_map(load, frame_ids, cfg.jobs):
-        for frame, (passes, errors) in zip(frames, tallies):
+    for frame_id, gt, det_tables in _ordered_map(load, frame_ids, cfg.jobs):
+        for dets, (passes, errors) in zip(det_tables, tallies):
             if passes:
-                _record_frame(frame, cfg.iou_threshold, passes)
-            for class_name, class_errors in errors.items():
-                _center_errors(frame, class_name, cfg.match_radius, class_errors)
+                _record_frame(frame_id, gt, dets, cfg.iou_threshold, passes)
+            _center_errors(gt, dets, cfg.match_radius, errors)
     value_columns = ["value"] if len(tallies) == 1 else ["original", "disturbed", "decrease"]
     cells = []
     for key in _cell_keys(cfg):
@@ -860,7 +849,7 @@ def cmd_rectify(cfg: argparse.Namespace) -> int:
         estimates = _parse_file(
             Path(cfg.horizon), source, lambda d: dict(_json_lines(d, _horizon_entry))
         )
-    truth = _load_sidecar(Path(cfg.truth_sidecar)) if cfg.truth_sidecar else None
+    truth = _load_sidecar(Path(cfg.truth_sidecar)) if cfg.truth_sidecar else {}
 
     def prepare(frame_id: str, table, intrinsics):
         if frame_id not in estimates:
@@ -868,11 +857,7 @@ def cmd_rectify(cfg: argparse.Namespace) -> int:
         estimate = estimates[frame_id]
         if cfg.horizon:
             estimate = extrinsics_from_horizon_vp(*estimate, intrinsics)
-        error_deg = None
-        if truth is not None and frame_id in truth:
-            forward = perturbation_matrix(estimate)
-            error_deg = angular_error(forward, perturbation_matrix(truth[frame_id]))
-        return table, intrinsics, estimate, (frame_id, error_deg)
+        return table, intrinsics, estimate, (frame_id, estimate, truth.get(frame_id))
 
     def move(prepared):
         return _move_labels(prepared, undo=cfg.direction == "undo")
@@ -880,21 +865,21 @@ def cmd_rectify(cfg: argparse.Namespace) -> int:
     records, dropped, failures = _stream_frames(
         det_dir, "detections", calib, out_dir, prepare, move, cfg.jobs
     )
-    per_frame_errors = [(f, e) for f, e in records if e is not None]
+    scored = [record for record in records if record[2] is not None]
     report: dict = {
         "direction": cfg.direction,
         "frames_processed": len(records),
         "objects_dropped": dropped,
         "failures": [{"frame_id": f, "reason": r} for f, r in failures],
     }
-    if per_frame_errors:
-        degs = [e for _, e in per_frame_errors]
+    if scored:
+        frame_ids, estimated, true = zip(*scored)
+        # both stacks are rotations, built from checked angles
+        degs = _angular_errors(_rotations(estimated), _rotations(true))
         mean_deg = sum(degs) / len(degs)
         max_deg = max(degs)
         report["angular_error"] = {
-            "per_frame_deg": [
-                {"frame_id": f, "deg": e} for f, e in per_frame_errors
-            ],
+            "per_frame_deg": [{"frame_id": f, "deg": e} for f, e in zip(frame_ids, degs)],
             "mean_deg": mean_deg,
             "mean_rad": math.radians(mean_deg),
             "max_deg": max_deg,

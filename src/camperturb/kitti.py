@@ -47,6 +47,8 @@ MIN_HEIGHT = {"easy": 40.0, "moderate": 25.0, "hard": 25.0}
 MAX_OCCLUSION = {"easy": 0, "moderate": 1, "hard": 2}
 #: Maximum truncation fraction per bin.
 MAX_TRUNCATION = {"easy": 0.15, "moderate": 0.30, "hard": 0.50}
+#: (minimum height, maximum occlusion, maximum truncation) of each bin, easiest first.
+_BIN_LIMITS = np.array([(MIN_HEIGHT[b], MAX_OCCLUSION[b], MAX_TRUNCATION[b]) for b in MIN_HEIGHT])
 
 
 class DifficultyBin(enum.IntEnum):
@@ -147,10 +149,15 @@ _LINE_FORMAT = " ".join(
 )
 
 
-def _box_rows(labels) -> np.ndarray:
-    """The labels' 3D boxes as (n, 7) rows (x, y, z, h, w, l, yaw)."""
-    rows = [(a.x, a.y, a.z, a.height, a.width, a.length, a.rotation_y) for a in labels]
-    return np.array(rows, dtype=float).reshape(-1, 7)
+def _columns(*names: str) -> list[int]:
+    return [_LABEL_FIELDS.index(name) for name in names]
+
+
+#: Label table columns of the (x, y, z, h, w, l, yaw) box rows, the 2D box, and
+#: the single columns the kernels read.
+_BOX_COLUMNS = _columns("x", "y", "z", "height", "width", "length", "rotation_y")
+_BBOX_COLUMNS = _columns("bbox_left", "bbox_top", "bbox_right", "bbox_bottom")
+_TRUNCATED, _OCCLUDED, _ALPHA, _SCORE = _columns("truncated", "occluded", "alpha", "score")
 
 
 @dataclass(frozen=True)
@@ -523,14 +530,18 @@ def difficulty_of(label: ObjectLabel) -> DifficultyBin:
     every DontCare region, is ``IGNORED``.  Improving any single property
     never moves an object to a harder bin.
     """
-    if label.class_name == DONTCARE:
-        return DifficultyBin.IGNORED
-    h = label.bbox_height
-    for name in MIN_HEIGHT:  # easiest bin first
-        if (
-            h >= MIN_HEIGHT[name]
-            and label.occluded <= MAX_OCCLUSION[name]
-            and label.truncated <= MAX_TRUNCATION[name]
-        ):
-            return DifficultyBin[name.upper()]
-    return DifficultyBin.IGNORED
+    return DifficultyBin(_bins_of(_table_of([label]))[0])
+
+
+def _bins_of(table: _LabelTable) -> np.ndarray:
+    """The :class:`DifficultyBin` of each table row, by the rule of :func:`difficulty_of`."""
+    values = table.values
+    _, top, _, bottom = values[:, _BBOX_COLUMNS].T
+    min_height, max_occlusion, max_truncation = _BIN_LIMITS.T
+    fits = (  # each row against each bin, easiest first, so a bin is its index
+        ((bottom - top)[:, None] >= min_height)
+        & (values[:, _OCCLUDED, None] <= max_occlusion)
+        & (values[:, _TRUNCATED, None] <= max_truncation)
+    )
+    fits[np.array([name == DONTCARE for name in table.names], dtype=bool)] = False
+    return np.where(fits.any(axis=1), fits.argmax(axis=1), DifficultyBin.IGNORED)

@@ -36,7 +36,10 @@ import numpy as np
 
 from .errors import DegenerateBox, NoGroundTruth, NoMatches
 from .geometry import Box3D, CameraIntrinsics, _box_row, _corners, _wrap_angle
-from .kitti import DONTCARE, DifficultyBin, ObjectLabel, _box_rows, difficulty_of
+from .kitti import (
+    _ALPHA, _BBOX_COLUMNS, _BOX_COLUMNS, _SCORE, DONTCARE, DifficultyBin, ObjectLabel, _bins_of,
+    _table_of,
+)
 
 #: The 40 recall checkpoints of the AP40 protocol: 1/40, 2/40, ..., 1.
 RECALL_POINTS = tuple((k + 1) / 40.0 for k in range(40))
@@ -54,11 +57,18 @@ class DetectionFrame:
     def __post_init__(self):
         object.__setattr__(self, "ground_truth", tuple(self.ground_truth))
         object.__setattr__(self, "detections", tuple(self.detections))
-        for det in self.detections:
-            if det.class_name != DONTCARE and det.score is None:
-                raise ValueError(
-                    f"detection without a score in frame {self.frame_id!r}"
-                )
+        _require_scores(self.frame_id, _table_of(self.detections))
+
+
+def _require_scores(frame_id: str, dets) -> None:
+    """Raise ``ValueError`` unless every detection row but a DontCare region has a score."""
+    if not all(scored or name == DONTCARE for name, scored in zip(dets.names, dets.scored)):
+        raise ValueError(f"detection without a score in frame {frame_id!r}")
+
+
+def _tables(frame: DetectionFrame):
+    """The frame's ground truth and detections as label tables."""
+    return _table_of(frame.ground_truth), _table_of(frame.detections)
 
 
 @dataclass(frozen=True)
@@ -180,17 +190,14 @@ def _pair_ious(kind: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return inter_vol / (vol_a + vol_b - inter_vol)
 
 
-def _rows(kind: str, labels) -> np.ndarray:
-    """Rows of :func:`_pair_ious` for labels: 2D boxes, or 3D boxes for BEV/3D."""
-    if kind == "2d":
-        rows = [(a.bbox_left, a.bbox_top, a.bbox_right, a.bbox_bottom) for a in labels]
-        return np.array(rows, dtype=float).reshape(-1, 4)
-    return _box_rows(labels)
+#: Label table columns of the rows :func:`_pair_ious` compares, by IoU kind.
+_IOU_COLUMNS = {"2d": _BBOX_COLUMNS, "bev": _BOX_COLUMNS, "3d": _BOX_COLUMNS}
 
 
 def iou_2d(a: ObjectLabel, b: ObjectLabel) -> float:
     """Axis-aligned IoU of two labels' 2D boxes."""
-    return float(_pair_ious("2d", _rows("2d", [a]), _rows("2d", [b]))[0])
+    rows = _table_of([a, b]).values[:, _BBOX_COLUMNS]
+    return float(_pair_ious("2d", rows[:1], rows[1:])[0])
 
 
 def iou_bev(a: Box3D, b: Box3D) -> float:
@@ -207,7 +214,7 @@ def iou_3d(a: Box3D, b: Box3D) -> float:
     return float(_pair_ious("3d", _box_row(a), _box_row(b))[0])
 
 
-_IOU_KINDS = ("2d", "bev", "3d")
+_IOU_KINDS = tuple(_IOU_COLUMNS)
 
 
 def _greedy(order, rows, threshold: float, in_bin, covered):
@@ -238,39 +245,40 @@ def _greedy(order, rows, threshold: float, in_bin, covered):
     return pairs, ignored, false_pos
 
 
-def _match_difficulties(frame, iou_kinds, threshold: float, difficulties):
-    """Yield ``(kind, difficulty, MatchResult)`` for each of ``iou_kinds`` and ``difficulties``."""
+def _match_difficulties(gt, dets, iou_kinds, threshold: float, difficulties):
+    """Yield ``(kind, difficulty, MatchResult)`` for each of ``iou_kinds`` and
+    ``difficulties``, matching the ``dets`` label table to the ``gt`` one."""
     for iou_kind in iou_kinds:
         if iou_kind not in _IOU_KINDS:
             raise ValueError(f"iou_kind must be one of {_IOU_KINDS}, got {iou_kind!r}")
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"threshold must lie in (0, 1], got {threshold}")
-    gt = frame.ground_truth
-    dets = frame.detections
-    dontcare = [i for i, g in enumerate(gt) if g.class_name == DONTCARE]
+    dontcare = [j for j, name in enumerate(gt.names) if name == DONTCARE]
+    scores = dets.values[:, _SCORE].tolist()
     order = sorted(
-        (i for i, d in enumerate(dets) if d.class_name != DONTCARE),
-        key=lambda i: (-dets[i].score, i),
+        (i for i, name in enumerate(dets.names) if name != DONTCARE),
+        key=lambda i: (-scores[i], i),
     )
-    covered = np.zeros(len(dets), dtype=bool)
+    covered = np.zeros(len(dets.names), dtype=bool)
     if dontcare and order:
         det_idx, dc_idx = np.repeat(order, len(dontcare)), np.tile(dontcare, len(order))
-        boxes_det, boxes_dc = _rows("2d", dets)[det_idx], _rows("2d", gt)[dc_idx]
-        inter, area_det, _ = _rect_overlap(boxes_det, boxes_dc)
+        boxes_det = dets.values[det_idx][:, _BBOX_COLUMNS]
+        inter, area_det, _ = _rect_overlap(boxes_det, gt.values[dc_idx][:, _BBOX_COLUMNS])
         coverage = np.where(inter > 0.0, inter / area_det, 0.0)
         covered[order] = (coverage > threshold).reshape(len(order), -1).any(axis=1)
-    levels = [difficulty_of(g) for g in gt]  # DontCare is IGNORED, never in bin
-    in_bins = [[level <= min(d, DifficultyBin.HARD) for level in levels] for d in difficulties]
+    levels = _bins_of(gt)  # DontCare is IGNORED, never in bin
+    in_bins = [(levels <= min(d, DifficultyBin.HARD)).tolist() for d in difficulties]
     same_class = [
-        (i, j) for i in order for j, g in enumerate(gt) if g.class_name == dets[i].class_name
+        (i, j) for i in order for j, name in enumerate(gt.names) if name == dets.names[i]
     ]
     for iou_kind in iou_kinds:
         # one IoU matrix per kind for every difficulty; -1 marks the pairs never compared
-        ious = np.full((len(dets), len(gt)), -1.0)
+        ious = np.full((len(dets.names), len(gt.names)), -1.0)
         if same_class:
             det_idx, gt_idx = np.array(same_class).T
-            rows_det, rows_gt = _rows(iou_kind, dets), _rows(iou_kind, gt)
-            ious[det_idx, gt_idx] = _pair_ious(iou_kind, rows_det[det_idx], rows_gt[gt_idx])
+            columns = _IOU_COLUMNS[iou_kind]
+            rows_det, rows_gt = dets.values[det_idx][:, columns], gt.values[gt_idx][:, columns]
+            ious[det_idx, gt_idx] = _pair_ious(iou_kind, rows_det, rows_gt)
         rows = [[(j, v) for j, v in enumerate(r) if v >= threshold] for r in ious[order].tolist()]
         for difficulty, in_bin in zip(difficulties, in_bins):
             pairs, ignored, false_pos = _greedy(order, rows, threshold, in_bin, covered)
@@ -296,7 +304,7 @@ def match_frame(
     such detections are *ignored* rather than counted, as are detections
     mostly covered by a DontCare region.
     """
-    return next(_match_difficulties(frame, (iou_kind,), threshold, (difficulty,)))[2]
+    return next(_match_difficulties(*_tables(frame), (iou_kind,), threshold, (difficulty,)))[2]
 
 
 def _passes(iou_kinds, difficulties) -> dict:
@@ -305,22 +313,24 @@ def _passes(iou_kinds, difficulties) -> dict:
             for kind in iou_kinds}
 
 
-def _record_frame(frame, threshold: float, passes) -> None:
-    """Add one frame's records for each kind and difficulty of ``passes``, as :func:`match_pass`."""
-    gt, dets = frame.ground_truth, frame.detections
+def _record_frame(frame_id: str, gt, dets, threshold: float, passes) -> None:
+    """Add the records of one frame's ``gt`` and ``dets`` label tables for each
+    kind and difficulty of ``passes``, as :func:`match_pass`."""
     bins = next(iter(passes.values()))
+    gt_alpha, det_alpha = gt.values[:, _ALPHA].tolist(), dets.values[:, _ALPHA].tolist()
+    scores = dets.values[:, _SCORE].tolist()
     try:
-        for kind, bin_, result in _match_difficulties(frame, passes, threshold, bins):
+        for kind, bin_, result in _match_difficulties(gt, dets, passes, threshold, bins):
             records, num_gt = passes[kind][bin_]
-            num_gt.update(gt[j].class_name for j, _, _ in result.pairs)
-            num_gt.update(gt[j].class_name for j in result.unmatched_gt)
+            num_gt.update(gt.names[j] for j, _, _ in result.pairs)
+            num_gt.update(gt.names[j] for j in result.unmatched_gt)
             for j, i, _ in result.pairs:
-                sim = (1.0 + math.cos(dets[i].alpha - gt[j].alpha)) / 2.0
-                records[dets[i].class_name].extend((dets[i].score, 1.0, sim))
+                sim = (1.0 + math.cos(det_alpha[i] - gt_alpha[j])) / 2.0
+                records[dets.names[i]].extend((scores[i], 1.0, sim))
             for i in result.unmatched_det:
-                records[dets[i].class_name].extend((dets[i].score, 0.0, 0.0))
+                records[dets.names[i]].extend((scores[i], 0.0, 0.0))
     except DegenerateBox as exc:
-        raise DegenerateBox(f"frame {frame.frame_id}: {exc}") from exc
+        raise DegenerateBox(f"frame {frame_id}: {exc}") from exc
 
 
 def match_pass(
@@ -345,7 +355,7 @@ def match_pass(
         raise ValueError("frames must be non-empty")
     passes = _passes((iou_kind,), difficulties)
     for frame in frames:
-        _record_frame(frame, threshold, passes)
+        _record_frame(frame.frame_id, *_tables(frame), threshold, passes)
     return passes[iou_kind]
 
 
@@ -426,29 +436,32 @@ def average_orientation_similarity(
     return class_sweep(records, num_gt, class_name, difficulty, use_similarity=True)
 
 
-def _aligned_dims_iou(a: ObjectLabel, b: ObjectLabel) -> float:
-    """IoU of two labels' boxes after aligning centers and yaw (dimension-only)."""
-    inter = (
-        min(a.height, b.height) * min(a.width, b.width) * min(a.length, b.length)
-    )
-    vol_a = a.height * a.width * a.length
-    vol_b = b.height * b.width * b.length
+def _aligned_dims_iou(a, b) -> float:
+    """IoU of two (x, y, z, h, w, l, yaw) boxes after aligning centers and yaw."""
+    inter = min(a[3], b[3]) * min(a[4], b[4]) * min(a[5], b[5])
+    vol_a = a[3] * a[4] * a[5]
+    vol_b = b[3] * b[4] * b[5]
     return inter / (vol_a + vol_b - inter)
 
 
-def _center_errors(frame, class_name: str, match_radius: float, errors: array) -> None:
-    """Append (ATE, ASE, AOE) of each of the frame's ``class_name`` matches to ``errors``."""
-    if class_name == DONTCARE:  # regions, never paired
-        return
-    gts = [g for g in frame.ground_truth if g.class_name == class_name]
-    dets = [d for d in frame.detections if d.class_name == class_name]
-    dets.sort(key=lambda d: -d.score)  # stable, so index order breaks ties
-    rows = [[(j, -math.hypot(d.x - g.x, d.z - g.z)) for j, g in enumerate(gts)] for d in dets]
-    order = range(len(dets))
-    pairs, _, _ = _greedy(order, rows, -match_radius, [True] * len(gts), [False] * len(dets))
-    for j, i, value in pairs:
-        ase = 1.0 - _aligned_dims_iou(dets[i], gts[j])
-        errors.extend((-value, ase, abs(_wrap_angle(dets[i].rotation_y - gts[j].rotation_y))))
+def _center_errors(gt, dets, match_radius: float, errors: dict[str, array]) -> None:
+    """Append (ATE, ASE, AOE) of each match of one frame's ``gt`` and ``dets``
+    label tables to ``errors[class_name]``, for each class ``errors`` holds."""
+    gt_boxes, det_boxes = gt.values[:, _BOX_COLUMNS].tolist(), dets.values[:, _BOX_COLUMNS].tolist()
+    scores = dets.values[:, _SCORE].tolist()
+    ranked = sorted(range(len(scores)), key=lambda i: -scores[i])  # stable: index order breaks ties
+    for class_name, class_errors in errors.items():
+        if class_name == DONTCARE:  # regions, never paired
+            continue
+        gts = [box for name, box in zip(gt.names, gt_boxes) if name == class_name]
+        boxes = [det_boxes[i] for i in ranked if dets.names[i] == class_name]
+        rows = [[(j, -math.hypot(d[0] - g[0], d[2] - g[2])) for j, g in enumerate(gts)]
+                for d in boxes]
+        order = range(len(boxes))
+        pairs, _, _ = _greedy(order, rows, -match_radius, [True] * len(gts), [False] * len(boxes))
+        for j, i, value in pairs:
+            ase = 1.0 - _aligned_dims_iou(boxes[i], gts[j])
+            class_errors.extend((-value, ase, abs(_wrap_angle(boxes[i][6] - gts[j][6]))))
 
 
 def _mean_errors(errors: array, class_name: str) -> NuScenesErrors:
@@ -480,5 +493,5 @@ def nuscenes_errors(
         raise NoMatches(f"class {DONTCARE!r} marks regions and is never scored")
     errors = array("d")
     for frame in frames:
-        _center_errors(frame, class_name, match_radius, errors)
+        _center_errors(*_tables(frame), match_radius, {class_name: errors})
     return _mean_errors(errors, class_name)

@@ -32,7 +32,9 @@ from .geometry import (
     image_homography,
     perturbation_matrix,
 )
-from .kitti import _LABEL_FIELDS, DONTCARE, ObjectLabel, _LabelTable, _labels_of, _table_of
+from .kitti import (
+    _ALPHA, _BBOX_COLUMNS, _BOX_COLUMNS, DONTCARE, ObjectLabel, _LabelTable, _labels_of, _table_of,
+)
 from .netpbm import RasterImage
 
 #: Default sampling width: one degree, in radians.
@@ -172,17 +174,6 @@ def transform_labels(
     return out, dropped
 
 
-#: Label table columns of the (x, y, z, h, w, l, yaw) box rows, the 2D box and alpha.
-_BOX_COLUMNS = [
-    _LABEL_FIELDS.index(name)
-    for name in ("x", "y", "z", "height", "width", "length", "rotation_y")
-]
-_BBOX_COLUMNS = [
-    _LABEL_FIELDS.index(name) for name in ("bbox_left", "bbox_top", "bbox_right", "bbox_bottom")
-]
-_ALPHA_COLUMN = _LABEL_FIELDS.index("alpha")
-
-
 def _move_tables(tables, rotations: np.ndarray, intrinsics, sizes=None) -> list:
     """Move each frame's label table by its own rotation, all frames' rows at once.
 
@@ -232,7 +223,7 @@ def _move_tables(tables, rotations: np.ndarray, intrinsics, sizes=None) -> list:
     values = values.copy()
     values[kept[:, None], _BOX_COLUMNS] = moved
     values[kept[:, None], _BBOX_COLUMNS] = bboxes
-    values[kept, _ALPHA_COLUMN] = [
+    values[kept, _ALPHA] = [
         _wrap_angle(yaw - math.atan2(px, pz)) for px, pz, yaw in moved[:, [0, 2, 6]].tolist()
     ]
     stays = ~box

@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 
 import helpers
+import oracles
 from camperturb import (
     ExtrinsicPerturbation,
     FeatureTensor,
@@ -590,15 +591,15 @@ class TestEvaluate:
             calls.append(kind)
             return real_pair_ious(kind, *args)
 
-        levels = []
-        real_difficulty_of = metrics.difficulty_of
+        binned = []
+        real_bins_of = metrics._bins_of
 
-        def counting_difficulty_of(label):
-            levels.append(label)
-            return real_difficulty_of(label)
+        def counting_bins_of(table):
+            binned.extend(table.names)
+            return real_bins_of(table)
 
         monkeypatch.setattr(metrics, "_pair_ious", counting_pair_ious)
-        monkeypatch.setattr(metrics, "difficulty_of", counting_difficulty_of)
+        monkeypatch.setattr(metrics, "_bins_of", counting_bins_of)
         code = main(
             [
                 "evaluate",
@@ -612,8 +613,8 @@ class TestEvaluate:
         assert code == 0
         # each frame's pairs are scored once per IoU kind, for all three difficulties
         assert sorted(calls) == sorted(["2d", "bev", "3d"] * len(frames))
-        # and each ground-truth label is binned once, for every IoU kind
-        assert len(levels) == sum(len(f.labels) for f in frames)
+        # and each ground-truth row is binned once, for every IoU kind
+        assert len(binned) == sum(len(f.labels) for f in frames)
 
         loaded = [
             DetectionFrame(
@@ -890,6 +891,48 @@ class TestEvaluate:
         )
 
     @pytest.mark.parametrize("jobs", ["1", "3"])
+    def test_detection_without_a_score_fails_the_run(self, tmp_path, capsys, jobs):
+        gt_dir, det_dir = self._perfect_dirs(tmp_path, n_frames=3)
+        path = det_dir / "000001.txt"
+        first, *rest = path.read_text().splitlines()
+        assert first.startswith("Car ") and len(first.split()) == 16
+        path.write_text("\n".join([" ".join(first.split()[:15]), *rest]) + "\n")
+        code = main([
+            "evaluate", "--gt", str(gt_dir), "--det", str(det_dir),
+            "--det-disturbed", str(det_dir), "--metrics", "ap2d", "--jobs", jobs,
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: frame 000001: detection without a score in frame '000001'\n"
+        )
+
+    def test_unscored_dontcare_and_missing_detection_file_are_accepted(
+        self, tmp_path, capsys
+    ):
+        """A 15-field DontCare detection needs no score, and a missing detection
+        file scores as an empty one."""
+        gt_dir, det_dir = self._perfect_dirs(tmp_path, n_frames=3)
+        empty_dir = tmp_path / "empty"
+        empty_dir.mkdir()
+        for path in det_dir.glob("*.txt"):
+            (empty_dir / path.name).write_bytes(path.read_bytes())
+        (empty_dir / "000002.txt").write_bytes(b"")
+        (det_dir / "000002.txt").unlink()
+        with (det_dir / "000001.txt").open("a") as f:
+            f.write("DontCare -1 -1 -10 100.00 120.00 180.00 170.00 -1 -1 -1 -1000 -1000 -1000 -10\n")
+        reports = []
+        for dets in (det_dir, empty_dir):
+            code = main([
+                "evaluate", "--gt", str(gt_dir), "--det", str(dets),
+                "--metrics", "ap2d,nuscenes",
+            ])
+            assert code == 0
+            reports.append(capsys.readouterr())
+        assert reports[0] == reports[1]
+        values = [c["value"] for c in json.loads(reports[0].out)["cells"]]
+        assert 0.0 < values[0] < 100.0
+
+    @pytest.mark.parametrize("jobs", ["1", "3"])
     def test_first_failing_frame_ends_the_run(self, tmp_path, capsys, jobs):
         """Of two bad frames the first in id order names the error, although it
         fails only when matched and the later one already fails to parse."""
@@ -908,8 +951,9 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_frames_are_dropped_once_scored(self, tmp_path, capsys, monkeypatch, jobs):
-        """Live detection frames stay within the read-ahead window of 2 x jobs
-        (plus the frames being scored and read), whatever the frame count."""
+        """Live frames stay within the read-ahead window of 2 x jobs (plus the
+        frames being scored and read), whatever the frame count: each frame is
+        one ground-truth table and one table per detection set."""
         import weakref
 
         import camperturb.cli as cli
@@ -917,31 +961,31 @@ class TestEvaluate:
         gt_dir, det_dir = self._perfect_dirs(tmp_path, n_frames=40)
         lock = threading.Lock()
         live = peak = 0
-        real_frame = cli.DetectionFrame
+        real_label_table = cli._label_table
 
         def released():
             nonlocal live
             with lock:
                 live -= 1
 
-        def counted_frame(*args, **kwargs):
+        def counted_table(data):
             nonlocal live, peak
-            frame = real_frame(*args, **kwargs)
+            table = real_label_table(data)
             with lock:
                 live += 1
                 peak = max(peak, live)
-            weakref.finalize(frame, released)
-            return frame
+            weakref.finalize(table.values, released)
+            return table
 
-        monkeypatch.setattr(cli, "DetectionFrame", counted_frame)
+        monkeypatch.setattr(cli, "_label_table", counted_table)
         code = main([
             "evaluate", "--gt", str(gt_dir), "--det", str(det_dir),
             "--det-disturbed", str(det_dir), "--metrics", "ap3d,aos,nuscenes",
             "--jobs", str(jobs),
         ])
         assert code == 0
-        sets = 2
-        assert 0 < peak <= sets * (2 * jobs + 2)
+        tables_per_frame = 1 + 2
+        assert 0 < peak <= tables_per_frame * (2 * jobs + 2)
         assert json.loads(capsys.readouterr().out)["parameters"]["frames"] == 40
 
 
@@ -1064,6 +1108,41 @@ class TestRectify:
         report = json.loads(report_path.read_text())
         assert report["angular_error"]["mean_deg"] < 1e-6
         assert len(report["angular_error"]["per_frame_deg"]) == 4
+
+    def test_truth_errors_match_the_pairwise_oracle(self, tmp_path):
+        """Each frame's error is the oracle's angle of R_est^T R_truth, bit for
+        bit, over more frames than one chunk holds; most truths differ from
+        their estimate by less than 1e-8 rad, and one frame has no truth."""
+        label_dir, calib_dir = write_dataset(tmp_path / "in", n_frames=70)
+        frame_ids = sorted(p.stem for p in label_dir.glob("*.txt"))
+        rng = np.random.default_rng(29)
+        estimates, truth = {}, {}
+        for k, fid in enumerate(frame_ids):
+            pitch, roll = (float(v) for v in rng.uniform(-0.1, 0.1, 2))
+            delta = (3e-9, -7e-10, 0.0, 9e-9, 2e-3)[k % 5]
+            estimates[fid] = ExtrinsicPerturbation(pitch=pitch, roll=roll)
+            truth[fid] = ExtrinsicPerturbation(pitch=pitch + delta, roll=roll - delta / 3)
+        del truth[frame_ids[40]]
+        write_sidecar(tmp_path / "est.jsonl", estimates)
+        write_sidecar(tmp_path / "truth.jsonl", truth)
+        report_path = tmp_path / "report.json"
+        code = main([
+            "rectify", "--det", str(label_dir), "--calib", str(calib_dir),
+            "--sidecar", str(tmp_path / "est.jsonl"),
+            "--truth-sidecar", str(tmp_path / "truth.jsonl"),
+            "--out", str(tmp_path / "out"), "--report", str(report_path), "--jobs", "2",
+        ])
+        assert code == 0
+        expected = [
+            {"frame_id": fid, "deg": oracles.pairwise_angle_deg(
+                perturbation_matrix(estimates[fid]), perturbation_matrix(truth[fid])
+            )}
+            for fid in frame_ids if fid in truth
+        ]
+        per_frame = json.loads(report_path.read_text())["angular_error"]["per_frame_deg"]
+        assert per_frame == expected
+        tiny = [e["deg"] for e in expected if frame_ids.index(e["frame_id"]) % 5 in (0, 1, 3)]
+        assert len(tiny) > 40 and all(0.0 < deg < math.degrees(1e-8) for deg in tiny)
 
     def test_requires_exactly_one_estimate_source(self, tmp_path, capsys):
         label_dir, calib_dir = write_dataset(tmp_path / "in", n_frames=1)

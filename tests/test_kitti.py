@@ -23,6 +23,7 @@ from camperturb import (
     perturbation_matrix,
     write_label_file,
 )
+from camperturb.kitti import _bins_of, _table_of
 
 GOLDEN_LINE = (
     b"Car 0.00 0 -1.58 587.01 173.33 614.12 200.12 "
@@ -529,6 +530,14 @@ class TestParseLongPoseFiles:
 
 
 class TestDifficultyOf:
+    #: (2D box height, occlusion, truncation) points around every bin's cutoffs.
+    GRID = [
+        (h, o, t)
+        for h in (20.0, 25.0, 30.0, 40.0, 45.0)
+        for o in (0, 1, 2, 3)
+        for t in (0.0, 0.15, 0.30, 0.50, 0.80)
+    ]
+
     def _with_height(self, px_height, occluded=0, truncated=0.0):
         return make_label(
             bbox_top=100.0,
@@ -562,15 +571,8 @@ class TestDifficultyOf:
         assert difficulty_of(self._with_height(24.99, 0, 0.0)) is DifficultyBin.IGNORED
 
     def test_monotone_in_every_coordinate(self):
-        heights = (20.0, 25.0, 30.0, 40.0, 45.0)
-        occlusions = (0, 1, 2, 3)
-        truncations = (0.0, 0.15, 0.30, 0.50, 0.80)
-        grid = {
-            (h, o, t): difficulty_of(self._with_height(h, o, t))
-            for h in heights
-            for o in occlusions
-            for t in truncations
-        }
+        grid = {point: difficulty_of(self._with_height(*point)) for point in self.GRID}
+        heights, occlusions, truncations = (sorted(set(axis)) for axis in zip(*self.GRID))
         # bins are ordered Easy < Moderate < Hard < Ignored; improving one
         # coordinate must never move toward Ignored
         for (h, o, t), bin_ in grid.items():
@@ -583,3 +585,17 @@ class TestDifficultyOf:
             for t2 in truncations:
                 if t2 < t:
                     assert grid[(h, o, t2)] <= bin_
+
+    def test_table_rows_bin_as_single_labels(self):
+        """One table of every grid point, a DontCare row after each, bins
+        row by row as ``difficulty_of`` bins each label alone."""
+        dontcare = parse_label_file(
+            b"DontCare -1 -1 -10 100.0 120.0 180.0 170.0 -1 -1 -1 -1000 -1000 -1000 -10"
+        )[0]
+        labels = []
+        for point in self.GRID:
+            labels += [self._with_height(*point), dontcare]
+        bins = _bins_of(_table_of(labels)).tolist()
+        assert bins == [difficulty_of(label) for label in labels]
+        assert set(bins[::2]) == set(DifficultyBin)
+        assert set(bins[1::2]) == {DifficultyBin.IGNORED}
