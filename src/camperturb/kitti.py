@@ -8,9 +8,12 @@ Three whitespace-delimited text formats are supported:
       type truncated occluded alpha left top right bottom height width
       length x y z rotation_y [score]
 
-  ``DontCare`` lines mark regions to be excluded from evaluation; their
-  3D fields carry sentinel values (-1, -10, -1000) and are accepted
-  verbatim, bypassing the range checks applied to real objects.
+  Every value must be finite, ``occluded`` an integer, and the 2D box must
+  have ``right > left`` and ``bottom > top``.  ``DontCare`` lines mark
+  regions excluded from evaluation and may carry sentinel values (-1, -10,
+  -1000); every other class must also have a positive height, width and
+  length, ``truncated`` in [0, 1], ``occluded`` in 0..3, and ``alpha`` and
+  ``rotation_y`` in [-pi, pi] (``_LABEL_RULES``).
 
 * **Calibration** — ``KEY: v1 v2 ...`` lines; P0-P3 are 3x4 projections,
   R0_rect is 3x3, Tr_velo_to_cam is 3x4.  Unknown keys are ignored.
@@ -89,40 +92,8 @@ class ObjectLabel:
     score: float | None = None
 
     def __post_init__(self):
-        for name, v in zip(_LABEL_FIELDS, _label_values(self)):
-            if name == "occluded" or (name == "score" and v is None):
-                continue
-            if not math.isfinite(v):
-                raise ValueError(f"label field must be finite, got {v!r}")
-        if not self.class_name or any(ch.isspace() for ch in self.class_name):
-            raise ValueError(f"invalid class name {self.class_name!r}")
-        if self.bbox_right <= self.bbox_left:
-            raise ValueError(
-                f"bbox_right must exceed bbox_left "
-                f"({self.bbox_right} <= {self.bbox_left})"
-            )
-        if self.bbox_bottom <= self.bbox_top:
-            raise ValueError(
-                f"bbox_bottom must exceed bbox_top "
-                f"({self.bbox_bottom} <= {self.bbox_top})"
-            )
-        if self.class_name == DONTCARE:
-            return  # sentinel -1/-10/-1000 values are legal here
-        if self.height <= 0 or self.width <= 0 or self.length <= 0:
-            raise ValueError(
-                "dimensions must be positive, got "
-                f"h={self.height}, w={self.width}, l={self.length}"
-            )
-        if not 0.0 <= self.truncated <= 1.0:
-            raise ValueError(f"truncated must lie in [0, 1], got {self.truncated}")
-        if self.occluded not in (0, 1, 2, 3):
-            raise ValueError(f"occluded must be one of 0..3, got {self.occluded}")
-        if not -math.pi <= self.alpha <= math.pi:
-            raise ValueError(f"alpha must lie in [-pi, pi], got {self.alpha}")
-        if not -math.pi <= self.rotation_y <= math.pi:
-            raise ValueError(
-                f"rotation_y must lie in [-pi, pi], got {self.rotation_y}"
-            )
+        if fault := _rule_fault(vars(self)):
+            raise ValueError(fault)
 
     @property
     def bbox_height(self) -> float:
@@ -158,6 +129,67 @@ def _columns(*names: str) -> list[int]:
 _BOX_COLUMNS = _columns("x", "y", "z", "height", "width", "length", "rotation_y")
 _BBOX_COLUMNS = _columns("bbox_left", "bbox_top", "bbox_right", "bbox_bottom")
 _TRUNCATED, _OCCLUDED, _ALPHA, _SCORE = _columns("truncated", "occluded", "alpha", "score")
+
+
+_MAX = sys.float_info.max
+#: The rules of a label row, in the order a failure is reported.  Each holds the
+#: columns it reads; their bounds: an inclusive (low, high), a range of integers,
+#: "increasing" (each column exceeds the one before) or "name" (a non-empty class
+#: name without whitespace, as every name token of a file is); whether DontCare
+#: rows obey it; and its message, formatted with the first failing value and the
+#: row's fields.  The smallest positive float as a low bound makes it ``> 0``.
+_LABEL_RULES = (
+    (tuple(name for name in _LABEL_FIELDS if name != "occluded"), (-_MAX, _MAX), True,
+     "label field must be finite, got {0!r}"),
+    (("class_name",), "name", True, "invalid class name {0!r}"),
+    (("bbox_left", "bbox_right"), "increasing", True,
+     "bbox_right must exceed bbox_left ({bbox_right} <= {bbox_left})"),
+    (("bbox_top", "bbox_bottom"), "increasing", True,
+     "bbox_bottom must exceed bbox_top ({bbox_bottom} <= {bbox_top})"),
+    (("height", "width", "length"), (math.ulp(0.0), _MAX), False,
+     "dimensions must be positive, got h={height}, w={width}, l={length}"),
+    (("truncated",), (0.0, 1.0), False, "truncated must lie in [0, 1], got {0}"),
+    (("occluded",), range(4), False, "occluded must be one of 0..3, got {0}"),
+    (("alpha",), (-math.pi, math.pi), False, "alpha must lie in [-pi, pi], got {0}"),
+    (("rotation_y",), (-math.pi, math.pi), False, "rotation_y must lie in [-pi, pi], got {0}"),
+)
+
+
+def _rule_fault(row: dict) -> str | None:
+    """The message of the first rule of :data:`_LABEL_RULES` that ``row`` (a label's
+    fields by name) breaks, or None.  A ``score`` of None is no value."""
+    for columns, bounds, dontcare, message in _LABEL_RULES:
+        if not dontcare and row["class_name"] == DONTCARE:
+            continue
+        values = [row[name] for name in columns if name != "score" or row[name] is not None]
+        if bounds == "increasing":
+            values = [b for a, b in zip(values, values[1:]) if not b > a]
+        elif bounds == "name":
+            values = [v for v in values if not v or any(ch.isspace() for ch in v)]
+        elif isinstance(bounds, range):
+            values = [v for v in values if v not in bounds]
+        else:
+            values = [v for v in values if not bounds[0] <= v <= bounds[1]]
+        if values:
+            return message.format(values[0], **row)
+    return None
+
+
+def _row_bounds(rules) -> np.ndarray:
+    """Inclusive (lows, highs) of the table columns for DontCare rows and every other
+    class: finite, and within the bounds (a range: its ends) of each rule they obey."""
+    bounds = np.full((2, 2, len(_LABEL_FIELDS)), [[-_MAX], [_MAX]])
+    for columns, limits, dontcare, _ in rules:
+        if not isinstance(limits, str):
+            rows, cols = slice(0 if dontcare else 1, 2), _columns(*columns)
+            bounds[rows, 0, cols] = np.maximum(bounds[rows, 0, cols], limits[0])
+            bounds[rows, 1, cols] = np.minimum(bounds[rows, 1, cols], limits[-1])
+    return bounds
+
+
+#: The bounds and the increasing column pairs of :data:`_LABEL_RULES`, for :func:`_valid_rows`.
+_ROW_BOUNDS = _row_bounds(_LABEL_RULES)
+_INCREASING = [_columns(*columns) for columns, bounds, *_ in _LABEL_RULES if bounds == "increasing"]
 
 
 @dataclass(frozen=True)
@@ -240,12 +272,9 @@ class _LabelTable(NamedTuple):
 
 
 def _label_table(data: bytes | str) -> _LabelTable:
-    """The labels of :func:`parse_label_file` as one checked table.
-
-    Each line is converted by one ``map(float)`` and every row is checked
-    at once.  The first line that fails is parsed again by the per-line
-    rules of :func:`_parse_label_line`, so it fails with the same error.
-    """
+    """The labels of :func:`parse_label_file` as one table: each line converted by one
+    ``map(float)``, every row checked at once (:func:`_valid_rows`), and the first line
+    that fails read again by :func:`_raise_line_error`, which raises its error."""
     lines = _decode(data, "label file").splitlines()
     names: list[str] = []
     rows: list[list[float]] = []
@@ -264,76 +293,46 @@ def _label_table(data: bytes | str) -> _LabelTable:
             failed = line_no
             break
         scored.append(len(row) == 15)
-        if len(row) == 14:
-            row.append(0.0)
         names.append(tokens[0])
-        rows.append(row)
+        rows.append(row if len(row) == 15 else row + [0.0])
         line_nos.append(line_no)
     values = np.array(rows, dtype=float).reshape(-1, 15)
     bad = np.flatnonzero(~_valid_rows(names, values))
     if bad.size:
         failed = line_nos[bad[0]]  # the rows all come before a line that failed to convert
     if failed is not None:
-        _parse_label_line(lines[failed - 1].split(), failed)  # raises: the line breaks a rule
+        _raise_line_error(lines[failed - 1].split(), failed)
     return _LabelTable(names, values, np.array(scored, dtype=bool))
 
 
-def _column_bounds(**bounds) -> list[tuple[float, ...]]:
-    """Inclusive (lows, highs) of the table columns: ``bounds`` for the named
-    columns, the finite range for the rest."""
-    finite = (-sys.float_info.max, sys.float_info.max)
-    return list(zip(*(bounds.get(name, finite) for name in _LABEL_FIELDS)))
-
-
-#: Row bounds of DontCare rows (finite values) and of every other class.
-#: The smallest positive float as a low bound makes it ``> 0``.
-_POSITIVE = (math.ulp(0.0), sys.float_info.max)
-_ROW_BOUNDS = np.array([
-    _column_bounds(),
-    _column_bounds(
-        truncated=(0.0, 1.0), occluded=(0, 3), alpha=(-math.pi, math.pi),
-        height=_POSITIVE, width=_POSITIVE, length=_POSITIVE, rotation_y=(-math.pi, math.pi),
-    ),
-])
-
-
 def _valid_rows(names: list[str], values: np.ndarray) -> np.ndarray:
-    """Which table rows pass the rules of :func:`_parse_label_line`."""
+    """Which table rows pass :data:`_LABEL_RULES` and the token rules (every value
+    finite, ``occluded`` an integer on every row)."""
     low, high = _ROW_BOUNDS[[int(name != DONTCARE) for name in names]].swapaxes(0, 1)
-    _, occluded, _, left, top, right, bottom = values.T[:7]
-    return (
-        ((values >= low) & (values <= high)).all(axis=1)
-        & (occluded == np.trunc(occluded)) & (right > left) & (bottom > top)
-    )
+    occluded = values[:, _OCCLUDED]
+    valid = ((values >= low) & (values <= high)).all(axis=1) & (occluded == np.trunc(occluded))
+    for earlier, later in _INCREASING:
+        valid &= values[:, later] > values[:, earlier]
+    return valid
 
 
-def _parse_label_line(tokens: list[str], line_no: int) -> ObjectLabel:
-    """One label line's tokens as an :class:`ObjectLabel`, by the per-field rules.
-
-    Raises :class:`MalformedLine` for a wrong field count, an unparsable
-    token or an out-of-range value, and :class:`NonFiniteValue` for NaN/inf;
-    the first failing field of the line decides.
-    """
+def _raise_line_error(tokens: list[str], line_no: int):
+    """Raise the error of a label line that fails the table check: the first
+    token rule it breaks (15 or 16 fields, each a finite number, ``occluded`` an
+    integer), else the first rule of :data:`_LABEL_RULES`."""
     if len(tokens) not in (15, 16):
         raise MalformedLine(line_no, f"expected 15 or 16 fields, got {len(tokens)}")
-    values = [
-        _parse_float(tok, line_no, _LABEL_FIELDS[i]) for i, tok in enumerate(tokens[1:])
-    ]
+    values = [_parse_float(tok, line_no, field) for tok, field in zip(tokens[1:], _LABEL_FIELDS)]
     if values[1] != int(values[1]):
-        raise MalformedLine(
-            line_no, f"field 'occluded': expected an integer, got {tokens[2]!r}"
-        )
+        raise MalformedLine(line_no, f"field 'occluded': expected an integer, got {tokens[2]!r}")
     values[1] = int(values[1])
-    try:
-        return ObjectLabel(tokens[0], *values)
-    except ValueError as exc:
-        raise MalformedLine(line_no, str(exc)) from exc
+    row = dict(zip(_LABEL_ATTRIBUTES, (tokens[0], *values, None)))  # a 15-field line: no score
+    raise MalformedLine(line_no, _rule_fault(row))
 
 
 def _labels_of(table: _LabelTable) -> list[ObjectLabel]:
-    """The table's rows as labels.  A table holds only rows that pass the
-    :class:`ObjectLabel` rules, so the labels are built without checking
-    them again."""
+    """The table's rows as labels.  A table holds only rows that pass
+    :data:`_LABEL_RULES`, so the labels are built without checking them again."""
     labels = []
     for name, (truncated, occluded, *columns, score), scored in zip(
         table.names, table.values.tolist(), table.scored.tolist()

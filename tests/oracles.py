@@ -1,10 +1,11 @@
 """Independent oracles used to derive expected test values.
 
 Everything here deliberately avoids the code paths under test: IoU by
-Monte-Carlo point sampling and by exact rational polygon clipping, AP by
-exhaustive per-threshold evaluation, Gram matrices by direct double
-summation, gradients by central finite differences, rotations by
-explicit 3x3 arithmetic, and label files by the field-at-a-time parser.
+Monte-Carlo point sampling (over a grid that counts whole cells at once)
+and by exact rational polygon clipping, AP by exhaustive per-threshold
+evaluation, Gram matrices by direct double summation, gradients by
+central finite differences, rotations by explicit 3x3 arithmetic, and
+label files by the field-at-a-time parser with its own value rules.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,27 +48,56 @@ def _footprint_bounds(box) -> tuple[float, float, float, float]:
     )
 
 
-#: Points per chunk in ``mc_iou_bev``.  Chunks keep the temporaries small
+#: Points per chunk of the direct count.  Chunks keep the temporaries small
 #: enough to stay in cache instead of allocating 10^7-point arrays per pair;
 #: the counts, and so the estimate, are the same as in one pass.
 _MC_CHUNK = 1 << 18
+#: Cells per side of the grid a :class:`BinnedCloud` sorts its points into.
+_GRID = 256
+#: Distance (m) by which a whole cell must clear a footprint's edge to be counted
+#: without testing its points; see :func:`_grid_counts`.
+_CELL_MARGIN = 1e-3
+#: Bound, with a fivefold reserve, on the float32 error of a rescaled point's
+#: box-frame coordinates per metre of the largest coordinate; see :func:`_grid_counts`.
+_FLOAT32_SLACK = 64 * float(np.finfo(np.float32).eps)
 
 
-def mc_iou_bev(box_a, box_b, unit_cloud: np.ndarray) -> float:
-    """Monte-Carlo BEV IoU from a shared (n, 2) uniform cloud in [0, 1)^2.
+class BinnedCloud(NamedTuple):
+    """A unit cloud sorted by cell of a ``_GRID`` x ``_GRID`` grid over [0, 1)^2.
 
-    The cloud is rescaled into the union's bounding box, so every pair
-    reuses the same random numbers; standard error is about
-    sqrt(p(1-p)/n) relative to the bbox measure.
+    The points of cell ``k = i * _GRID + j`` (``i`` along x, ``j`` along z)
+    are ``points[starts[k]:starts[k + 1]]``.
     """
+
+    points: np.ndarray
+    starts: np.ndarray
+
+
+def bin_cloud(unit_cloud: np.ndarray) -> BinnedCloud:
+    """Sort an (n, 2) cloud in [0, 1)^2 by grid cell, once for every pair it serves."""
+    if not (unit_cloud.min() >= 0.0 and unit_cloud.max() < 1.0):
+        raise ValueError("the cloud must lie in [0, 1)^2")
+    cells = (unit_cloud * _GRID).astype(np.uint16)  # exact: a power-of-two scale
+    keys = cells[:, 0] * np.uint16(_GRID) + cells[:, 1]
+    starts = np.zeros(_GRID * _GRID + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=_GRID * _GRID), out=starts[1:])
+    return BinnedCloud(unit_cloud[np.argsort(keys, kind="stable")], starts)
+
+
+def _union_bounds(box_a, box_b) -> tuple[float, float, float, float]:
     ax0, ax1, az0, az1 = _footprint_bounds(box_a)
     bx0, bx1, bz0, bz1 = _footprint_bounds(box_b)
-    x0, x1 = min(ax0, bx0), max(ax1, bx1)
-    z0, z1 = min(az0, bz0), max(az1, bz1)
+    return min(ax0, bx0), max(ax1, bx1), min(az0, bz0), max(az1, bz1)
+
+
+def _direct_counts(box_a, box_b, unit_points: np.ndarray, bounds) -> tuple[int, int]:
+    """(intersection, union) point counts: every point rescaled into ``bounds``
+    in the cloud's own dtype and tested against both footprints."""
+    x0, x1, z0, z1 = bounds
     inter = 0
     union = 0
-    for start in range(0, len(unit_cloud), _MC_CHUNK):
-        chunk = unit_cloud[start:start + _MC_CHUNK]
+    for start in range(0, len(unit_points), _MC_CHUNK):
+        chunk = unit_points[start:start + _MC_CHUNK]
         pts = np.empty_like(chunk)
         np.multiply(chunk[:, 0], x1 - x0, out=pts[:, 0])
         pts[:, 0] += x0
@@ -76,6 +107,85 @@ def mc_iou_bev(box_a, box_b, unit_cloud: np.ndarray) -> float:
         in_b = point_in_footprint(pts, box_b)
         inter += int(np.count_nonzero(in_a & in_b))
         union += int(np.count_nonzero(in_a | in_b))
+    return inter, union
+
+
+def _grid_counts(box_a, box_b, cloud: BinnedCloud, bounds) -> tuple[int, int]:
+    """The counts of :func:`_direct_counts`, testing only the points of cells
+    that straddle a footprint's edge.
+
+    Cell ``(i, j)`` holds the points whose exact rescaled position lies in
+    the cell's rectangle of the union's bounding box, so each is within the
+    cell's circumradius ``r`` of the cell's center.  A footprint test reads
+    the point's box-frame coordinates (along the length, across the width),
+    and two points' coordinates differ by at most their distance, so every
+    point of a cell whose center has ``|along| + r + m <= length / 2`` and
+    ``|lateral| + r + m <= width / 2`` lies at least ``m`` inside the
+    footprint, and every point of one with ``|along| - r - m > length / 2``
+    or ``|lateral| - r - m > width / 2`` at least ``m`` outside it.
+
+    The direct test computes those coordinates in float32: the rescale
+    (a product and a sum), the shift by the box center, the rotation (two
+    products and a sum) and the rounded half-extent each add at most a few
+    units of float32 rounding of the largest coordinate ``M`` involved,
+    about ``13 * eps32 * M`` in all (3e-4 m at M = 200 m).  The float64 cell
+    test itself is off by about 1e-14 m.  So while ``64 * eps32 * M`` stays
+    below the margin ``m`` of 1e-3 m (M below 131 m), every point of a
+    surely-inside cell tests inside and every point of a surely-outside cell
+    tests outside, and such cells are counted in bulk.  The points of every
+    other cell go through :func:`_direct_counts`, with the same arithmetic
+    as the direct path, so the two paths return the same integer counts.
+    Beyond that range every cell is tested point by point.
+    """
+    x0, x1, z0, z1 = bounds
+    centers = (np.arange(_GRID) + 0.5) / _GRID
+    cx = (x0 + centers * (x1 - x0))[:, None]
+    cz = (z0 + centers * (z1 - z0))[None, :]
+    reach = math.hypot(x1 - x0, z1 - z0) / (2 * _GRID) + _CELL_MARGIN
+    sure_in, sure_out = [], []
+    for box in (box_a, box_b):
+        c, s = math.cos(box.yaw), math.sin(box.yaw)
+        dx, dz = cx - box.center.x, cz - box.center.z
+        along, lateral = np.abs(dx * s + dz * c), np.abs(dx * c - dz * s)
+        half_length, half_width = box.length / 2.0, box.width / 2.0
+        sure_in.append(((along + reach <= half_length) & (lateral + reach <= half_width)).ravel())
+        sure_out.append(((along - reach > half_length) | (lateral - reach > half_width)).ravel())
+    largest = max(abs(x0), abs(x1), abs(z0), abs(z1))
+    settled = (sure_in[0] | sure_out[0]) & (sure_in[1] | sure_out[1])
+    settled &= _FLOAT32_SLACK * largest < _CELL_MARGIN
+    counts = np.diff(cloud.starts)
+    inter = int(counts[settled & sure_in[0] & sure_in[1]].sum())
+    union = int(counts[settled & (sure_in[0] | sure_in[1])].sum())
+    cells = np.flatnonzero(~settled)
+    lengths = counts[cells]
+    first = cloud.starts[cells] - (np.cumsum(lengths) - lengths)
+    rows = np.repeat(first, lengths) + np.arange(lengths.sum())
+    more_inter, more_union = _direct_counts(box_a, box_b, cloud.points[rows], bounds)
+    return inter + more_inter, union + more_union
+
+
+def mc_counts(box_a, box_b, cloud) -> tuple[int, int]:
+    """(intersection, union) Monte-Carlo point counts of two BEV footprints.
+
+    ``cloud`` is an (n, 2) uniform cloud in [0, 1)^2, every point of which is
+    tested, or the same cloud as a :class:`BinnedCloud`, which gives the
+    same counts from the points of boundary cells alone.
+    """
+    bounds = _union_bounds(box_a, box_b)
+    if isinstance(cloud, BinnedCloud):
+        return _grid_counts(box_a, box_b, cloud, bounds)
+    return _direct_counts(box_a, box_b, cloud, bounds)
+
+
+def mc_iou_bev(box_a, box_b, unit_cloud) -> float:
+    """Monte-Carlo BEV IoU from a shared uniform cloud in [0, 1)^2 (an (n, 2)
+    array or a :class:`BinnedCloud`).
+
+    The cloud is rescaled into the union's bounding box, so every pair
+    reuses the same random numbers; standard error is about
+    sqrt(p(1-p)/n) relative to the bbox measure.
+    """
+    inter, union = mc_counts(box_a, box_b, unit_cloud)
     if union == 0:
         return 0.0
     return inter / union
@@ -284,13 +394,50 @@ def whole_image_warp(data: np.ndarray, homography: np.ndarray, fill: int) -> np.
 # label files one line and one field at a time
 
 
+def _label_fault(name: str, values: list) -> str | None:
+    """The first value rule a parsed label line breaks, checked one field at a time.
+
+    ``values`` are the 14 or 15 numbers after the class name, ``occluded``
+    already an integer.  Finite values and a bbox that grows left to right
+    and top to bottom are asked of every line; a ``DontCare`` line may then
+    carry any sentinel, while every other class needs positive dimensions
+    and truncation, occlusion and the two angles in range.
+    """
+    (truncated, occluded, alpha, left, top, right, bottom,
+     height, width, length, _x, _y, _z, rotation_y) = values[:14]
+    for value in values[:1] + values[2:]:
+        if not math.isfinite(value):
+            return f"label field must be finite, got {value!r}"
+    if not name or any(ch.isspace() for ch in name):
+        return f"invalid class name {name!r}"
+    if right <= left:
+        return f"bbox_right must exceed bbox_left ({right} <= {left})"
+    if bottom <= top:
+        return f"bbox_bottom must exceed bbox_top ({bottom} <= {top})"
+    if name == "DontCare":
+        return None
+    if height <= 0 or width <= 0 or length <= 0:
+        return f"dimensions must be positive, got h={height}, w={width}, l={length}"
+    if not 0.0 <= truncated <= 1.0:
+        return f"truncated must lie in [0, 1], got {truncated}"
+    if occluded not in (0, 1, 2, 3):
+        return f"occluded must be one of 0..3, got {occluded}"
+    if not -math.pi <= alpha <= math.pi:
+        return f"alpha must lie in [-pi, pi], got {alpha}"
+    if not -math.pi <= rotation_y <= math.pi:
+        return f"rotation_y must lie in [-pi, pi], got {rotation_y}"
+    return None
+
+
 def scalar_label_file(data: bytes):
     """A KITTI label file parsed line by line and field by field.
 
     Each token is converted and checked for finiteness in file order, then
-    ``occluded`` must be an integer and the line builds an ``ObjectLabel``,
-    whose own checks become a ``MalformedLine``.  The first bad line
-    decides the error; an invalid UTF-8 byte anywhere comes before all.
+    ``occluded`` must be an integer and the line must pass the value rules
+    of :func:`_label_fault`, written out here rather than taken from the
+    package; a broken rule becomes a ``MalformedLine``.  Only a line that
+    passes builds an ``ObjectLabel``.  The first bad line decides the error;
+    an invalid UTF-8 byte anywhere comes before all.
     """
     from camperturb import MalformedLine, NonFiniteValue, ObjectLabel
 
@@ -323,8 +470,8 @@ def scalar_label_file(data: bytes):
                 line_no, f"field 'occluded': expected an integer, got {tokens[2]!r}"
             )
         values[1] = int(values[1])
-        try:
-            labels.append(ObjectLabel(tokens[0], *values))
-        except ValueError as exc:
-            raise MalformedLine(line_no, str(exc)) from exc
+        fault = _label_fault(tokens[0], values)
+        if fault is not None:
+            raise MalformedLine(line_no, fault)
+        labels.append(ObjectLabel(tokens[0], *values))
     return labels

@@ -50,7 +50,9 @@ from camperturb import (
 )
 from camperturb.cli import main
 from camperturb.errors import CamPerturbError
-from oracles import brute_force_ap40, finite_difference_gradient, mc_iou_bev, naive_gram
+from oracles import (
+    bin_cloud, brute_force_ap40, finite_difference_gradient, mc_iou_bev, naive_gram,
+)
 from test_kitti import GOLDEN_CALIB, GOLDEN_LINE
 from test_metrics import bbox_label, independent_records, random_matching_frames
 
@@ -142,10 +144,12 @@ def test_03_horizon_vanishing_point_round_trip(capsys):
 
 def test_04_bev_iou_against_monte_carlo(capsys):
     """Polygon-clipped BEV IoU vs 10^7-point Monte-Carlo membership on 500
-    random pairs, plus the closed-form octagon and stacked-box cases."""
+    random pairs, plus the closed-form octagon and stacked-box cases.  The
+    cloud is binned once into grid cells, which gives the same point counts
+    as testing every point (``tests/test_metrics.py::TestGridMonteCarloOracle``)."""
     with announced(capsys, "04 BEV IoU vs Monte-Carlo and worked cases"):
         rng = np.random.default_rng(10004)
-        cloud = rng.random((10_000_000, 2), dtype=np.float32)
+        cloud = bin_cloud(rng.random((10_000_000, 2), dtype=np.float32))
 
         def random_box(x, z):
             return Box3D(

@@ -23,6 +23,7 @@ from camperturb import (
     perturbation_matrix,
     write_label_file,
 )
+from camperturb import kitti
 from camperturb.kitti import _bins_of, _table_of
 
 GOLDEN_LINE = (
@@ -234,6 +235,22 @@ class TestLabelParserMatchesScalarOracle:
                 lines.append(line)
             self.check("\n".join(lines).encode())
 
+    def test_oracle_does_not_read_the_rule_table(self, monkeypatch):
+        """Loosening one bound of the package's rule table moves the parser (and
+        ``ObjectLabel``) but not the oracle, so the oracle pins the bound."""
+        rules = tuple(
+            (columns, (0.0, 1.5) if columns == ("truncated",) else bounds, *rest)
+            for columns, bounds, *rest in kitti._LABEL_RULES
+        )
+        monkeypatch.setattr(kitti, "_LABEL_RULES", rules)
+        monkeypatch.setattr(kitti, "_ROW_BOUNDS", kitti._row_bounds(rules))
+        data = f"{GOOD}\n{with_field(GOOD, 1, '1.01')}\n".encode()
+        assert [label.truncated for label in parse_label_file(data)] == [0.0, 1.01]
+        assert make_label(truncated=1.01).truncated == 1.01
+        assert parse_outcome(scalar_label_file, data) == (
+            MalformedLine, "line 2: truncated must lie in [0, 1], got 1.01", 2
+        )
+
 
 class TestWriteLabelFile:
     def test_empty_list(self):
@@ -335,6 +352,44 @@ class TestObjectLabelValidation:
     def test_rejects_out_of_range_alpha(self):
         with pytest.raises(ValueError):
             make_label(alpha=4.0)
+
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(score=math.nan), "label field must be finite, got nan"),
+        (dict(x=-math.inf), "label field must be finite, got -inf"),
+        (dict(class_name="", z=math.nan), "label field must be finite, got nan"),
+        (dict(class_name=""), "invalid class name ''"),
+        (dict(class_name="Big Car"), "invalid class name 'Big Car'"),
+        (dict(bbox_left=700.0, bbox_right=600.0),
+         "bbox_right must exceed bbox_left (600.0 <= 700.0)"),
+        (dict(bbox_top=200.12, bbox_bottom=200.12),
+         "bbox_bottom must exceed bbox_top (200.12 <= 200.12)"),
+        (dict(width=-1.0, bbox_right=1.0), "bbox_right must exceed bbox_left (1.0 <= 587.01)"),
+        (dict(height=0.0), "dimensions must be positive, got h=0.0, w=1.67, l=3.64"),
+        (dict(truncated=1.5, length=0.0), "dimensions must be positive, got h=1.65, w=1.67, l=0.0"),
+        (dict(truncated=1.5), "truncated must lie in [0, 1], got 1.5"),
+        (dict(truncated=-0.01, occluded=7), "truncated must lie in [0, 1], got -0.01"),
+        (dict(occluded=1.5), "occluded must be one of 0..3, got 1.5"),
+        (dict(occluded=4.0), "occluded must be one of 0..3, got 4.0"),
+        (dict(occluded=math.nan), "occluded must be one of 0..3, got nan"),
+        (dict(occluded=-1, alpha=4.0), "occluded must be one of 0..3, got -1"),
+        (dict(alpha=4.0, rotation_y=4.0), "alpha must lie in [-pi, pi], got 4.0"),
+        (dict(rotation_y=-3.15), "rotation_y must lie in [-pi, pi], got -3.15"),
+        (dict(class_name="DontCare", bbox_left=700.0, bbox_right=600.0),
+         "bbox_right must exceed bbox_left (600.0 <= 700.0)"),
+        (dict(class_name="DontCare", y=math.inf), "label field must be finite, got inf"),
+    ])
+    def test_each_rule_has_its_message(self, overrides, message):
+        with pytest.raises(ValueError) as exc:
+            make_label(**overrides)
+        assert type(exc.value) is ValueError and str(exc.value) == message
+
+    @pytest.mark.parametrize("overrides", [
+        dict(score=None), dict(score=0.5), dict(occluded=1.0), dict(occluded=3),
+        dict(class_name="DontCare", occluded=1.5), dict(class_name="DontCare", height=0.0),
+        dict(class_name="DontCare", occluded=math.nan, truncated=-1.0, alpha=-10.0),
+    ])
+    def test_accepted(self, overrides):
+        assert make_label(**overrides).class_name == overrides.get("class_name", "Car")
 
     def test_bbox_height(self):
         lab = make_label(bbox_top=100.0, bbox_bottom=145.0)

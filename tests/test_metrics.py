@@ -25,7 +25,7 @@ from camperturb import (
 from camperturb.metrics import match_pass
 
 from helpers import detection_frame, make_box, make_label, with_score
-from oracles import brute_force_ap40, exact_iou_bev, mc_iou_bev
+from oracles import _GRID, bin_cloud, brute_force_ap40, exact_iou_bev, mc_counts, mc_iou_bev
 
 DONTCARE_LINE = (
     b"DontCare -1 -1 -10 100.0 120.0 300.0 300.0 -1 -1 -1 -1000 -1000 -1000 -10"
@@ -180,6 +180,77 @@ class TestIouBev:
                         a.center, x=a.center.x + float(rng.uniform(-3, 3)),
                     ))
                 assert iou_bev(a, b) == pytest.approx(exact_iou_bev(a, b), abs=1e-12)
+
+
+class TestGridMonteCarloOracle:
+    """The grid-indexed Monte-Carlo count against the direct one: counting whole
+    cells must not change a single point's verdict."""
+
+    @pytest.fixture(scope="class")
+    def clouds(self):
+        rng = np.random.default_rng(61)
+        cloud = rng.random((200_000, 2), dtype=np.float32)
+        # points on every cell edge and one float32 step below it
+        edges = np.arange(_GRID, dtype=np.float32) / _GRID
+        below = np.nextafter(edges[1:], np.float32(0))
+        lines = np.concatenate([edges, below])
+        other = rng.random(lines.size, dtype=np.float32)
+        extra = np.concatenate([np.stack([lines, other], 1), np.stack([other, lines], 1)])
+        cloud = np.concatenate([cloud, extra])
+        return cloud, bin_cloud(cloud)
+
+    def check(self, clouds, a, b):
+        cloud, binned = clouds
+        assert mc_counts(a, b, binned) == mc_counts(a, b, cloud)
+
+    def test_random_pairs(self, clouds):
+        rng = np.random.default_rng(62)
+        for _ in range(60):
+            a = random_box(rng)
+            b = dataclasses.replace(random_box(rng), center=dataclasses.replace(
+                a.center,
+                x=a.center.x + float(rng.uniform(-2, 2)),
+                z=a.center.z + float(rng.uniform(-2, 2)),
+            ))
+            self.check(clouds, a, b)
+
+    def test_nested_identical_and_far_apart(self, clouds):
+        a = make_box(x=1.0, z=12.0, width=2.0, length=4.0, yaw=0.4)
+        self.check(clouds, a, a)
+        self.check(clouds, a, dataclasses.replace(a, width=0.5, length=1.0))
+        self.check(clouds, a, make_box(x=9.0, z=30.0, yaw=-1.0))
+
+    @pytest.mark.parametrize("nudge", [0.0, 1e-9, -1e-9, 1e-6, -1e-6, 1e-4, -1e-4])
+    def test_corners_on_cell_edges(self, clouds, nudge):
+        """A yaw-0 box spans the union's bounding box; a second, rotated box
+        inside it has a corner on (or ``nudge`` m off) a cell corner."""
+        outer = make_box(x=0.5, z=20.0, width=6.4, length=8.0, yaw=0.0)
+        x0, z0 = 0.5 - 3.2, 20.0 - 4.0
+        rng = np.random.default_rng(63)
+        for _ in range(12):
+            yaw = float(rng.uniform(-math.pi, math.pi))
+            hl, hw = 0.8, 0.5
+            c, s = math.cos(yaw), math.sin(yaw)
+            i, j = (int(k) for k in rng.integers(90, 166, size=2))
+            corner_x = x0 + i * 6.4 / _GRID + nudge
+            corner_z = z0 + j * 8.0 / _GRID - nudge
+            inner = make_box(
+                x=corner_x - (hl * s + hw * c), z=corner_z - (hl * c - hw * s),
+                width=2 * hw, length=2 * hl, yaw=yaw,
+            )
+            self.check(clouds, outer, inner)
+            self.check(clouds, inner, outer)
+
+    def test_axis_aligned_edges_on_cell_lines(self, clouds):
+        outer = make_box(x=0.0, z=20.0, width=5.12, length=5.12, yaw=0.0)
+        for cells in (1, 7, 64, 128):
+            side = cells * 5.12 / _GRID
+            self.check(clouds, outer, make_box(x=-2.56 + side / 2, z=17.44 + side / 2,
+                                               width=side, length=side, yaw=0.0))
+
+    def test_far_from_the_origin_every_cell_is_tested(self, clouds):
+        a = make_box(x=400.0, z=300.0, width=2.0, length=4.0, yaw=0.7)
+        self.check(clouds, a, dataclasses.replace(a, yaw=-0.2))
 
 
 class TestIou3d:
