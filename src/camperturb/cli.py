@@ -15,13 +15,14 @@ Conventions
 * Every run is deterministic given its inputs and flags: reports carry no
   timestamps, map keys are sorted, and ``--jobs N`` produces artifacts
   byte-identical to ``--jobs 1``.
-* ``--jobs N`` streams frames through a window of 2 x N: each frame is
-  written (``evaluate``: scored for every metric) as soon as it and every
-  frame before it are done, so memory does not grow with the number of
-  frames; ``evaluate`` keeps only the records its report is built from.
-  Labels-only ``simulate`` and ``rectify`` hand the workers chunks of 64
-  frames, whose labels move as one batch; ``simulate --images`` hands
-  them one frame at a time.
+* ``--jobs N`` runs N worker threads (``--jobs 1``: one).  They take chunks
+  of frames and do all of a chunk's work: read, move or score, and write.
+  The main thread gathers the outcomes in id order with at most 2 x N
+  chunks in flight, so memory does not grow with the number of frames;
+  ``evaluate`` keeps only the records its report is built from.
+  Chunks hold 64 frames: labels-only ``simulate`` and ``rectify`` move
+  a chunk as one batch, and ``evaluate`` scores it into one tally.
+  ``simulate --images`` takes one frame at a time.
 * An output path that holds a regular file gets a new file: the old one is
   unlinked first, never truncated in place.  Any other path (a symlink, a
   device such as ``/dev/stdout``, a FIFO) is opened and written through.
@@ -77,7 +78,8 @@ from .losses import (
     content_loss,
 )
 from .metrics import (
-    _center_errors, _mean_errors, _passes, _record_frame, _require_scores, class_sweep,
+    _add_tally, _center_errors, _mean_errors, _passes, _record_frame, _require_scores,
+    class_sweep,
 )
 from .netpbm import read_image, write_image
 from .simulate import (
@@ -388,10 +390,6 @@ def _frame_id(record) -> str:
     return value
 
 
-def _extrinsics(record) -> ExtrinsicPerturbation:
-    return ExtrinsicPerturbation(pitch=_number(record, "pitch"), roll=_number(record, "roll"))
-
-
 def _angles(record) -> tuple[float, float]:
     """``record``'s (pitch, roll), under the rules of :class:`ExtrinsicPerturbation`."""
     pitch, roll = _number(record, "pitch"), _number(record, "roll")
@@ -400,9 +398,9 @@ def _angles(record) -> tuple[float, float]:
     return pitch, roll
 
 
-def _load_sidecar(path: Path) -> dict[str, ExtrinsicPerturbation]:
-    """Read a {frame_id, pitch, roll} JSON-lines sidecar."""
-    entry = lambda record: (_frame_id(record), _extrinsics(record))  # noqa: E731
+def _load_sidecar(path: Path) -> dict[str, tuple[float, float]]:
+    """Read a {frame_id, pitch, roll} JSON-lines sidecar: (pitch, roll) by frame id."""
+    entry = lambda record: (_frame_id(record), _angles(record))  # noqa: E731
     return _parse_file(path, "sidecar", lambda data: dict(_json_lines(data, entry)))
 
 
@@ -416,13 +414,10 @@ def _frame_ids(label_dir: Path) -> list[str]:
 def _ordered_map(fn, items, jobs: int):
     """Yield ``fn(item)`` for each item, in input order.
 
-    With ``jobs > 1`` the calls run on ``jobs`` threads, but at most
-    ``2 * jobs`` results exist that the caller has not taken yet, so
-    memory stays flat however many items there are.
+    The calls run on ``jobs`` threads, but at most ``2 * jobs`` results
+    exist that the caller has not taken yet, so memory stays flat however
+    many items there are.  An exception that ``fn`` raises is raised here.
     """
-    if jobs <= 1:
-        yield from map(fn, items)
-        return
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         window = collections.deque()
         for item in items:
@@ -433,16 +428,21 @@ def _ordered_map(fn, items, jobs: int):
             yield window.popleft().result()
 
 
-#: Frames a labels-only simulate or rectify moves as one batch.
+#: Frames a worker takes at a time: labels-only simulate and rectify move them as
+#: one batch, and evaluate scores them into one tally.
 _CHUNK_FRAMES = 64
 
 
-def _attempt(fn, *args):
-    """``(fn(*args), None)``, or ``(None, message)`` when it fails on its input."""
+def _chunks(items: list, size: int) -> list[list]:
+    return [items[i:i + size] for i in range(0, len(items), size)]
+
+
+def _outcome(fn, *args):
+    """``fn(*args)``, or the exception that fails it on its input."""
     try:
-        return fn(*args), None
+        return fn(*args)
     except (CamPerturbError, _IOFailure) as exc:
-        return None, str(exc)
+        return exc
 
 
 def _stream_frames(
@@ -455,13 +455,13 @@ def _stream_frames(
     errors) go to the workers ``chunk`` frames at a time.  For each frame
     ``prepare(id, table, intrinsics_of(id))`` reads the rest of its
     inputs; ``move`` then takes the chunk's prepared frames together and
-    returns one ``(result, error)`` for each, ``result`` being ``(table,
-    dropped, files, record)``.  The moved table is written to
+    returns, for each, ``(table, dropped, files, record)`` or the exception
+    that fails it.  The worker writes the moved table to
     ``out_dir/<id>.txt``, followed by ``files``, the frame's other ``(path,
     bytes)`` outputs.  An input or domain error fails that frame alone.
-    Frames arrive in id order, and each one's files are written as soon as
-    it arrives.  Prints the summary and returns ``(records, dropped,
-    failures)``.
+    Outcomes are gathered in id order.  Prints the summary and returns
+    ``(records, dropped, failures)``, ``failures`` holding ``(frame_id,
+    exception)`` pairs.
     """
 
     def load(frame_id: str):
@@ -469,57 +469,49 @@ def _stream_frames(
         return prepare(frame_id, table, intrinsics_of(frame_id))
 
     def attempt(frame_ids: list[str]):
-        loaded = [_attempt(load, frame_id) for frame_id in frame_ids]
-        moved = iter(move([frame for frame, error in loaded if error is None]))
+        loaded = [_outcome(load, frame_id) for frame_id in frame_ids]
+        moved = iter(move([frame for frame in loaded if not isinstance(frame, Exception)]))
         outcomes = []
-        for frame_id, (_, error) in zip(frame_ids, loaded):
-            result = None
-            if error is None:
-                result, error = next(moved)
-            if result is not None:
+        for frame_id, frame in zip(frame_ids, loaded):
+            result = frame if isinstance(frame, Exception) else next(moved)
+            if not isinstance(result, Exception):
                 table, dropped, files, record = result
-                files = [(out_dir / f"{frame_id}.txt", _table_text(table)), *files]
-                result = files, dropped, record
-            outcomes.append((frame_id, result, error))
+                for path, data in [(out_dir / f"{frame_id}.txt", _table_text(table)), *files]:
+                    _write(path, data, "output")
+                result = dropped, record
+            outcomes.append((frame_id, result))
         return outcomes
 
-    frame_ids = _frame_ids(label_dir)
-    chunks = [frame_ids[i:i + chunk] for i in range(0, len(frame_ids), chunk)]
     records = []
     dropped = 0
-    failures: list[tuple[str, str]] = []
-    for outcomes in _ordered_map(attempt, chunks, jobs):
-        for frame_id, result, error in outcomes:
-            if error is not None:
-                failures.append((frame_id, error))
-                continue
-            files, frame_dropped, record = result
-            for path, data in files:
-                _write(path, data, "output")
-            records.append(record)
-            dropped += frame_dropped
+    failures: list[tuple[str, Exception]] = []
+    for outcomes in _ordered_map(attempt, _chunks(_frame_ids(label_dir), chunk), jobs):
+        for frame_id, result in outcomes:
+            if isinstance(result, Exception):
+                failures.append((frame_id, result))
+            else:
+                dropped += result[0]
+                records.append(result[1])
 
     print(f"frames processed: {len(records)}")
     print(f"objects dropped: {dropped}")
     print(f"frame failures: {len(failures)}")
-    for frame_id, reason in failures:
-        print(f"  {frame_id}: {reason}")
+    for frame_id, exc in failures:
+        print(f"  {frame_id}: {exc}")
     return records, dropped, failures
 
 
-def _rotations(perturbations) -> np.ndarray:
-    """R_x(pitch) @ R_z(roll) of each perturbation, as one (n, 3, 3) stack."""
-    return _perturbation_matrices(
-        np.array([p.pitch for p in perturbations]), np.array([p.roll for p in perturbations])
-    )
+def _rotations(angles) -> np.ndarray:
+    """R_x(pitch) @ R_z(roll) of each (pitch, roll) pair, as one (n, 3, 3) stack."""
+    return _perturbation_matrices(*np.array(angles, dtype=float).reshape(-1, 2).T)
 
 
 def _move_labels(prepared, undo: bool = False) -> list:
     """The ``move`` of the labels-only pipeline: one batch for a chunk's frames.
 
-    Each prepared frame is ``(table, intrinsics, perturbation, record)``.
-    Its labels rotate by R_x(pitch) @ R_z(roll) of its perturbation, or by
-    the transpose of that with ``undo``.
+    Each prepared frame is ``(table, intrinsics, (pitch, roll), record)``.
+    Its labels rotate by R_x(pitch) @ R_z(roll), or by the transpose of
+    that with ``undo``.
     """
     if not prepared:
         return []
@@ -528,7 +520,7 @@ def _move_labels(prepared, undo: bool = False) -> list:
     if undo:
         rotations = rotations.swapaxes(1, 2)
     return [
-        (None, str(moved)) if isinstance(moved, CamPerturbError) else ((*moved, [], record), None)
+        moved if isinstance(moved, Exception) else (*moved, [], record)
         for moved, record in zip(_move_tables(tables, rotations, intrinsics), records)
     ]
 
@@ -626,7 +618,7 @@ def cmd_simulate(cfg: argparse.Namespace) -> int:
 
     def draw(frame_id: str, table, intrinsics):
         p = sample_perturbation(spec, frame_id)
-        return table, intrinsics, p, sidecar_line(frame_id, p)
+        return table, intrinsics, (p.pitch, p.roll), sidecar_line(frame_id, p)
 
     def load_image(frame_id: str, table, intrinsics):
         for extension in (".ppm", ".pgm"):
@@ -646,11 +638,11 @@ def cmd_simulate(cfg: argparse.Namespace) -> int:
         return _table_of(perturbed.labels), perturbed.dropped, files, record
 
     def warp(prepared):
-        return [_attempt(warp_one, *frame) for frame in prepared]
+        return [_outcome(warp_one, *frame) for frame in prepared]
 
     if image_dir is None:
         prepare, move, chunk = draw, _move_labels, _CHUNK_FRAMES
-    else:  # one frame per chunk, so at most 2 x jobs images are held
+    else:  # one frame per chunk, so each worker holds one image at a time
         prepare, move, chunk = load_image, warp, 1
     records, _, _ = _stream_frames(
         label_dir, "label file", calib, out_labels, prepare, move, cfg.jobs, chunk
@@ -744,33 +736,37 @@ def cmd_evaluate(cfg: argparse.Namespace) -> int:
     if cfg.det_disturbed:
         det_dirs.append(_require(cfg.det_disturbed, "disturbed detection"))
     frame_ids = _frame_ids(gt_dir)
-    # frames are read on the workers, scored here in id order and dropped; a (passes,
-    # errors) tally per detection set keeps AP/AOS records and nuScenes error triples
+    # workers read and score a chunk of frames into a (passes, errors) tally per detection
+    # set, of AP/AOS records and nuScenes error triples; tallies are added here in id order
     kinds = dict.fromkeys(_KIND_BY_METRIC[m] for m in cfg.metrics if m in _KIND_BY_METRIC)
     bins = [_BIN_BY_NAME[d] for d in cfg.difficulties]
     classes = cfg.classes if "nuscenes" in cfg.metrics else ()
-    tallies = [(_passes(kinds, bins), {c: array("d") for c in classes}) for _ in det_dirs]
+    tally = lambda: (_passes(kinds, bins), {c: array("d") for c in classes})  # noqa: E731
 
-    def load(frame_id: str):  # a missing detection file is a set without detections
-        name = f"{frame_id}.txt"
-        gt = _parse_file(gt_dir / name, "gt labels", _label_table)
-        det_tables = []
-        for det_dir in det_dirs:
-            path = det_dir / name
-            read = path.is_file()
-            dets = _parse_file(path, "detections", _label_table) if read else _label_table(b"")
-            try:
-                _require_scores(frame_id, dets)
-            except ValueError as exc:
-                raise _IOFailure(f"frame {frame_id}: {exc}") from exc
-            det_tables.append(dets)
-        return frame_id, gt, det_tables
+    def score(chunk: list[str]):  # a missing detection file is a set without detections
+        parts = [tally() for _ in det_dirs]
+        for frame_id in chunk:
+            gt = _parse_file(gt_dir / f"{frame_id}.txt", "gt labels", _label_table)
+            det_tables = []
+            for det_dir in det_dirs:
+                path = det_dir / f"{frame_id}.txt"
+                read = path.is_file()
+                dets = _parse_file(path, "detections", _label_table) if read else _label_table(b"")
+                try:
+                    _require_scores(frame_id, dets)
+                except ValueError as exc:
+                    raise _IOFailure(f"frame {frame_id}: {exc}") from exc
+                det_tables.append(dets)
+            for dets, (passes, errors) in zip(det_tables, parts):
+                if passes:
+                    _record_frame(frame_id, gt, dets, cfg.iou_threshold, passes)
+                _center_errors(gt, dets, cfg.match_radius, errors)
+        return parts
 
-    for frame_id, gt, det_tables in _ordered_map(load, frame_ids, cfg.jobs):
-        for dets, (passes, errors) in zip(det_tables, tallies):
-            if passes:
-                _record_frame(frame_id, gt, dets, cfg.iou_threshold, passes)
-            _center_errors(gt, dets, cfg.match_radius, errors)
+    tallies = [tally() for _ in det_dirs]
+    for parts in _ordered_map(score, _chunks(frame_ids, _CHUNK_FRAMES), cfg.jobs):
+        for total, part in zip(tallies, parts):
+            _add_tally(total, part)
     value_columns = ["value"] if len(tallies) == 1 else ["original", "disturbed", "decrease"]
     cells = []
     for key in _cell_keys(cfg):
@@ -856,7 +852,8 @@ def cmd_rectify(cfg: argparse.Namespace) -> int:
             raise _IOFailure(f"frame {frame_id} missing from {source}")
         estimate = estimates[frame_id]
         if cfg.horizon:
-            estimate = extrinsics_from_horizon_vp(*estimate, intrinsics)
+            p = extrinsics_from_horizon_vp(*estimate, intrinsics)
+            estimate = p.pitch, p.roll
         return table, intrinsics, estimate, (frame_id, estimate, truth.get(frame_id))
 
     def move(prepared):
@@ -870,7 +867,7 @@ def cmd_rectify(cfg: argparse.Namespace) -> int:
         "direction": cfg.direction,
         "frames_processed": len(records),
         "objects_dropped": dropped,
-        "failures": [{"frame_id": f, "reason": r} for f, r in failures],
+        "failures": [{"frame_id": f, "reason": str(exc)} for f, exc in failures],
     }
     if scored:
         frame_ids, estimated, true = zip(*scored)
@@ -918,8 +915,7 @@ def _load_estimates(data: bytes) -> np.ndarray:
     Sidecar entries align with ground-truth pose lines by file order.
     """
     if re.match(rb"\s*{", data):
-        angles = np.fromiter(_json_lines(data, _angles), np.dtype((float, 2)))
-        return _perturbation_matrices(*angles.T)
+        return _rotations(np.fromiter(_json_lines(data, _angles), np.dtype((float, 2))))
     return _pose_stack(data)[:, :, :3]
 
 

@@ -390,8 +390,15 @@ def write_label_file(labels: list[ObjectLabel]) -> bytes:
     same float, and as its shortest round-trip form otherwise.  An empty
     list produces empty bytes.  ``occluded`` is written as the integer each
     label carries; DontCare rows are not given the KITTI -1 sentinel.
+    Raises ``ValueError`` for a label whose ``occluded`` is not an integer
+    (a DontCare label may be built with one), before any text is built.
     """
-    return _table_text(_table_of(labels))
+    table = _table_of(labels)
+    occluded = table.values[:, _OCCLUDED]
+    bad = ~np.isfinite(occluded) | (occluded != np.trunc(occluded))
+    if bad.any():
+        raise ValueError(f"field 'occluded' must be an integer, got {float(occluded[bad][0])}")
+    return _table_text(table)
 
 
 _CALIB_SHAPES = {

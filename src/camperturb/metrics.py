@@ -18,9 +18,9 @@ the numerator replaced by accumulated orientation similarity
 (1 + cos(delta alpha)) / 2, which makes AOS <= AP on 2D matching.
 Matching is class-independent and IoU difficulty-independent, so one
 IoU table per frame and kind serves every class and difficulty; frames
-are folded into running tallies one at a time (:func:`_record_frame`,
-:func:`_center_errors`), and :func:`class_sweep` turns one class's
-records into AP40 or AOS.
+are folded into tallies one at a time (:func:`_record_frame`,
+:func:`_center_errors`), :func:`_add_tally` appends one tally to another,
+and :func:`class_sweep` turns one class's records into AP40 or AOS.
 """
 
 from __future__ import annotations
@@ -311,6 +311,18 @@ def _passes(iou_kinds, difficulties) -> dict:
     """Empty ``{kind: {difficulty: (records, num_gt)}}`` for :func:`_record_frame`."""
     return {kind: {d: (defaultdict(lambda: array("d")), Counter()) for d in difficulties}
             for kind in iou_kinds}
+
+
+def _add_tally(total, part) -> None:
+    """Add the ``(passes, errors)`` tally ``part`` to ``total`` (``passes`` of :func:`_passes`)."""
+    (passes, errors), (part_passes, part_errors) = total, part
+    for kind, by_bin in part_passes.items():
+        for bin_, (records, num_gt) in by_bin.items():
+            for class_name, values in records.items():
+                passes[kind][bin_][0][class_name].extend(values)
+            passes[kind][bin_][1].update(num_gt)
+    for class_name, values in part_errors.items():
+        errors[class_name].extend(values)
 
 
 def _record_frame(frame_id: str, gt, dets, threshold: float, passes) -> None:

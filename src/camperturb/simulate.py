@@ -291,18 +291,19 @@ def warp_image(image: RasterImage, homography: np.ndarray, fill: int = 0) -> Ras
     if np.array_equal(h, np.eye(3)):
         return RasterImage(data=image.data.copy())
     hinv = np.linalg.inv(h)
-    flat = image.data.reshape(-1, image.channels)
+    # channel-planar, so each blend term runs over one long row per channel
+    planar = image.data.reshape(-1, image.channels).T.copy()
     out = np.empty(image.data.shape, dtype=np.uint8)
     for top in range(0, image.height, _WARP_BLOCK_ROWS):
-        rows = out[top:top + _WARP_BLOCK_ROWS]
-        rows[:] = _warp_rows(flat, image.data.shape, hinv, top, fill).reshape(rows.shape)
+        rows = out[top:top + _WARP_BLOCK_ROWS].reshape(-1, image.channels)
+        rows.T[:] = _warp_rows(planar, image.data.shape, hinv, top, fill)
     return RasterImage(data=out)
 
 
 def _warp_rows(
-    flat: np.ndarray, shape: tuple, hinv: np.ndarray, top: int, fill: int
+    planar: np.ndarray, shape: tuple, hinv: np.ndarray, top: int, fill: int
 ) -> np.ndarray:
-    """One block of :func:`warp_image`'s output rows, from the (pixels, channels) raster."""
+    """One block of :func:`warp_image`'s output rows, (channels, pixels) like ``planar``."""
     height, width, _ = shape
     count = min(_WARP_BLOCK_ROWS, height - top)
     us, vs = np.meshgrid(
@@ -331,19 +332,19 @@ def _warp_rows(
     x1 = np.minimum(x0 + 1, width - 1)
     row0 = y0 * width
     row1 = np.minimum(y0 + 1, height - 1) * width
-    fx = (x - x0)[:, None]
-    fy = (y - y0)[:, None]
+    fx = x - x0
+    fy = y - y0
     gx = 1 - fx
     gy = 1 - fy
     # gathering uint8 and then converting equals converting the whole raster first
-    px = lambda index: np.take(flat, index, axis=0).astype(float)  # noqa: E731
+    px = lambda index: np.take(planar, index, axis=1).astype(float)  # noqa: E731
     value = (
         px(row0 + x0) * gx * gy
         + px(row0 + x1) * fx * gy
         + px(row1 + x0) * gx * fy
         + px(row1 + x1) * fx * fy
     )
-    value[~valid] = float(fill)
+    value[:, ~valid] = float(fill)
     return np.clip(np.rint(value), 0, 255).astype(np.uint8)
 
 

@@ -2196,6 +2196,37 @@ def test_bad_frame_in_a_chunk_fails_alone(tmp_path, capsys, jobs, bad):
     assert f"frame failures: 1\n  000030: {reason}\n" in outputs["bad"][1]
 
 
+@pytest.mark.parametrize("jobs", ["1", "3"])
+@pytest.mark.parametrize("command", ["simulate", "rectify", "evaluate"])
+@pytest.mark.parametrize("stage", [("_move_tables", "_record_frame"), ("_label_table",)])
+def test_unexpected_error_in_a_chunk_ends_the_run(
+    tmp_path, capsys, monkeypatch, jobs, command, stage
+):
+    """An error that is not a frame's input or domain error (here a
+    RuntimeError from the batch kernel, the matcher or the label reader)
+    leaves ``main`` on a worker too; it is not counted as a frame failure."""
+    import camperturb.cli as cli
+
+    def broken(*args):
+        raise RuntimeError("kernel fault")
+
+    label_dir, calib_dir = write_chunk_dataset(tmp_path / "in", 70)
+    tilt_sidecar(tmp_path / "tilt.jsonl", [f"{i:06d}" for i in range(70)])
+    (tmp_path / "no_dets").mkdir()
+    for name in stage:
+        monkeypatch.setattr(cli, name, broken)
+    out, calib = ["--out", str(tmp_path / "out")], ["--calib", str(calib_dir)]
+    args = {
+        "simulate": ["simulate", "--labels", str(label_dir), *calib, *out],
+        "rectify": ["rectify", "--det", str(label_dir), "--sidecar", str(tmp_path / "tilt.jsonl"),
+                    *calib, *out],
+        "evaluate": ["evaluate", "--gt", str(label_dir), "--det", str(tmp_path / "no_dets"), *out],
+    }[command]
+    with pytest.raises(RuntimeError, match="kernel fault"):
+        main([*args, "--jobs", jobs])
+    assert "frame failures" not in capsys.readouterr().out
+
+
 def test_zero_sigma_keeps_every_label_of_every_chunk(tmp_path, capsys):
     label_dir, calib_dir = write_chunk_dataset(tmp_path / "in", 130)
     out = tmp_path / "out"

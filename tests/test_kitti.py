@@ -311,6 +311,22 @@ class TestWriteLabelFile:
         twice = write_label_file(parse_label_file(once))
         assert once == twice
 
+    @pytest.mark.parametrize("occluded, shown", [(1.5, "1.5"), (math.nan, "nan")])
+    def test_dontcare_with_non_integer_occluded_is_refused(self, occluded, shown):
+        # the constructor accepts it for DontCare; the writer cannot write it faithfully
+        region = make_label(class_name="DontCare", occluded=occluded)
+        with pytest.raises(ValueError, match=f"'occluded' must be an integer, got {shown}"):
+            write_label_file([make_label(), region])
+
+    def test_dontcare_with_integer_occluded_is_written(self):
+        region = make_label(class_name="DontCare", occluded=-1)
+        parsed = parse_label_file(DONTCARE.replace(" -1 -10 ", " 2 -10 ", 1))[0]
+        assert write_label_file([region]).split()[:3] == [b"DontCare", b"0.00", b"-1"]
+        assert write_label_file([parsed]) == (
+            b"DontCare -1.00 2 -10.00 100.00 120.00 180.00 160.00 -1.00 -1.00 -1.00 "
+            b"-1000.00 -1000.00 -1000.00 -10.00\n"
+        )
+
     def test_random_labels_round_trip(self):
         rng = np.random.default_rng(53)
         for _ in range(200)         :

@@ -515,6 +515,58 @@ class TestMatchFrame:
             detection_frame([], [bbox_label(0, 0, 10, 10)])
 
 
+class TestDevkitDepartures:
+    """Hand-built 2D frames on which camperturb's matching and the KITTI devkit's
+    ``computeStatistics`` (``evaluate_object.cpp``) disagree.  Each test pins
+    camperturb's outcome; its docstring argues the devkit's."""
+
+    def test_overlap_equal_to_the_threshold_is_a_true_positive(self):
+        """gt [0, 0, 100, 100] and a Car detection [0, 0, 100, 70] overlap in
+        100 x 70 = 7000 px of a 10000 px union, an IoU of exactly 0.7.
+
+        Devkit: a detection is a candidate for a gt only when
+        ``overlap > MIN_OVERLAP``, strictly.  0.7 > 0.7 is false, so the gt
+        finds no candidate: one false negative, and the unassigned detection
+        is one false positive.  camperturb takes ``>=``: one true positive.
+        """
+        gt = bbox_label(0, 0, 100, 100)
+        det = with_score(bbox_label(0, 0, 100, 70), 0.9)
+        assert iou_2d(gt, det) == 0.7
+        result = match_frame(detection_frame([gt], [det]), iou_kind="2d", threshold=0.7)
+        assert result.pairs == ((0, 0, 0.7),)
+        assert result.unmatched_gt == ()
+        assert result.unmatched_det == ()
+
+    def test_detections_are_visited_in_score_order_not_gt_order(self):
+        """gt1 [0, 0, 100, 100], gt2 [10, 0, 110, 100]; detection A [8, 0, 108, 100]
+        at score 0.9 overlaps them 0.852 and 0.961, detection B [0, 0, 80, 100]
+        at score 0.8 overlaps them 0.800 and 0.636.  Threshold 0.7.
+
+        Devkit: its pass is GT-major.  The outer loop visits gt1 first, and gt1
+        takes its highest-overlap unassigned detection above 0.7: A (0.852
+        beats B's 0.800).  Then gt2 looks for an unassigned detection above
+        0.7: only B is left, at 0.636, so gt2 is missed.  B stays unassigned,
+        a false positive.  Outcome: one TP, one FP, one FN.
+
+        camperturb: detections claim gts in score order.  A claims its best gt,
+        gt2 (0.961); B then claims gt1 (0.800).  Outcome: two TPs.
+        """
+        gt1, gt2 = bbox_label(0, 0, 100, 100), bbox_label(10, 0, 110, 100)
+        det_a = with_score(bbox_label(8, 0, 108, 100), 0.9)
+        det_b = with_score(bbox_label(0, 0, 80, 100), 0.8)
+        ious = [[iou_2d(gt, det) for gt in (gt1, gt2)] for det in (det_a, det_b)]
+        assert ious == [
+            [pytest.approx(0.852, abs=5e-4), pytest.approx(0.961, abs=5e-4)],
+            [pytest.approx(0.800, abs=5e-4), pytest.approx(0.636, abs=5e-4)],
+        ]
+        result = match_frame(
+            detection_frame([gt1, gt2], [det_a, det_b]), iou_kind="2d", threshold=0.7
+        )
+        assert [(g, d) for g, d, _ in result.pairs] == [(1, 0), (0, 1)]
+        assert result.unmatched_gt == ()
+        assert result.unmatched_det == ()
+
+
 class TestMatchPass:
     @pytest.mark.parametrize("kind", ["2d", "bev", "3d"])
     def test_all_difficulties_at_once_equal_match_frame_per_difficulty(self, kind):
