@@ -52,6 +52,7 @@ import numpy as np
 from .errors import (
     CamPerturbError,
     ChannelMismatch,
+    DegenerateBox,
     MalformedLine,
     NoGroundTruth,
     NoMatches,
@@ -78,7 +79,7 @@ from .losses import (
     content_loss,
 )
 from .metrics import (
-    _add_tally, _center_errors, _mean_errors, _passes, _record_frame, _require_scores,
+    _add_tally, _center_errors, _mean_errors, _passes, _record_chunk, _require_scores,
     class_sweep,
 )
 from .netpbm import read_image, write_image
@@ -730,6 +731,17 @@ def _cell_keys(cfg):
                     yield metric, class_name, difficulty, cfg.iou_threshold
 
 
+def _detections(det_dir: Path, frame_id: str):
+    """The frame's detection table; a missing file is a frame without detections."""
+    path = det_dir / f"{frame_id}.txt"
+    dets = _parse_file(path, "detections", _label_table) if path.is_file() else _label_table(b"")
+    try:
+        _require_scores(frame_id, dets)
+    except ValueError as exc:
+        raise _IOFailure(f"frame {frame_id}: {exc}") from exc
+    return dets
+
+
 def cmd_evaluate(cfg: argparse.Namespace) -> int:
     gt_dir = _require(cfg.gt, "ground-truth")
     det_dirs = [_require(cfg.det, "detection")]
@@ -745,28 +757,35 @@ def cmd_evaluate(cfg: argparse.Namespace) -> int:
 
     def score(chunk: list[str]):  # a missing detection file is a set without detections
         parts = [tally() for _ in det_dirs]
-        for frame_id in chunk:
-            gt = _parse_file(gt_dir / f"{frame_id}.txt", "gt labels", _label_table)
-            det_tables = []
-            for det_dir in det_dirs:
-                path = det_dir / f"{frame_id}.txt"
-                read = path.is_file()
-                dets = _parse_file(path, "detections", _label_table) if read else _label_table(b"")
-                try:
-                    _require_scores(frame_id, dets)
-                except ValueError as exc:
-                    raise _IOFailure(f"frame {frame_id}: {exc}") from exc
-                det_tables.append(dets)
-            for dets, (passes, errors) in zip(det_tables, parts):
-                if passes:
-                    _record_frame(frame_id, gt, dets, cfg.iou_threshold, passes)
-                _center_errors(gt, dets, cfg.match_radius, errors)
+        sets, failure = [[] for _ in det_dirs], None  # (frame_id, gt, dets) per set
+        for frame_id in chunk:  # up to the first that fails to read
+            try:
+                gt = _parse_file(gt_dir / f"{frame_id}.txt", "gt labels", _label_table)
+                det_tables = [_detections(det_dir, frame_id) for det_dir in det_dirs]
+            except _IOFailure as exc:
+                failure = exc
+                break
+            for set_frames, dets in zip(sets, det_tables):
+                set_frames.append((frame_id, gt, dets))
+        try:
+            for set_frames, (passes, errors) in zip(sets, parts):
+                if passes and set_frames:
+                    _record_chunk(set_frames, cfg.iou_threshold, passes)
+                for _, gt, dets in set_frames:
+                    _center_errors(gt, dets, cfg.match_radius, errors)
+        except DegenerateBox:  # of several bad frames (and sets) the first in id order names it
+            for frame in zip(*sets):
+                for set_frame in frame:
+                    _record_chunk([set_frame], cfg.iou_threshold, _passes(kinds, bins))
+            raise
+        if failure:
+            raise failure
         return parts
 
     tallies = [tally() for _ in det_dirs]
     for parts in _ordered_map(score, _chunks(frame_ids, _CHUNK_FRAMES), cfg.jobs):
-        for total, part in zip(tallies, parts):
-            _add_tally(total, part)
+        for total in tallies:  # popped, so no chunk's tally outlives its adding
+            _add_tally(total, parts.pop(0))
     value_columns = ["value"] if len(tallies) == 1 else ["original", "disturbed", "decrease"]
     cells = []
     for key in _cell_keys(cfg):
@@ -987,10 +1006,14 @@ def _finite_difference_check(
     """Central finite differences vs. analytic gradient on probe coordinates.
 
     The style targets enter through their Gram matrices, computed once by
-    the caller; each probe computes the Gram matrix of its own output.
+    the caller; each probe moves one coordinate of one scratch copy of the
+    output and computes the loss, and so the Gram matrix, of that copy.
+    A probe whose loss leaves the float range is a usage error: ``step``
+    is too large for the tensor.
     """
-    analytic = _loss_gradients(out, content, target_grams, gamma_c, gamma_s).data
-    flat = out.data.ravel()
+    analytic = _loss_gradients(out.data, content.data, target_grams, gamma_c, gamma_s)
+    scratch = out.data.copy()
+    flat = scratch.reshape(-1)
     size = flat.size
     if size <= _GRAD_CHECK_FULL_SIZE:
         coords = range(size)
@@ -998,16 +1021,25 @@ def _finite_difference_check(
         stride = max(1, size // _GRAD_CHECK_SAMPLES)
         coords = range(0, size, stride)
 
-    def loss_moved(idx: int, delta: float) -> float:
-        data = out.data.copy()
-        data.flat[idx] += delta
-        return _total_loss(FeatureTensor(data=data), content, target_grams, gamma_c, gamma_s)
+    def loss_moved(idx: int, value: float) -> float:
+        flat[idx] = value
+        return _total_loss(scratch, content.data, target_grams, gamma_c, gamma_s)
 
     fd_values = []
     an_values = []
     for idx in coords:
-        h = step * max(1.0, abs(flat[idx]))
-        fd_values.append((loss_moved(idx, h) - loss_moved(idx, -h)) / (2.0 * h))
+        x = flat[idx]
+        with np.errstate(over="ignore", invalid="ignore"):
+            h = step * max(1.0, abs(x))
+            fd = (loss_moved(idx, x + h) - loss_moved(idx, x - h)) / (2.0 * h)
+        flat[idx] = x
+        if not math.isfinite(fd):
+            coordinate = tuple(int(i) for i in np.unravel_index(idx, scratch.shape))
+            raise _UsageError(
+                f"--fd-step {step!r}: the probe of output coordinate {coordinate} leaves "
+                "the float range; use a smaller step"
+            )
+        fd_values.append(fd)
         an_values.append(float(analytic.flat[idx]))
     fd = np.array(fd_values)
     an = np.array(an_values)
@@ -1030,9 +1062,9 @@ def cmd_loss(cfg: argparse.Namespace) -> int:
     style_tensors = [load(p, "style tensor") for p in cfg.style]
     content_value = content_loss(out_tensor, content_tensor)
     target_grams = _target_grams(out_tensor, style_tensors)
-    style_values = _style_losses(out_tensor, target_grams)
+    style_values = _style_losses(out_tensor.data, target_grams)
     total_value = _total_loss(
-        out_tensor, content_tensor, target_grams, cfg.gamma_content, cfg.gamma_style
+        out_tensor.data, content_tensor.data, target_grams, cfg.gamma_content, cfg.gamma_style
     )
     report = {
         "content_loss": content_value,

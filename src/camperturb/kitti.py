@@ -293,7 +293,7 @@ def _label_table(data: bytes | str) -> _LabelTable:
             failed = line_no
             break
         scored.append(len(row) == 15)
-        names.append(tokens[0])
+        names.append(sys.intern(tokens[0]))  # one string per class, not per row
         rows.append(row if len(row) == 15 else row + [0.0])
         line_nos.append(line_no)
     values = np.array(rows, dtype=float).reshape(-1, 15)

@@ -60,15 +60,20 @@ class FeatureTensor:
         return self.data.size
 
 
+def _gram(data: np.ndarray) -> np.ndarray:
+    """:func:`gram` of a (c, h, w) array."""
+    psi = data.reshape(data.shape[0], -1)
+    g = (psi @ psi.T) / data.size
+    return (g + g.T) / 2.0
+
+
 def gram(t: FeatureTensor) -> np.ndarray:
     """Normalized Gram matrix psi psi^T / (c*h*w), exactly symmetric PSD.
 
     psi is the tensor flattened to (channels, height*width); entry (i, j)
     is the correlation of channels i and j over all spatial positions.
     """
-    psi = t.data.reshape(t.channels, t.height * t.width)
-    g = (psi @ psi.T) / t.size
-    return (g + g.T) / 2.0
+    return _gram(t.data)
 
 
 def _require_same_shape(out: FeatureTensor, target: FeatureTensor) -> None:
@@ -79,6 +84,12 @@ def _require_same_shape(out: FeatureTensor, target: FeatureTensor) -> None:
         )
 
 
+def _content_loss(out: np.ndarray, target: np.ndarray) -> float:
+    """:func:`content_loss` of two arrays of one shape."""
+    diff = (out - target).ravel()
+    return float(diff @ diff) / out.size
+
+
 def content_loss(out: FeatureTensor, target: FeatureTensor) -> float:
     """Mean squared difference ||out - target||^2 / (c*h*w).
 
@@ -86,8 +97,7 @@ def content_loss(out: FeatureTensor, target: FeatureTensor) -> float:
     shapes in the message) otherwise.
     """
     _require_same_shape(out, target)
-    diff = (out.data - target.data).ravel()
-    return float(diff @ diff) / out.size
+    return _content_loss(out.data, target.data)
 
 
 def _target_grams(out: FeatureTensor, style_targets) -> list[np.ndarray]:
@@ -103,11 +113,11 @@ def _target_grams(out: FeatureTensor, style_targets) -> list[np.ndarray]:
     return grams
 
 
-def _style_losses(out: FeatureTensor, target_grams) -> list[float]:
-    """Style loss of ``out`` against each target, given the targets' Gram matrices."""
+def _style_losses(out: np.ndarray, target_grams) -> list[float]:
+    """Style loss of the ``out`` array against each target, given the targets' Gram matrices."""
     if not target_grams:
         return []
-    g_out = gram(out)
+    g_out = _gram(out)
     losses = []
     for g_target in target_grams:
         diff = g_out - g_target
@@ -122,7 +132,7 @@ def style_loss(out: FeatureTensor, target: FeatureTensor) -> float:
     Gram is normalized by its own c*h*w); raises
     :class:`ChannelMismatch` otherwise.
     """
-    return _style_losses(out, _target_grams(out, [target]))[0]
+    return _style_losses(out.data, _target_grams(out, [target]))[0]
 
 
 def _check_gammas(gamma_content: float, gamma_style: float) -> None:
@@ -143,18 +153,19 @@ def total_loss(
     _check_gammas(gamma_content, gamma_style)
     _require_same_shape(out, content_target)
     target_grams = _target_grams(out, style_targets)
-    return _total_loss(out, content_target, target_grams, gamma_content, gamma_style)
+    return _total_loss(out.data, content_target.data, target_grams, gamma_content, gamma_style)
 
 
 def _total_loss(
-    out: FeatureTensor,
-    content_target: FeatureTensor,
+    out: np.ndarray,
+    content_target: np.ndarray,
     target_grams,
     gamma_content: float,
     gamma_style: float,
 ) -> float:
-    """:func:`total_loss`, given the style targets' Gram matrices; styles added in order."""
-    total = gamma_content * content_loss(out, content_target)
+    """:func:`total_loss` of checked arrays, given the style targets' Gram matrices;
+    styles added in order."""
+    total = gamma_content * _content_loss(out, content_target)
     for style in _style_losses(out, target_grams):
         total += gamma_style * style
     return total
@@ -176,23 +187,25 @@ def loss_gradients(
     _check_gammas(gamma_content, gamma_style)
     _require_same_shape(out, content_target)
     target_grams = _target_grams(out, style_targets)
-    return _loss_gradients(out, content_target, target_grams, gamma_content, gamma_style)
+    return FeatureTensor(data=_loss_gradients(
+        out.data, content_target.data, target_grams, gamma_content, gamma_style
+    ))
 
 
 def _loss_gradients(
-    out: FeatureTensor,
-    content_target: FeatureTensor,
+    out: np.ndarray,
+    content_target: np.ndarray,
     target_grams,
     gamma_content: float,
     gamma_style: float,
-) -> FeatureTensor:
-    """:func:`loss_gradients`, given the style targets' Gram matrices."""
+) -> np.ndarray:
+    """:func:`loss_gradients` of checked arrays, given the style targets' Gram matrices."""
     n = out.size
-    grad = gamma_content * 2.0 * (out.data - content_target.data) / n
+    grad = gamma_content * 2.0 * (out - content_target) / n
     if target_grams:
-        psi = out.data.reshape(out.channels, out.height * out.width)
-        g_out = gram(out)
+        psi = out.reshape(out.shape[0], -1)
+        g_out = _gram(out)
         for g_target in target_grams:
             diff = g_out - g_target
-            grad = grad + gamma_style * (4.0 / n) * (diff @ psi).reshape(out.data.shape)
-    return FeatureTensor(data=grad)
+            grad = grad + gamma_style * (4.0 / n) * (diff @ psi).reshape(out.shape)
+    return grad

@@ -5,9 +5,11 @@ once: the bird's-eye-view (BEV) footprints are rectangles, the vertices
 of their intersection are the corners of each inside the other plus the
 crossings of their edges, and sorted by angle these give the area by the
 shoelace formula.  3D IoU multiplies the BEV intersection by the overlap
-of the vertical extents.  Each frame's same-class pairs are scored in
-one call, once per IoU kind; ``iou_2d``/``iou_bev``/``iou_3d`` score
-one pair through the same kernel.
+of the vertical extents, so ``bev`` and ``3d`` share one intersection.
+The same-class pairs of a whole chunk of frames are gathered with NumPy
+and scored in one kernel call per IoU group (``2d``; ``bev`` and ``3d``),
+then split back per frame; ``iou_2d``/``iou_bev``/``iou_3d`` score one
+pair through the same kernel.
 
 AP40 follows the 40-recall-point protocol: detections are matched
 greedily in score order, the precision-recall curve is sampled after
@@ -17,10 +19,11 @@ max-interpolated at recalls 1/40 .. 40/40.  AOS runs the same sweep with
 the numerator replaced by accumulated orientation similarity
 (1 + cos(delta alpha)) / 2, which makes AOS <= AP on 2D matching.
 Matching is class-independent and IoU difficulty-independent, so one
-IoU table per frame and kind serves every class and difficulty; frames
-are folded into tallies one at a time (:func:`_record_frame`,
-:func:`_center_errors`), :func:`_add_tally` appends one tally to another,
-and :func:`class_sweep` turns one class's records into AP40 or AOS.
+IoU value per pair and kind serves every class and difficulty.  A chunk
+of frames is folded into a tally by one call (:func:`_record_chunk`,
+which every matcher entry point uses; :func:`_center_errors` per frame),
+:func:`_add_tally` appends one tally to another, and :func:`class_sweep`
+turns one class's records into AP40 or AOS.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .errors import DegenerateBox, NoGroundTruth, NoMatches
 from .geometry import Box3D, CameraIntrinsics, _box_row, _corners, _wrap_angle
 from .kitti import (
     _ALPHA, _BBOX_COLUMNS, _BOX_COLUMNS, _SCORE, DONTCARE, DifficultyBin, ObjectLabel, _bins_of,
-    _table_of,
+    _LabelTable, _table_of,
 )
 
 #: The 40 recall checkpoints of the AP40 protocol: 1/40, 2/40, ..., 1.
@@ -106,16 +109,17 @@ class NuScenesErrors:
     matches: int
 
 
-def _rect_overlap(a: np.ndarray, b: np.ndarray):
-    """Intersection (0 when disjoint) and both areas of paired 2D box rows.
+def _rect_overlap(a: np.ndarray, b: np.ndarray, ia, ib):
+    """Intersection (0 when disjoint) and both areas of each 2D box row pair
+    (a[ia[k]], b[ib[k]]).
 
     Rows are (left, top, right, bottom).
     """
-    iw = np.minimum(a[:, 2], b[:, 2]) - np.maximum(a[:, 0], b[:, 0])
-    ih = np.minimum(a[:, 3], b[:, 3]) - np.maximum(a[:, 1], b[:, 1])
+    iw = np.minimum(a[ia, 2], b[ib, 2]) - np.maximum(a[ia, 0], b[ib, 0])
+    ih = np.minimum(a[ia, 3], b[ib, 3]) - np.maximum(a[ia, 1], b[ib, 1])
     inter = np.where((iw > 0) & (ih > 0), iw * ih, 0.0)
-    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
-    return inter, area_a, (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
+    area_a = ((a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1]))[ia]
+    return inter, area_a, ((b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1]))[ib]
 
 
 def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -157,52 +161,68 @@ def _convex_intersection(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.where(count >= 3, 0.5 * np.abs(twice), 0.0)
 
 
-def _pair_ious(kind: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """IoU of each row pair (a[k], b[k]) for one IoU kind.
+def _flat(rows: np.ndarray) -> np.ndarray:
+    """Which (x, y, z, h, w, l, yaw) rows have a BEV footprint of (near-)zero area."""
+    return rows[:, 4] * rows[:, 5] < 1e-12
 
-    Rows are (left, top, right, bottom) 2D boxes for ``"2d"`` and
-    (x, y, z, h, w, l, yaw) 3D boxes for ``"bev"`` and ``"3d"``.  Raises
-    :class:`DegenerateBox` if a compared BEV footprint has (near-)zero area.
+
+#: Near box pairs (bounding circles not apart) per :func:`_convex_intersection`
+#: call, which bounds the polygon temporaries of a chunk.
+_NEAR_PAIRS = 128
+
+
+def _pair_ious(kinds: tuple[str, ...], a: np.ndarray, b: np.ndarray, ia, ib) -> list[np.ndarray]:
+    """IoU of each row pair (a[ia[k]], b[ib[k]]) for each of ``kinds``, in order.
+
+    Rows are (left, top, right, bottom) 2D boxes for ``("2d",)`` and
+    (x, y, z, h, w, l, yaw) 3D boxes for ``"bev"`` and ``"3d"``, which share
+    one BEV intersection.  Raises :class:`DegenerateBox` if a compared BEV
+    footprint has (near-)zero area.
     """
-    if kind == "2d":
-        inter, area_a, area_b = _rect_overlap(a, b)
-        return np.where(inter > 0.0, inter / (area_a + area_b - inter), 0.0)
-    area_a = a[:, 4] * a[:, 5]
-    area_b = b[:, 4] * b[:, 5]
-    if (area_a < 1e-12).any() or (area_b < 1e-12).any():
+    if kinds == ("2d",):
+        inter, area_a, area_b = _rect_overlap(a, b, ia, ib)
+        return [np.where(inter > 0.0, inter / (area_a + area_b - inter), 0.0)]
+    if _flat(a)[ia].any() or _flat(b)[ib].any():
         raise DegenerateBox("BEV footprint has (near-)zero area")
+    area_a = (a[:, 4] * a[:, 5])[ia]
+    area_b = (b[:, 4] * b[:, 5])[ib]
     # bit-equal footprints overlap fully, boxes with apart bounding circles not at all
-    same = (a[:, [0, 2, 4, 5, 6]] == b[:, [0, 2, 4, 5, 6]]).all(axis=1)
-    reach = 0.5 * (np.hypot(a[:, 4], a[:, 5]) + np.hypot(b[:, 4], b[:, 5]))
-    near = ~same & (np.hypot(a[:, 0] - b[:, 0], a[:, 2] - b[:, 2]) < reach)
+    same = np.logical_and.reduce([a[ia, c] == b[ib, c] for c in (0, 2, 4, 5, 6)])
+    reach = 0.5 * (np.hypot(a[:, 4], a[:, 5])[ia] + np.hypot(b[:, 4], b[:, 5])[ib])
+    near = np.flatnonzero(~same & (np.hypot(a[ia, 0] - b[ib, 0], a[ia, 2] - b[ib, 2]) < reach))
     inter = np.where(same, area_a, 0.0)
-    inter[near] = _convex_intersection(
-        _corners(a[near])[:, :4, ::2], _corners(b[near])[:, :4, ::2]
-    )
+    for k in (near[i:i + _NEAR_PAIRS] for i in range(0, len(near), _NEAR_PAIRS)):
+        p, q = _corners(a[ia[k]])[:, :4, ::2], _corners(b[ib[k]])[:, :4, ::2]
+        inter[k] = _convex_intersection(p, q)
     inter = np.minimum(np.minimum(inter, area_a), area_b)
-    if kind == "bev":
-        return inter / (area_a + area_b - inter)
-    top_a, top_b = a[:, 1] - a[:, 3], b[:, 1] - b[:, 3]
-    y_overlap = np.minimum(a[:, 1], b[:, 1]) - np.maximum(top_a, top_b)
-    vol_a = area_a * a[:, 3]
-    vol_b = area_b * b[:, 3]
-    inter_vol = np.minimum(np.minimum(inter * np.maximum(y_overlap, 0.0), vol_a), vol_b)
-    return inter_vol / (vol_a + vol_b - inter_vol)
+    ious = {"bev": inter / (area_a + area_b - inter)}
+    if "3d" in kinds:
+        top_a, top_b = a[ia, 1] - a[ia, 3], b[ib, 1] - b[ib, 3]
+        y_overlap = np.minimum(a[ia, 1], b[ib, 1]) - np.maximum(top_a, top_b)
+        vol_a = area_a * a[ia, 3]
+        vol_b = area_b * b[ib, 3]
+        inter_vol = np.minimum(np.minimum(inter * np.maximum(y_overlap, 0.0), vol_a), vol_b)
+        ious["3d"] = inter_vol / (vol_a + vol_b - inter_vol)
+    return [ious[kind] for kind in kinds]
 
 
-#: Label table columns of the rows :func:`_pair_ious` compares, by IoU kind.
-_IOU_COLUMNS = {"2d": _BBOX_COLUMNS, "bev": _BOX_COLUMNS, "3d": _BOX_COLUMNS}
+#: IoU kinds scored from the same rows by one :func:`_pair_ious` call, with the
+#: label table columns of those rows.
+_IOU_GROUPS = {("2d",): _BBOX_COLUMNS, ("bev", "3d"): _BOX_COLUMNS}
+_IOU_KINDS = ("2d", "bev", "3d")
+#: The pair indices of one row against one row.
+_ONE_PAIR = (np.zeros(1, dtype=np.intp),) * 2
 
 
 def iou_2d(a: ObjectLabel, b: ObjectLabel) -> float:
     """Axis-aligned IoU of two labels' 2D boxes."""
     rows = _table_of([a, b]).values[:, _BBOX_COLUMNS]
-    return float(_pair_ious("2d", rows[:1], rows[1:])[0])
+    return float(_pair_ious(("2d",), rows[:1], rows[1:], *_ONE_PAIR)[0][0])
 
 
 def iou_bev(a: Box3D, b: Box3D) -> float:
     """Exact IoU of two yaw-rotated BEV footprints, in [0, 1]."""
-    return float(_pair_ious("bev", _box_row(a), _box_row(b))[0])
+    return float(_pair_ious(("bev",), _box_row(a), _box_row(b), *_ONE_PAIR)[0][0])
 
 
 def iou_3d(a: Box3D, b: Box3D) -> float:
@@ -211,10 +231,7 @@ def iou_3d(a: Box3D, b: Box3D) -> float:
     The vertical extent of a box runs from center.y (bottom) to
     center.y - height (top) in the y-down camera frame.
     """
-    return float(_pair_ious("3d", _box_row(a), _box_row(b))[0])
-
-
-_IOU_KINDS = tuple(_IOU_COLUMNS)
+    return float(_pair_ious(("3d",), _box_row(a), _box_row(b), *_ONE_PAIR)[0][0])
 
 
 def _greedy(order, rows, threshold: float, in_bin, covered):
@@ -245,48 +262,103 @@ def _greedy(order, rows, threshold: float, in_bin, covered):
     return pairs, ignored, false_pos
 
 
-def _match_difficulties(gt, dets, iou_kinds, threshold: float, difficulties):
-    """Yield ``(kind, difficulty, MatchResult)`` for each of ``iou_kinds`` and
-    ``difficulties``, matching the ``dets`` label table to the ``gt`` one."""
-    for iou_kind in iou_kinds:
+def _partners(keys: np.ndarray, column_keys: np.ndarray):
+    """The nonzero entries ``(k, j)`` of ``keys[:, None] == column_keys``, row-major."""
+    by_key = np.argsort(column_keys, kind="stable")
+    sorted_keys = column_keys[by_key]
+    first = np.searchsorted(sorted_keys, keys, "left")
+    counts = np.searchsorted(sorted_keys, keys, "right") - first
+    rows = np.repeat(np.arange(len(keys)), counts)
+    offsets = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+    return rows, by_key[np.repeat(first, counts) + offsets]
+
+
+def _stacked(tables):
+    """One label table (no score mask) of ``tables`` in order, and the first row
+    of each (and the end)."""
+    starts = np.cumsum([0, *(len(t.names) for t in tables)])
+    names = [name for t in tables for name in t.names]
+    return _LabelTable(names, np.concatenate([t.values for t in tables]), None), starts
+
+
+def _match_chunk(frames, kinds, threshold: float, difficulties):
+    """Yield ``(k, {(kind, difficulty): MatchResult})`` for each ``frames[k]``, a
+    ``(frame_id, gt, dets)`` tuple of label tables, in order.
+
+    The same-class pairs of all ``frames`` are scored by one :func:`_pair_ious`
+    call per IoU group of ``kinds``; each detection's candidates are its pairs
+    at or above ``threshold``, in column order.  Raises :class:`DegenerateBox`
+    naming the first frame with a compared footprint of (near-)zero area.
+    """
+    for iou_kind in kinds:
         if iou_kind not in _IOU_KINDS:
             raise ValueError(f"iou_kind must be one of {_IOU_KINDS}, got {iou_kind!r}")
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"threshold must lie in (0, 1], got {threshold}")
-    dontcare = [j for j, name in enumerate(gt.names) if name == DONTCARE]
-    scores = dets.values[:, _SCORE].tolist()
-    order = sorted(
-        (i for i, name in enumerate(dets.names) if name != DONTCARE),
-        key=lambda i: (-scores[i], i),
+    gt, gt_start = _stacked([frame[1] for frame in frames])
+    dets, det_start = _stacked([frame[2] for frame in frames])
+    gt_frame = np.repeat(np.arange(len(frames)), np.diff(gt_start))  # each row's frame
+    det_frame = np.repeat(np.arange(len(frames)), np.diff(det_start))
+    codes = {DONTCARE: 0}
+    gt_class, det_class = (
+        np.array([codes.setdefault(name, len(codes)) for name in t.names], dtype=np.int64)
+        for t in (gt, dets)
     )
+    scored = np.flatnonzero(det_class)  # all but DontCare regions
+    # detections by frame, then descending score, then index
+    order = scored[np.lexsort((-dets.values[scored, _SCORE], det_frame[scored]))]
+    bounds = np.searchsorted(det_frame[order], np.arange(len(frames) + 1)).tolist()
     covered = np.zeros(len(dets.names), dtype=bool)
-    if dontcare and order:
-        det_idx, dc_idx = np.repeat(order, len(dontcare)), np.tile(dontcare, len(order))
-        boxes_det = dets.values[det_idx][:, _BBOX_COLUMNS]
-        inter, area_det, _ = _rect_overlap(boxes_det, gt.values[dc_idx][:, _BBOX_COLUMNS])
+    dontcare = np.flatnonzero(gt_class == 0)
+    pos, dc = _partners(det_frame[order], gt_frame[dontcare])
+    if len(pos):
+        boxes_det, boxes_gt = dets.values[:, _BBOX_COLUMNS], gt.values[:, _BBOX_COLUMNS]
+        inter, area_det, _ = _rect_overlap(boxes_det, boxes_gt, order[pos], dontcare[dc])
         coverage = np.where(inter > 0.0, inter / area_det, 0.0)
-        covered[order] = (coverage > threshold).reshape(len(order), -1).any(axis=1)
+        covered[order[pos[coverage > threshold]]] = True
+    covered = covered.tolist()
+    # same-class pairs: a frame and class is one key
+    pos, gt_idx = _partners(det_frame[order] * len(codes) + det_class[order],
+                            gt_frame * len(codes) + gt_class)
+    det_idx, rows_by_kind = order[pos], {}
+    for group, columns in _IOU_GROUPS.items():
+        wanted = tuple(kind for kind in group if kind in kinds)
+        if not wanted:
+            continue
+        rows_det, rows_gt = dets.values[:, columns], gt.values[:, columns]
+        try:
+            ious = _pair_ious(wanted, rows_det, rows_gt, det_idx, gt_idx)
+        except DegenerateBox as exc:
+            first = det_frame[det_idx[np.argmax(_flat(rows_det)[det_idx] | _flat(rows_gt)[gt_idx])]]
+            raise DegenerateBox(f"frame {frames[first][0]}: {exc}") from exc
+        for kind, values in zip(wanted, ious):
+            hit = np.flatnonzero(values >= threshold)
+            column = gt_idx[hit] - gt_start[gt_frame[gt_idx[hit]]]
+            rows = rows_by_kind[kind] = [[] for _ in order]
+            for p, j, value in zip(pos[hit].tolist(), column.tolist(), values[hit].tolist()):
+                rows[p].append((j, value))
     levels = _bins_of(gt)  # DontCare is IGNORED, never in bin
     in_bins = [(levels <= min(d, DifficultyBin.HARD)).tolist() for d in difficulties]
-    same_class = [
-        (i, j) for i in order for j, name in enumerate(gt.names) if name == dets.names[i]
-    ]
-    for iou_kind in iou_kinds:
-        # one IoU matrix per kind for every difficulty; -1 marks the pairs never compared
-        ious = np.full((len(dets.names), len(gt.names)), -1.0)
-        if same_class:
-            det_idx, gt_idx = np.array(same_class).T
-            columns = _IOU_COLUMNS[iou_kind]
-            rows_det, rows_gt = dets.values[det_idx][:, columns], gt.values[gt_idx][:, columns]
-            ious[det_idx, gt_idx] = _pair_ious(iou_kind, rows_det, rows_gt)
-        rows = [[(j, v) for j, v in enumerate(r) if v >= threshold] for r in ious[order].tolist()]
-        for difficulty, in_bin in zip(difficulties, in_bins):
-            pairs, ignored, false_pos = _greedy(order, rows, threshold, in_bin, covered)
-            claimed = {j for j, _, _ in pairs}
-            unmatched_gt = tuple(j for j, b in enumerate(in_bin) if b and j not in claimed)
-            yield iou_kind, difficulty, MatchResult(
-                tuple(pairs), unmatched_gt, tuple(sorted(false_pos)), tuple(sorted(ignored))
-            )
+    local_order = (order - det_start[det_frame[order]]).tolist()
+    gt_start, det_start = gt_start.tolist(), det_start.tolist()
+    for k in range(len(frames)):
+        first, last = bounds[k], bounds[k + 1]
+        frame_order = local_order[first:last]
+        frame_covered = covered[det_start[k]:det_start[k + 1]]
+        frame_bins = [in_bin[gt_start[k]:gt_start[k + 1]] for in_bin in in_bins]
+        results = {}
+        for iou_kind in kinds:
+            rows = rows_by_kind[iou_kind][first:last]
+            for difficulty, in_bin in zip(difficulties, frame_bins):
+                pairs, ignored, false_pos = _greedy(
+                    frame_order, rows, threshold, in_bin, frame_covered
+                )
+                claimed = {j for j, _, _ in pairs}
+                unmatched_gt = tuple(j for j, b in enumerate(in_bin) if b and j not in claimed)
+                results[iou_kind, difficulty] = MatchResult(
+                    tuple(pairs), unmatched_gt, tuple(sorted(false_pos)), tuple(sorted(ignored))
+                )
+        yield k, results
 
 
 def match_frame(
@@ -304,11 +376,13 @@ def match_frame(
     such detections are *ignored* rather than counted, as are detections
     mostly covered by a DontCare region.
     """
-    return next(_match_difficulties(*_tables(frame), (iou_kind,), threshold, (difficulty,)))[2]
+    frames = [(frame.frame_id, *_tables(frame))]
+    _, results = next(_match_chunk(frames, (iou_kind,), threshold, (difficulty,)))
+    return results[iou_kind, difficulty]
 
 
 def _passes(iou_kinds, difficulties) -> dict:
-    """Empty ``{kind: {difficulty: (records, num_gt)}}`` for :func:`_record_frame`."""
+    """Empty ``{kind: {difficulty: (records, num_gt)}}`` for :func:`_record_chunk`."""
     return {kind: {d: (defaultdict(lambda: array("d")), Counter()) for d in difficulties}
             for kind in iou_kinds}
 
@@ -325,14 +399,16 @@ def _add_tally(total, part) -> None:
         errors[class_name].extend(values)
 
 
-def _record_frame(frame_id: str, gt, dets, threshold: float, passes) -> None:
-    """Add the records of one frame's ``gt`` and ``dets`` label tables for each
-    kind and difficulty of ``passes``, as :func:`match_pass`."""
+def _record_chunk(frames, threshold: float, passes) -> None:
+    """Add the records of ``frames``, ``(frame_id, gt, dets)`` tuples of label
+    tables, for each kind and difficulty of ``passes``, as :func:`match_pass`.
+    The frames are matched together (:func:`_match_chunk`)."""
     bins = next(iter(passes.values()))
-    gt_alpha, det_alpha = gt.values[:, _ALPHA].tolist(), dets.values[:, _ALPHA].tolist()
-    scores = dets.values[:, _SCORE].tolist()
-    try:
-        for kind, bin_, result in _match_difficulties(gt, dets, passes, threshold, bins):
+    for k, results in _match_chunk(frames, passes, threshold, bins):
+        _, gt, dets = frames[k]
+        gt_alpha, det_alpha = gt.values[:, _ALPHA].tolist(), dets.values[:, _ALPHA].tolist()
+        scores = dets.values[:, _SCORE].tolist()
+        for (kind, bin_), result in results.items():
             records, num_gt = passes[kind][bin_]
             num_gt.update(gt.names[j] for j, _, _ in result.pairs)
             num_gt.update(gt.names[j] for j in result.unmatched_gt)
@@ -341,8 +417,6 @@ def _record_frame(frame_id: str, gt, dets, threshold: float, passes) -> None:
                 records[dets.names[i]].extend((scores[i], 1.0, sim))
             for i in result.unmatched_det:
                 records[dets.names[i]].extend((scores[i], 0.0, 0.0))
-    except DegenerateBox as exc:
-        raise DegenerateBox(f"frame {frame_id}: {exc}") from exc
 
 
 def match_pass(
@@ -366,8 +440,7 @@ def match_pass(
     if not frames:
         raise ValueError("frames must be non-empty")
     passes = _passes((iou_kind,), difficulties)
-    for frame in frames:
-        _record_frame(frame.frame_id, *_tables(frame), threshold, passes)
+    _record_chunk([(frame.frame_id, *_tables(frame)) for frame in frames], threshold, passes)
     return passes[iou_kind]
 
 

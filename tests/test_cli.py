@@ -587,9 +587,9 @@ class TestEvaluate:
         calls = []
         real_pair_ious = metrics._pair_ious
 
-        def counting_pair_ious(kind, *args):
-            calls.append(kind)
-            return real_pair_ious(kind, *args)
+        def counting_pair_ious(kinds, *args):
+            calls.append(kinds)
+            return real_pair_ious(kinds, *args)
 
         binned = []
         real_bins_of = metrics._bins_of
@@ -611,8 +611,9 @@ class TestEvaluate:
             ]
         )
         assert code == 0
-        # each frame's pairs are scored once per IoU kind, for all three difficulties
-        assert sorted(calls) == sorted(["2d", "bev", "3d"] * len(frames))
+        # the chunk's pairs are scored by one 2d call and one shared bev/3d call,
+        # for all frames and all three difficulties
+        assert calls == [("2d",), ("bev", "3d")]
         # and each ground-truth row is binned once, for every IoU kind
         assert len(binned) == sum(len(f.labels) for f in frames)
 
@@ -951,14 +952,16 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_frames_are_dropped_once_scored(self, tmp_path, capsys, monkeypatch, jobs):
-        """Live frames stay within the read-ahead window of 2 x jobs (plus the
-        frames being scored and read), whatever the frame count: each frame is
-        one ground-truth table and one table per detection set."""
+        """Live label tables are those of the chunks being scored, one per
+        worker, whatever the frame count: each frame is one ground-truth table
+        and one table per detection set, and a chunk drops its tables once it
+        is scored."""
         import weakref
 
         import camperturb.cli as cli
 
-        gt_dir, det_dir = self._perfect_dirs(tmp_path, n_frames=40)
+        monkeypatch.setattr(cli, "_CHUNK_FRAMES", 4)
+        gt_dir, det_dir = self._perfect_dirs(tmp_path, n_frames=40)  # 10 chunks
         lock = threading.Lock()
         live = peak = 0
         real_label_table = cli._label_table
@@ -985,7 +988,7 @@ class TestEvaluate:
         ])
         assert code == 0
         tables_per_frame = 1 + 2
-        assert 0 < peak <= tables_per_frame * (2 * jobs + 2)
+        assert 0 < peak <= tables_per_frame * 4 * jobs
         assert json.loads(capsys.readouterr().out)["parameters"]["frames"] == 40
 
 
@@ -1881,6 +1884,34 @@ class TestLoss:
         assert report["grad_check"]["max_relative_error"] < 1e-5
         assert report["grad_check"]["coords_checked"] == 60
 
+    @pytest.mark.parametrize("step, where, styled", [
+        ("1e300", (0, 0, 0), True),  # the step itself overflows: the moved value is inf
+        ("1e200", (0, 0, 0), True),  # the moved value is finite, its loss is not
+        ("1e140", (1, 0, 2), False),  # only the probe of the 3e38 value overflows
+    ])
+    def test_grad_check_probe_out_of_float_range_is_a_usage_error(
+        self, tmp_path, capsys, step, where, styled
+    ):
+        """A step that takes a probe's loss past the float range ends the run
+        with exit 1 and names the coordinate and the step, not a traceback or
+        a report holding NaN."""
+        data = np.zeros((2, 2, 3))
+        data[where] = 3e38
+        out = save_feature(tmp_path / "out.ftb", data)
+        content = save_feature(tmp_path / "content.ftb", np.zeros((2, 2, 3)))
+        report = tmp_path / "loss.json"
+        style = ["--style", str(content)] if styled else []
+        code = main([
+            "loss", "--output", str(out), "--content", str(content), *style,
+            "--grad-check", "--fd-step", step, "--report", str(report),
+        ])
+        assert code == 1
+        assert capsys.readouterr() == ("", (
+            f"error: --fd-step {float(step)!r}: the probe of output coordinate {where} "
+            "leaves the float range; use a smaller step\n"
+        ))
+        assert not report.exists()
+
     def test_grad_check_computes_each_style_gram_once(self, tmp_path, capsys, monkeypatch):
         rng = np.random.default_rng(35)
         out = save_feature(tmp_path / "out.ftb", rng.normal(size=(3, 4, 5)))
@@ -2198,7 +2229,7 @@ def test_bad_frame_in_a_chunk_fails_alone(tmp_path, capsys, jobs, bad):
 
 @pytest.mark.parametrize("jobs", ["1", "3"])
 @pytest.mark.parametrize("command", ["simulate", "rectify", "evaluate"])
-@pytest.mark.parametrize("stage", [("_move_tables", "_record_frame"), ("_label_table",)])
+@pytest.mark.parametrize("stage", [("_move_tables", "_record_chunk"), ("_label_table",)])
 def test_unexpected_error_in_a_chunk_ends_the_run(
     tmp_path, capsys, monkeypatch, jobs, command, stage
 ):
@@ -2225,6 +2256,98 @@ def test_unexpected_error_in_a_chunk_ends_the_run(
     with pytest.raises(RuntimeError, match="kernel fault"):
         main([*args, "--jobs", jobs])
     assert "frame failures" not in capsys.readouterr().out
+
+
+def write_ab_detections(label_dir: Path, root: Path) -> tuple[Path, Path]:
+    """Two scored detection sets of ``label_dir``'s objects: one in place, one
+    with its boxes (3D and 2D) moved sideways; scores are drawn on a coarse grid,
+    so some tie."""
+    rng = np.random.default_rng(5)
+    det_dirs = root / "det", root / "det_disturbed"
+    for det_dir, shift in zip(det_dirs, (0.0, 0.4)):
+        det_dir.mkdir(parents=True)
+        for path in sorted(label_dir.glob("*.txt")):
+            lines = []
+            for line in path.read_text().splitlines():
+                fields = line.split()[:15]
+                if fields[0] != "DontCare":
+                    dx = shift * rng.normal()
+                    fields[11] = f"{float(fields[11]) + dx:.4f}"
+                    for k in (4, 6):
+                        fields[k] = f"{float(fields[k]) + 40.0 * dx:.2f}"
+                    fields.append(f"{rng.integers(1, 20) / 20:.2f}")
+                lines.append(" ".join(fields) + "\n")
+            (det_dir / path.name).write_text("".join(lines))
+    return det_dirs
+
+
+@pytest.fixture(scope="module")
+def ab_chunk_dataset(tmp_path_factory):
+    root = tmp_path_factory.mktemp("ab_chunks")
+    label_dir, _ = write_chunk_dataset(root / "in", 129)
+    return label_dir, *write_ab_detections(label_dir, root)
+
+
+@pytest.mark.parametrize("n_frames", [1, 63, 64, 65, 129])
+def test_evaluate_report_does_not_depend_on_chunk_boundaries(
+    tmp_path, capsys, monkeypatch, ab_chunk_dataset, n_frames
+):
+    """Frames are matched a chunk at a time; the A/B report is the same as
+    matching one frame per chunk, at every frame count around the boundary."""
+    import camperturb.cli as cli
+
+    dirs = []
+    for source in ab_chunk_dataset:
+        target = tmp_path / source.name
+        target.mkdir()
+        for i in range(n_frames):
+            (target / f"{i:06d}.txt").write_bytes((source / f"{i:06d}.txt").read_bytes())
+        dirs.append(str(target))
+    gt, det, disturbed = dirs
+
+    def report(jobs: str) -> bytes:
+        out = tmp_path / f"report_{jobs}_{cli._CHUNK_FRAMES}.json"
+        assert main([
+            "evaluate", "--gt", gt, "--det", det, "--det-disturbed", disturbed,
+            "--classes", "Car,Pedestrian", "--metrics", "ap2d,apbev,ap3d,aos,nuscenes",
+            "--iou-threshold", "0.5", "--out", str(out), "--jobs", jobs,
+        ]) == 0
+        return out.read_bytes()
+
+    chunked = {jobs: report(jobs) for jobs in ("1", "3")}
+    monkeypatch.setattr(cli, "_CHUNK_FRAMES", 1)
+    one_by_one = report("1")
+    assert chunked == {"1": one_by_one, "3": one_by_one}
+    assert json.loads(one_by_one)["parameters"]["frames"] == n_frames
+    assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("jobs", ["1", "3"])
+def test_first_bad_frame_of_a_later_chunk_names_the_error(
+    tmp_path, capsys, ab_chunk_dataset, jobs
+):
+    """In the second chunk a disturbed detection with no footprint (frame 70)
+    comes before a flat detection of the first set (frame 72) and a malformed
+    detection file (frame 75): the first frame in id order is named."""
+    gt, det, disturbed = (tmp_path / name for name in ("gt", "det", "det_disturbed"))
+    for source, target in zip(ab_chunk_dataset, (gt, det, disturbed)):
+        target.mkdir()
+        for path in source.glob("*.txt"):
+            (target / path.name).write_bytes(path.read_bytes())
+    for path in (disturbed / "000070.txt", det / "000072.txt"):
+        TestEvaluate._flatten_first_detection(path)
+    with (det / "000075.txt").open("a") as f:
+        f.write("Car 0 0\n")
+    args = ["evaluate", "--gt", str(gt), "--det", str(det), "--metrics", "ap3d",
+            "--jobs", jobs]
+    assert main([*args, "--det-disturbed", str(disturbed)]) == 2
+    assert capsys.readouterr().err == (
+        "error: frame 000070: BEV footprint has (near-)zero area\n"
+    )
+    assert main(args) == 2
+    assert capsys.readouterr().err == (
+        "error: frame 000072: BEV footprint has (near-)zero area\n"
+    )
 
 
 def test_zero_sigma_keeps_every_label_of_every_chunk(tmp_path, capsys):

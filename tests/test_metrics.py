@@ -22,6 +22,8 @@ from camperturb import (
     nuscenes_errors,
     parse_label_file,
 )
+from camperturb import metrics
+from camperturb.geometry import _box_row
 from camperturb.metrics import match_pass
 
 from helpers import detection_frame, make_box, make_label, with_score
@@ -392,6 +394,73 @@ class TestIouMatrix:
                 assert iou == scalar(frame.detections[det_i], frame.ground_truth[gt_j])
             pairs += len(result.pairs)
         assert pairs >= 10
+
+
+class TestGroupedKernel:
+    """One ``_pair_ious`` call over many pairs, for an IoU group, gives each pair
+    the bits of the one-pair wrappers."""
+
+    @staticmethod
+    def _boxes(rng, n):
+        """Boxes packed close enough that many bounding circles overlap."""
+        return [
+            make_box(
+                x=float(rng.uniform(-4.0, 4.0)), y=float(rng.uniform(-1.0, 3.0)),
+                z=float(rng.uniform(10.0, 18.0)), height=float(rng.uniform(0.8, 3.0)),
+                width=float(rng.uniform(0.8, 3.0)), length=float(rng.uniform(0.8, 6.0)),
+                yaw=float(rng.uniform(-math.pi, math.pi)),
+            )
+            for _ in range(n)
+        ]
+
+    @pytest.mark.parametrize("near_pairs", [7, metrics._NEAR_PAIRS])
+    def test_grouped_and_batched_equal_one_pair_at_a_time(self, monkeypatch, near_pairs):
+        monkeypatch.setattr(metrics, "_NEAR_PAIRS", near_pairs)
+        rng = np.random.default_rng(61)
+        a, b = self._boxes(rng, 24), self._boxes(rng, 24)
+        # bit-equal footprints (other heights), and 3 x 4 boxes (bounding radius 2.5)
+        # whose circles overlap by one ulp, just touch and just miss
+        a.append(make_box(x=1.0, z=12.0, yaw=0.3))
+        b.append(make_box(x=1.0, y=0.5, z=12.0, height=2.0, yaw=0.3))
+        for x in (np.nextafter(5.0, 0.0), 5.0, np.nextafter(5.0, 10.0)):
+            a.append(make_box(x=0.0, z=30.0, width=3.0, length=4.0, yaw=math.atan2(3.0, 4.0)))
+            b.append(make_box(x=float(x), z=30.0, width=3.0, length=4.0, yaw=0.5))
+        rows_a = np.concatenate([_box_row(box) for box in a])
+        rows_b = np.concatenate([_box_row(box) for box in b])
+        ia, ib = np.divmod(np.arange(len(a) * len(b)), len(b))  # every a-box with every b-box
+        bev, iou3d = metrics._pair_ious(("bev", "3d"), rows_a, rows_b, ia, ib)
+        for k, (i, j) in enumerate(zip(ia.tolist(), ib.tolist())):
+            assert bev[k] == iou_bev(a[i], b[j])
+            assert iou3d[k] == iou_3d(a[i], b[j])
+        (alone,) = metrics._pair_ious(("3d",), rows_a, rows_b, ia, ib)
+        assert np.array_equal(alone, iou3d)
+        same = 24 * len(b) + 24
+        assert bev[same] == 1.0 and 0.0 < iou3d[same] < 1.0
+        touching = np.arange(25, 28) * len(b) + np.arange(25, 28)
+        assert bev[touching].tolist() == [0.0, 0.0, 0.0]
+        assert 0 < np.count_nonzero(bev) < len(bev)
+
+    def test_batched_2d_equals_one_pair_at_a_time(self):
+        rng = np.random.default_rng(62)
+        labels = [make_label(box=box) for box in self._boxes(rng, 30)]
+        rows = metrics._table_of(labels).values[:, metrics._BBOX_COLUMNS]
+        ia, ib = np.divmod(np.arange(len(labels) ** 2), len(labels))
+        (ious,) = metrics._pair_ious(("2d",), rows, rows, ia, ib)
+        for k, (i, j) in enumerate(zip(ia.tolist(), ib.tolist())):
+            assert ious[k] == iou_2d(labels[i], labels[j])
+        assert 0 < np.count_nonzero(ious) < len(ious)
+
+    def test_degenerate_box_fails_only_with_a_same_class_partner(self):
+        flat = make_label("Pedestrian", make_box(width=1e-7, length=1e-7), score=0.5)
+        car = make_label("Car", make_box())
+        found = with_score(make_label("Car", make_box(x=0.2)), 0.9)
+        lone = detection_frame([car], [found, flat], frame_id="000004")
+        walker = make_label("Pedestrian", make_box(x=6.0))
+        paired = detection_frame([car, walker], [found, flat], frame_id="000005")
+        assert match_pass([lone], "bev", 0.5)[DifficultyBin.MODERATE][1] == {"Car": 1}
+        assert match_pass([lone, paired], "2d", 0.5)
+        with pytest.raises(DegenerateBox, match="^frame 000005: BEV footprint has"):
+            match_pass([lone, paired, paired], "3d", 0.5)
 
 
 # ---------------------------------------------------------------------------
