@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import collections
+import functools
 import json
 import math
 import os
@@ -550,12 +551,17 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
+_CALIB_MEMO = 8  # distinct calibration contents a --calib directory keeps parsed
+
+
 def _intrinsics_source(calib: str):
     """``frame_id -> CameraIntrinsics`` for ``--calib``: a directory is read per
-    frame, as ``<calib>/<frame_id>.txt``; one file is parsed here, once."""
+    frame, as ``<calib>/<frame_id>.txt``, and parsed once per content among the
+    last ``_CALIB_MEMO`` good ones; one file is parsed here, once."""
     path = _require(calib, "calibration", "path")
     parse = lambda data: parse_calib_file(data).intrinsics()  # noqa: E731
     if path.is_dir():
+        parse = functools.lru_cache(maxsize=_CALIB_MEMO)(parse)
         return lambda frame_id: _parse_file(path / f"{frame_id}.txt", "calibration", parse)
     intrinsics = _parse_file(path, "calibration", parse)
     return lambda frame_id: intrinsics

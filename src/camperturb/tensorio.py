@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MalformedTensor
+from .errors import MalformedTensor, OutOfRange
 from .losses import FeatureTensor
 
 MAGIC = b"FTB1"
@@ -27,9 +27,16 @@ _HEADER = struct.Struct("<4sIII")
 
 
 def tensor_to_bytes(t: FeatureTensor) -> bytes:
-    """Serialize a feature tensor (values are narrowed to float32)."""
+    """Serialize a feature tensor (values are narrowed to float32); raises
+    :class:`OutOfRange`, naming the first, if a value narrows to infinity."""
+    with np.errstate(over="ignore"):  # reported below, with the value
+        values = t.data.astype("<f4")
+    if not np.isfinite(values).all():
+        at = tuple(np.argwhere(~np.isfinite(values))[0].tolist())
+        value = float(t.data[at])
+        raise OutOfRange(f"feature tensor value {value!r} at {at} is beyond the float32 range")
     header = _HEADER.pack(MAGIC, t.channels, t.height, t.width)
-    return header + t.data.astype("<f4").tobytes()
+    return header + values.tobytes()
 
 
 def tensor_from_bytes(data: bytes) -> FeatureTensor:

@@ -15,9 +15,11 @@ import json
 import math
 import operator
 import os
+import sys
 import threading
 import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -172,6 +174,20 @@ class TestSimulate:
         assert main(base + ["--jobs", "1", "--out", str(tmp_path / "a")]) == 0
         assert main(base + ["--jobs", "3", "--out", str(tmp_path / "b")]) == 0
         assert tree_bytes(tmp_path / "a") == tree_bytes(tmp_path / "b")
+        label_dir, calib_dir, image_dir = write_image_dataset(tmp_path / "img", n_frames=6)
+        base = [
+            "simulate",
+            "--labels", str(label_dir),
+            "--calib", str(calib_dir),
+            "--images", str(image_dir),
+            "--seed", "9",
+            "--fill", "77",
+        ]
+        assert main(base + ["--jobs", "1", "--out", str(tmp_path / "c")]) == 0
+        assert main(base + ["--jobs", "3", "--out", str(tmp_path / "d")]) == 0
+        images = tree_bytes(tmp_path / "c")
+        assert images == tree_bytes(tmp_path / "d")
+        assert len([name for name in images if name.startswith("images")]) == 6
 
     def test_inputs_are_not_mutated(self, tmp_path):
         label_dir, calib_dir = write_dataset(tmp_path / "in")
@@ -1399,6 +1415,109 @@ def test_shared_calibration_file_is_read_once(tmp_path, capsys, monkeypatch, sub
     assert sorted(p.name for p in reads if p.parent == label_dir) == [
         "000000.txt", "000001.txt", "000002.txt"
     ]
+
+
+def counting_calibration_parses(monkeypatch) -> list[bytes]:
+    """Record the bytes of every ``parse_calib_file`` call the CLI makes."""
+    import camperturb.cli as cli
+
+    parses = []
+    parse = cli.parse_calib_file
+
+    def counting(data):
+        parses.append(data)
+        return parse(data)
+
+    monkeypatch.setattr(cli, "parse_calib_file", counting)
+    return parses
+
+
+@pytest.mark.parametrize("subcommand", ["simulate", "rectify"])
+def test_directory_parses_each_distinct_calibration_once(
+    tmp_path, capsys, monkeypatch, subcommand
+):
+    """Six files with two contents parse twice, and every frame still gets
+    its own file's intrinsics: the bytes equal a run whose six files all
+    differ (by a line the parser skips)."""
+    label_dir, calib_dir = write_dataset(tmp_path / "in", n_frames=6)
+    cameras = [helpers.CALIB_TEXT, helpers.CALIB_TEXT.replace("700 180", "690 170")]
+    parses = counting_calibration_parses(monkeypatch)
+    runs = []
+    for name, note in (("shared", lambda i: ""), ("distinct", lambda i: f"note: frame {i}\n")):
+        for i, path in enumerate(sorted(calib_dir.iterdir())):
+            path.write_text(cameras[i % 2] + note(i))
+        parses.clear()
+        root = tmp_path / name
+        assert main([*run_frames(subcommand, root, calib_dir, label_dir), "--jobs", "1"]) == 0
+        runs.append((tree_bytes(root / "out"), capsys.readouterr().out, len(parses)))
+    (shared, shared_out, shared_parses), (distinct, distinct_out, distinct_parses) = runs
+    assert (shared_parses, distinct_parses) == (2, 6)
+    assert shared == distinct and shared_out == distinct_out
+    assert "frames processed: 6" in shared_out
+
+
+@pytest.mark.parametrize("subcommand", ["simulate", "rectify"])
+def test_malformed_calibration_among_identical_ones_fails_its_frames(
+    tmp_path, capsys, monkeypatch, subcommand
+):
+    """A bad parse is not kept: two files with the same bad bytes each fail
+    their own frame, naming their own path, and the good frames go on."""
+    label_dir, calib_dir = write_dataset(tmp_path / "in", n_frames=5)
+    bad = [calib_dir / "000001.txt", calib_dir / "000003.txt"]
+    for path in bad:
+        path.write_text("P2: 1 2 3\n")
+    parses = counting_calibration_parses(monkeypatch)
+    root = tmp_path / "run"
+    assert main(run_frames(subcommand, root, calib_dir, label_dir)) == 0
+    stdout = capsys.readouterr().out
+    assert "frames processed: 3" in stdout
+    assert "frame failures: 2" in stdout
+    for path in bad:
+        line = f"  {path.stem}: calibration {path}: line 1: key 'P2': expected 12 values, got 3\n"
+        assert line in stdout
+    assert len(parses) == 3  # the good bytes once, the bad bytes at each use
+    assert sorted(p.name for p in (root / "out").rglob("0*.txt")) == [
+        "000000.txt", "000002.txt", "000004.txt"
+    ]
+
+
+def test_calibration_memo_keeps_at_most_its_bound(tmp_path, monkeypatch):
+    """All-distinct files: after ``bound + 4`` of them, the latest ``bound``
+    parses are kept and the four oldest were let go."""
+    import camperturb.cli as cli
+
+    bound = cli._CALIB_MEMO
+    frame_ids = [f"{i:06d}" for i in range(bound + 4)]
+    for i, frame_id in enumerate(frame_ids):
+        helpers.write_calib(tmp_path / f"{frame_id}.txt", helpers.CALIB_TEXT + f"note: {i}\n")
+    parses = counting_calibration_parses(monkeypatch)
+    source = cli._intrinsics_source(str(tmp_path))
+    first = [source(frame_id) for frame_id in frame_ids]
+    assert len(parses) == bound + 4
+    assert [source(frame_id) for frame_id in frame_ids[4:]] == first[4:]
+    assert len(parses) == bound + 4
+    assert [source(frame_id) for frame_id in frame_ids[:4]] == first[:4]
+    assert len(parses) == bound + 8
+
+
+def test_calibration_memo_under_threads_gives_each_frame_its_file(tmp_path):
+    """Four threads resolve 24 frames of 12 contents, more than the memo
+    keeps, switching often; every frame gets its own file's focal length."""
+    import camperturb.cli as cli
+
+    frame_ids = [f"{i:06d}" for i in range(24)]
+    for i, frame_id in enumerate(frame_ids):
+        fx = 600 + i % 12
+        helpers.write_calib(tmp_path / f"{frame_id}.txt", f"P2: {fx} 0 600 0 0 700 180 0 0 0 1 0\n")
+    source = cli._intrinsics_source(str(tmp_path))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            fxs = [k.fx for k in pool.map(source, frame_ids * 20, timeout=60)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert fxs == [600.0 + i % 12 for i in range(24)] * 20
 
 
 @pytest.mark.parametrize("subcommand", ["simulate", "rectify"])

@@ -1,7 +1,10 @@
 """Gaussian pitch/roll sampling, label transfer, image warping, batch protocol."""
 
 import math
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -28,6 +31,7 @@ from camperturb import (
 )
 from camperturb.geometry import CameraIntrinsics, CameraPoint, ImagePoint
 from camperturb.kitti import _labels_of, _table_of
+import camperturb.simulate as simulate_module
 from camperturb.simulate import _WARP_BLOCK_ROWS, _move_tables
 
 from helpers import DEFAULT_K, make_box, make_label
@@ -393,6 +397,53 @@ class TestWarpImage:
             assert np.array_equal(out, whole_image_warp(data, h, fill=77))
         assert any((out == 77).any() for out in outs)
         assert any((out != 77).any() for out in outs)
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("block_rows", [1, 7, _WARP_BLOCK_ROWS, 64])
+    def test_any_block_size_equals_whole_image_warp(self, monkeypatch, block_rows, channels):
+        # 37 rows: a multiple of no block size here, and fewer than 64
+        monkeypatch.setattr(simulate_module, "_WARP_BLOCK_ROWS", block_rows)
+        rng = np.random.default_rng(block_rows * 10 + channels)
+        data = rng.integers(100, 256, size=(37, 53, channels), dtype=np.uint8)
+        k = CameraIntrinsics(fx=60.0, fy=60.0, cx=26.0, cy=18.0)
+        h = image_homography(k, perturbation_matrix(ExtrinsicPerturbation(0.08, -0.25)))
+        out = warp_image(RasterImage(data=data), h, fill=77).data
+        assert np.array_equal(out, whole_image_warp(data, h, fill=77))
+        assert (out == 77).any() and (out != 77).any()
+
+    def test_concurrent_warps_equal_one_at_a_time(self):
+        # three threads warp different images of one shape at once, switching
+        # often, so a scratch shared between calls would mix their blocks
+        rng = np.random.default_rng(23)
+        k = CameraIntrinsics(fx=300.0, fy=300.0, cx=160.0, cy=60.0)
+        work = [
+            (
+                RasterImage(data=rng.integers(0, 256, size=(121, 321, 3), dtype=np.uint8)),
+                image_homography(
+                    k, perturbation_matrix(ExtrinsicPerturbation(*rng.uniform(-0.1, 0.1, 2)))
+                ),
+            )
+            for _ in range(6)
+        ]
+        expected = [warp_image(image, h, fill=77).data for image, h in work]
+        start = threading.Barrier(3, timeout=60)
+
+        def warp_all(part):
+            start.wait()
+            return [warp_image(image, h, fill=77).data for _ in range(2) for image, h in part]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=3) as pool:
+                runs = [pool.submit(warp_all, work[i::3]) for i in range(3)]
+                outs = [run.result(timeout=60) for run in runs]
+        finally:
+            sys.setswitchinterval(interval)
+        for i, part in enumerate(outs):
+            assert len(part) == 4
+            for out, want in zip(part, expected[i::3] * 2):
+                assert np.array_equal(out, want)
 
     def test_scratch_memory_is_bounded_by_a_row_block(self):
         # a whole-image float64 pass over 375x1242x3 peaks near 100 MB

@@ -8,6 +8,7 @@ import pytest
 from camperturb import (
     FeatureTensor,
     MalformedTensor,
+    OutOfRange,
     load_tensor,
     save_tensor,
     tensor_from_bytes,
@@ -41,6 +42,21 @@ class TestBytesRoundTrip:
     def test_serialization_is_deterministic(self):
         t = sample_tensor(7)
         assert tensor_to_bytes(t) == tensor_to_bytes(t)
+
+
+class TestFloat32Range:
+    def test_float32_extremes_round_trip(self):
+        top = float(np.finfo(np.float32).max)
+        t = FeatureTensor(data=np.array([top, -top, 1e-45]).reshape(1, 1, 3))
+        back = tensor_from_bytes(tensor_to_bytes(t))
+        assert back.data.ravel().tolist() == [top, -top, float(np.float32(1e-45))]
+
+    def test_value_beyond_float32_is_refused_naming_the_first(self):
+        data = np.zeros((2, 3, 4))
+        data[1, 0, 2] = 1e200
+        data[1, 2, 3] = -1e39
+        with pytest.raises(OutOfRange, match=r"value 1e\+200 at \(1, 0, 2\) is beyond"):
+            tensor_to_bytes(FeatureTensor(data=data))
 
 
 class TestMalformedInput:
@@ -91,6 +107,13 @@ class TestFileIo:
         assert sidecar["height"] == 5
         assert sidecar["width"] == 7
         assert sidecar["dtype"] == "float32"
+
+    def test_save_refuses_value_beyond_float32_and_writes_nothing(self, tmp_path):
+        data = np.ones((1, 2, 2))
+        data[0, 1, 0] = -1e200
+        with pytest.raises(OutOfRange, match="beyond the float32 range"):
+            save_tensor(tmp_path / "feat.ftb", FeatureTensor(data=data))
+        assert list(tmp_path.iterdir()) == []
 
     def test_load_round_trip(self, tmp_path):
         t = sample_tensor(4)
