@@ -45,11 +45,16 @@ import re
 import stat
 import sys
 from array import array
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
+# The layers are imported where they run, so that a process loads only its
+# subcommand's: each cmd_* imports them on its first lines, on the main thread.
+# A helper called a few times per command, or once per chunk, imports its own
+# names first thing (after its command's imports, a lookup); a helper that runs
+# per record or per frame takes them from its command.
+from . import DEFAULT_CLAMP, DEFAULT_SIGMA
 from .errors import (
     CamPerturbError,
     ChannelMismatch,
@@ -59,41 +64,6 @@ from .errors import (
     NoMatches,
     ShapeMismatch,
 )
-from .geometry import MAX_PERTURBATION_ANGLE, ExtrinsicPerturbation, _perturbation_matrices
-from .horizon import HorizonLine, VanishingPoint, _angular_errors, extrinsics_from_horizon_vp
-from .kitti import (
-    DifficultyBin,
-    _label_table,
-    _labels_of,
-    _pose_stack,
-    _table_of,
-    _table_text,
-    _text_lines,
-    parse_calib_file,
-)
-from .losses import (
-    FeatureTensor,
-    _loss_gradients,
-    _style_losses,
-    _target_grams,
-    _total_loss,
-    content_loss,
-)
-from .metrics import (
-    _add_tally, _center_errors, _mean_errors, _passes, _record_chunk, _require_scores,
-    class_sweep,
-)
-from .netpbm import read_image, write_image
-from .simulate import (
-    DEFAULT_CLAMP,
-    DEFAULT_SIGMA,
-    PerturbationSpec,
-    SceneFrame,
-    _move_tables,
-    sample_perturbation,
-    simulate_frame,
-)
-from .tensorio import _check_sidecar, tensor_from_bytes
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -367,6 +337,8 @@ def _json_lines(data: bytes, build):
     line that is not JSON, or whose record ``build`` rejects, raises
     :class:`MalformedLine` with its number.
     """
+    from .kitti import _text_lines
+
     for line_no, line in _text_lines(data, "JSON-lines file"):
         if not line.strip():
             continue
@@ -392,17 +364,23 @@ def _frame_id(record) -> str:
     return value
 
 
-def _angles(record) -> tuple[float, float]:
-    """``record``'s (pitch, roll), under the rules of :class:`ExtrinsicPerturbation`."""
-    pitch, roll = _number(record, "pitch"), _number(record, "roll")
-    if not (abs(pitch) < MAX_PERTURBATION_ANGLE and abs(roll) < MAX_PERTURBATION_ANGLE):
-        ExtrinsicPerturbation(pitch=pitch, roll=roll)  # raises with its own message
-    return pitch, roll
+def _angle_reader():
+    """``record -> (pitch, roll)``, under the rules of :class:`ExtrinsicPerturbation`."""
+    from .geometry import MAX_PERTURBATION_ANGLE, ExtrinsicPerturbation
+
+    def angles(record) -> tuple[float, float]:
+        pitch, roll = _number(record, "pitch"), _number(record, "roll")
+        if not (abs(pitch) < MAX_PERTURBATION_ANGLE and abs(roll) < MAX_PERTURBATION_ANGLE):
+            ExtrinsicPerturbation(pitch=pitch, roll=roll)  # raises with its own message
+        return pitch, roll
+
+    return angles
 
 
 def _load_sidecar(path: Path) -> dict[str, tuple[float, float]]:
     """Read a {frame_id, pitch, roll} JSON-lines sidecar: (pitch, roll) by frame id."""
-    entry = lambda record: (_frame_id(record), _angles(record))  # noqa: E731
+    angles = _angle_reader()
+    entry = lambda record: (_frame_id(record), angles(record))  # noqa: E731
     return _parse_file(path, "sidecar", lambda data: dict(_json_lines(data, entry)))
 
 
@@ -420,6 +398,8 @@ def _ordered_map(fn, items, jobs: int):
     exist that the caller has not taken yet, so memory stays flat however
     many items there are.  An exception that ``fn`` raises is raised here.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         window = collections.deque()
         for item in items:
@@ -465,6 +445,7 @@ def _stream_frames(
     ``(records, dropped, failures)``, ``failures`` holding ``(frame_id,
     exception)`` pairs.
     """
+    from .kitti import _label_table, _table_text
 
     def load(frame_id: str):
         table = _parse_file(label_dir / f"{frame_id}.txt", what, _label_table)
@@ -505,26 +486,33 @@ def _stream_frames(
 
 def _rotations(angles) -> np.ndarray:
     """R_x(pitch) @ R_z(roll) of each (pitch, roll) pair, as one (n, 3, 3) stack."""
+    from .geometry import _perturbation_matrices
+
     return _perturbation_matrices(*np.array(angles, dtype=float).reshape(-1, 2).T)
 
 
-def _move_labels(prepared, undo: bool = False) -> list:
+def _label_mover(undo: bool = False):
     """The ``move`` of the labels-only pipeline: one batch for a chunk's frames.
 
     Each prepared frame is ``(table, intrinsics, (pitch, roll), record)``.
     Its labels rotate by R_x(pitch) @ R_z(roll), or by the transpose of
     that with ``undo``.
     """
-    if not prepared:
-        return []
-    tables, intrinsics, angles, records = zip(*prepared)
-    rotations = _rotations(angles)
-    if undo:
-        rotations = rotations.swapaxes(1, 2)
-    return [
-        moved if isinstance(moved, Exception) else (*moved, [], record)
-        for moved, record in zip(_move_tables(tables, rotations, intrinsics), records)
-    ]
+    from .simulate import _move_tables
+
+    def move(prepared) -> list:
+        if not prepared:
+            return []
+        tables, intrinsics, angles, records = zip(*prepared)
+        rotations = _rotations(angles)
+        if undo:
+            rotations = rotations.swapaxes(1, 2)
+        return [
+            moved if isinstance(moved, Exception) else (*moved, [], record)
+            for moved, record in zip(_move_tables(tables, rotations, intrinsics), records)
+        ]
+
+    return move
 
 
 def _json_dumps(obj) -> str:
@@ -558,6 +546,8 @@ def _intrinsics_source(calib: str):
     """``frame_id -> CameraIntrinsics`` for ``--calib``: a directory is read per
     frame, as ``<calib>/<frame_id>.txt``, and parsed once per content among the
     last ``_CALIB_MEMO`` good ones; one file is parsed here, once."""
+    from .kitti import parse_calib_file
+
     path = _require(calib, "calibration", "path")
     parse = lambda data: parse_calib_file(data).intrinsics()  # noqa: E731
     if path.is_dir():
@@ -600,6 +590,10 @@ _SIMULATE_OPTIONS = [
 
 
 def cmd_simulate(cfg: argparse.Namespace) -> int:
+    from .kitti import _labels_of, _table_of
+    from .netpbm import read_image, write_image
+    from .simulate import PerturbationSpec, SceneFrame, sample_perturbation, simulate_frame
+
     try:
         spec = PerturbationSpec(
             sigma_pitch=cfg.sigma_pitch,
@@ -619,7 +613,7 @@ def cmd_simulate(cfg: argparse.Namespace) -> int:
     if image_dir is not None:
         _make_dir(out_images)
 
-    def sidecar_line(frame_id: str, p: ExtrinsicPerturbation) -> str:
+    def sidecar_line(frame_id: str, p) -> str:  # p: ExtrinsicPerturbation
         record = {"frame_id": frame_id, "pitch": p.pitch, "roll": p.roll}
         return json.dumps(record, sort_keys=True) + "\n"
 
@@ -648,7 +642,7 @@ def cmd_simulate(cfg: argparse.Namespace) -> int:
         return [_outcome(warp_one, *frame) for frame in prepared]
 
     if image_dir is None:
-        prepare, move, chunk = draw, _move_labels, _CHUNK_FRAMES
+        prepare, move, chunk = draw, _label_mover(), _CHUNK_FRAMES
     else:  # one frame per chunk, so each worker holds one image at a time
         prepare, move, chunk = load_image, warp, 1
     records, _, _ = _stream_frames(
@@ -664,11 +658,8 @@ def cmd_simulate(cfg: argparse.Namespace) -> int:
 # evaluate
 
 
-_BIN_BY_NAME = {
-    "easy": DifficultyBin.EASY,
-    "moderate": DifficultyBin.MODERATE,
-    "hard": DifficultyBin.HARD,
-}
+#: The difficulty names; each is a ``DifficultyBin`` member's name in lower case.
+_DIFFICULTIES = ("easy", "moderate", "hard")
 _METRIC_CHOICES = ("ap2d", "apbev", "ap3d", "aos", "nuscenes")
 _FORMAT_OPTION = _Option(
     "format", _one_of("format", ("json", "csv")), "report format: json (default) or csv",
@@ -690,9 +681,9 @@ _EVALUATE_OPTIONS = [
         ("ap3d",),
     ),
     _Option(
-        "difficulties", _list_of(_one_of("difficulty", tuple(_BIN_BY_NAME))),
+        "difficulties", _list_of(_one_of("difficulty", _DIFFICULTIES)),
         "comma list from {easy,moderate,hard} (default all three)",
-        tuple(_BIN_BY_NAME),
+        _DIFFICULTIES,
     ),
     _Option(
         "iou-threshold", _threshold_value,
@@ -712,13 +703,17 @@ _NUSCENES_FIELDS = {"nuscenes_ate": "ate", "nuscenes_ase": "ase", "nuscenes_aoe"
 _CELL_FIELDS = ("metric", "class", "difficulty", "threshold")
 
 
-def _value(tally, metric: str, class_name: str, difficulty: str):
-    """One report cell's value from a ``(passes, errors)`` tally; 'n/a' when undefined."""
+def _value(tally, metric: str, class_name: str, bin_):
+    """One report cell's value from a ``(passes, errors)`` tally; 'n/a' when undefined.
+
+    ``bin_`` is the cell's ``DifficultyBin`` (None for a nuScenes cell).
+    """
+    from .metrics import _mean_errors, class_sweep
+
     passes, errors = tally
     try:
         if metric in _NUSCENES_FIELDS:
             return getattr(_mean_errors(errors[class_name], class_name), _NUSCENES_FIELDS[metric])
-        bin_ = _BIN_BY_NAME[difficulty]
         records, num_gt = passes[_KIND_BY_METRIC[metric]][bin_]
         return class_sweep(records, num_gt, class_name, bin_, metric == "aos")[0]
     except (NoGroundTruth, NoMatches):
@@ -737,18 +732,10 @@ def _cell_keys(cfg):
                     yield metric, class_name, difficulty, cfg.iou_threshold
 
 
-def _detections(det_dir: Path, frame_id: str):
-    """The frame's detection table; a missing file is a frame without detections."""
-    path = det_dir / f"{frame_id}.txt"
-    dets = _parse_file(path, "detections", _label_table) if path.is_file() else _label_table(b"")
-    try:
-        _require_scores(frame_id, dets)
-    except ValueError as exc:
-        raise _IOFailure(f"frame {frame_id}: {exc}") from exc
-    return dets
-
-
 def cmd_evaluate(cfg: argparse.Namespace) -> int:
+    from .kitti import DifficultyBin, _label_table
+    from .metrics import _add_tally, _center_errors, _passes, _record_chunk, _require_scores
+
     gt_dir = _require(cfg.gt, "ground-truth")
     det_dirs = [_require(cfg.det, "detection")]
     if cfg.det_disturbed:
@@ -757,9 +744,22 @@ def cmd_evaluate(cfg: argparse.Namespace) -> int:
     # workers read and score a chunk of frames into a (passes, errors) tally per detection
     # set, of AP/AOS records and nuScenes error triples; tallies are added here in id order
     kinds = dict.fromkeys(_KIND_BY_METRIC[m] for m in cfg.metrics if m in _KIND_BY_METRIC)
-    bins = [_BIN_BY_NAME[d] for d in cfg.difficulties]
+    bin_of = {d: DifficultyBin[d.upper()] for d in cfg.difficulties}  # the matcher reads .name
+    bins = list(bin_of.values())
     classes = cfg.classes if "nuscenes" in cfg.metrics else ()
     tally = lambda: (_passes(kinds, bins), {c: array("d") for c in classes})  # noqa: E731
+
+    def detections(det_dir: Path, frame_id: str):
+        """The frame's detection table; a missing file is a frame without detections."""
+        path = det_dir / f"{frame_id}.txt"
+        dets = _parse_file(path, "detections", _label_table) if path.is_file() else (
+            _label_table(b"")
+        )
+        try:
+            _require_scores(frame_id, dets)
+        except ValueError as exc:
+            raise _IOFailure(f"frame {frame_id}: {exc}") from exc
+        return dets
 
     def score(chunk: list[str]):  # a missing detection file is a set without detections
         parts = [tally() for _ in det_dirs]
@@ -767,7 +767,7 @@ def cmd_evaluate(cfg: argparse.Namespace) -> int:
         for frame_id in chunk:  # up to the first that fails to read
             try:
                 gt = _parse_file(gt_dir / f"{frame_id}.txt", "gt labels", _label_table)
-                det_tables = [_detections(det_dir, frame_id) for det_dir in det_dirs]
+                det_tables = [detections(det_dir, frame_id) for det_dir in det_dirs]
             except _IOFailure as exc:
                 failure = exc
                 break
@@ -777,12 +777,15 @@ def cmd_evaluate(cfg: argparse.Namespace) -> int:
             for set_frames, (passes, errors) in zip(sets, parts):
                 if passes and set_frames:
                     _record_chunk(set_frames, cfg.iou_threshold, passes)
-                for _, gt, dets in set_frames:
-                    _center_errors(gt, dets, cfg.match_radius, errors)
+                for frame in set_frames:
+                    _center_errors(frame, cfg.match_radius, errors)
         except DegenerateBox:  # of several bad frames (and sets) the first in id order names it
             for frame in zip(*sets):
                 for set_frame in frame:
-                    _record_chunk([set_frame], cfg.iou_threshold, _passes(kinds, bins))
+                    passes, errors = tally()
+                    if passes:
+                        _record_chunk([set_frame], cfg.iou_threshold, passes)
+                    _center_errors(set_frame, cfg.match_radius, errors)
             raise
         if failure:
             raise failure
@@ -796,7 +799,8 @@ def cmd_evaluate(cfg: argparse.Namespace) -> int:
     cells = []
     for key in _cell_keys(cfg):
         cell = dict(zip(_CELL_FIELDS, key))
-        values = [_value(tally, *key[:3]) for tally in tallies]
+        metric, class_name, difficulty = key[:3]
+        values = [_value(tally, metric, class_name, bin_of.get(difficulty)) for tally in tallies]
         if len(values) == 1:
             cell["value"] = value = values[0]
             if cell["metric"] == "nuscenes_aoe" and value != "n/a":
@@ -848,14 +852,9 @@ _RECTIFY_OPTIONS = [
 ]
 
 
-def _horizon_entry(record) -> tuple[str, tuple[HorizonLine, VanishingPoint]]:
-    return _frame_id(record), (
-        HorizonLine(slope=_number(record, "slope"), intercept_v=_number(record, "intercept_v")),
-        VanishingPoint(u=_number(record, "vp_u"), v=_number(record, "vp_v")),
-    )
-
-
 def cmd_rectify(cfg: argparse.Namespace) -> int:
+    from .horizon import HorizonLine, VanishingPoint, _angular_errors, extrinsics_from_horizon_vp
+
     if bool(cfg.sidecar) == bool(cfg.horizon):
         raise _UsageError("exactly one of --sidecar or --horizon is required")
     det_dir = _require(cfg.det, "detection")
@@ -867,8 +866,17 @@ def cmd_rectify(cfg: argparse.Namespace) -> int:
         source, estimates = "sidecar", _load_sidecar(Path(cfg.sidecar))
     else:
         source = "horizon annotations"
+
+        def horizon_entry(record):
+            return _frame_id(record), (
+                HorizonLine(
+                    slope=_number(record, "slope"), intercept_v=_number(record, "intercept_v")
+                ),
+                VanishingPoint(u=_number(record, "vp_u"), v=_number(record, "vp_v")),
+            )
+
         estimates = _parse_file(
-            Path(cfg.horizon), source, lambda d: dict(_json_lines(d, _horizon_entry))
+            Path(cfg.horizon), source, lambda d: dict(_json_lines(d, horizon_entry))
         )
     truth = _load_sidecar(Path(cfg.truth_sidecar)) if cfg.truth_sidecar else {}
 
@@ -881,11 +889,9 @@ def cmd_rectify(cfg: argparse.Namespace) -> int:
             estimate = p.pitch, p.roll
         return table, intrinsics, estimate, (frame_id, estimate, truth.get(frame_id))
 
-    def move(prepared):
-        return _move_labels(prepared, undo=cfg.direction == "undo")
-
     records, dropped, failures = _stream_frames(
-        det_dir, "detections", calib, out_dir, prepare, move, cfg.jobs
+        det_dir, "detections", calib, out_dir, prepare, _label_mover(cfg.direction == "undo"),
+        cfg.jobs,
     )
     scored = [record for record in records if record[2] is not None]
     report: dict = {
@@ -939,12 +945,17 @@ def _load_estimates(data: bytes) -> np.ndarray:
 
     Sidecar entries align with ground-truth pose lines by file order.
     """
+    from .kitti import _pose_stack
+
     if re.match(rb"\s*{", data):
-        return _rotations(np.fromiter(_json_lines(data, _angles), np.dtype((float, 2))))
+        return _rotations(np.fromiter(_json_lines(data, _angle_reader()), np.dtype((float, 2))))
     return _pose_stack(data)[:, :, :3]
 
 
 def cmd_pose_error(cfg: argparse.Namespace) -> int:
+    from .horizon import _angular_errors
+    from .kitti import _pose_stack
+
     estimates = _parse_file(Path(cfg.est), "estimates", _load_estimates)
     poses = _parse_file(Path(cfg.gt_poses), "ground-truth poses", _pose_stack)
     if len(estimates) != len(poses):
@@ -1006,17 +1017,17 @@ _GRAD_CHECK_FULL_SIZE = 512
 _GRAD_CHECK_SAMPLES = 64
 
 
-def _finite_difference_check(
-    out: FeatureTensor, content: FeatureTensor, target_grams, gamma_c, gamma_s, step
-):
+def _finite_difference_check(out, content, target_grams, gamma_c, gamma_s, step):
     """Central finite differences vs. analytic gradient on probe coordinates.
 
     The style targets enter through their Gram matrices, computed once by
     the caller; each probe moves one coordinate of one scratch copy of the
     output and computes the loss, and so the Gram matrix, of that copy.
     A probe whose loss leaves the float range is a usage error: ``step``
-    is too large for the tensor.
+    is too large for the tensor.  ``out`` and ``content`` are feature tensors.
     """
+    from .losses import _loss_gradients, _total_loss
+
     analytic = _loss_gradients(out.data, content.data, target_grams, gamma_c, gamma_s)
     scratch = out.data.copy()
     flat = scratch.reshape(-1)
@@ -1059,7 +1070,10 @@ def _finite_difference_check(
 
 
 def cmd_loss(cfg: argparse.Namespace) -> int:
-    def load(path: str, what: str) -> FeatureTensor:
+    from .losses import _style_losses, _target_grams, _total_loss, content_loss
+    from .tensorio import _check_sidecar, tensor_from_bytes
+
+    def load(path: str, what: str):
         path = Path(path)
         return _parse_file(path, what, lambda d: _check_sidecar(path, tensor_from_bytes(d)))
 

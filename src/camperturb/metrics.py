@@ -29,6 +29,7 @@ turns one class's records into AP40 or AOS.
 from __future__ import annotations
 
 import math
+import sys
 from array import array
 from bisect import bisect_left
 from collections import Counter, defaultdict
@@ -118,8 +119,8 @@ def _rect_overlap(a: np.ndarray, b: np.ndarray, ia, ib):
     iw = np.minimum(a[ia, 2], b[ib, 2]) - np.maximum(a[ia, 0], b[ib, 0])
     ih = np.minimum(a[ia, 3], b[ib, 3]) - np.maximum(a[ia, 1], b[ib, 1])
     inter = np.where((iw > 0) & (ih > 0), iw * ih, 0.0)
-    area_a = ((a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1]))[ia]
-    return inter, area_a, ((b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1]))[ib]
+    area_a = (a[ia, 2] - a[ia, 0]) * (a[ia, 3] - a[ia, 1])
+    return inter, area_a, (b[ib, 2] - b[ib, 0]) * (b[ib, 3] - b[ib, 1])
 
 
 def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -161,9 +162,49 @@ def _convex_intersection(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.where(count >= 3, 0.5 * np.abs(twice), 0.0)
 
 
-def _flat(rows: np.ndarray) -> np.ndarray:
-    """Which (x, y, z, h, w, l, yaw) rows have a BEV footprint of (near-)zero area."""
-    return rows[:, 4] * rows[:, 5] < 1e-12
+#: A compared box's 2D area, BEV area and volume stay below this, so that the
+#: union of two boxes, a sum of two of them, is finite.
+_MAX_MEASURE = sys.float_info.max / 2
+
+
+def _row_faults(kinds: tuple[str, ...], rows: np.ndarray) -> list[tuple[str, np.ndarray]]:
+    """``(reason, mask)`` of each rule that :func:`_pair_ious` holds the rows of
+    an IoU group to, in the order they are checked: no BEV footprint of
+    (near-)zero area, nor a volume of zero (for ``"3d"``), and every measure
+    below ``_MAX_MEASURE``."""
+    with np.errstate(over="ignore"):  # the rules catch what overflows
+        if kinds == ("2d",):
+            area = (rows[:, 2] - rows[:, 0]) * (rows[:, 3] - rows[:, 1])
+            return [("2D box area reaches half the float range", ~(area < _MAX_MEASURE))]
+        area = rows[:, 4] * rows[:, 5]
+        faults = [("BEV footprint has (near-)zero area", area < 1e-12),
+                  ("BEV footprint area reaches half the float range", ~(area < _MAX_MEASURE))]
+        if "3d" in kinds:
+            volume = area * rows[:, 3]
+            faults += [("box has zero volume", volume == 0.0),
+                       ("box volume reaches half the float range", ~(volume < _MAX_MEASURE))]
+    return faults
+
+
+def _refusal(kinds: tuple[str, ...], a: np.ndarray, b: np.ndarray, ia, ib):
+    """``(k, reason)`` of the first row pair (a[ia[k]], b[ib[k]]) that breaks a
+    rule of :func:`_row_faults`, and the first rule it breaks; None if none does."""
+    broken = [(reason, bad_a[ia] | bad_b[ib])
+              for (reason, bad_a), (_, bad_b) in zip(_row_faults(kinds, a), _row_faults(kinds, b))]
+    bad = np.logical_or.reduce([mask for _, mask in broken])
+    if not bad.any():
+        return None
+    k = int(np.argmax(bad))
+    return k, next(reason for reason, mask in broken if mask[k])
+
+
+def _refuse_in_frame(frames, frame_of, kinds, a, b, ia, ib) -> None:
+    """Raise :class:`DegenerateBox` for the first pair that :func:`_refusal`
+    finds, naming its frame: ``frames[frame_of[ia[k]]]``."""
+    refusal = _refusal(kinds, a, b, ia, ib)
+    if refusal:
+        k, reason = refusal
+        raise DegenerateBox(f"frame {frames[frame_of[ia[k]]][0]}: {reason}")
 
 
 #: Near box pairs (bounding circles not apart) per :func:`_convex_intersection`
@@ -176,19 +217,20 @@ def _pair_ious(kinds: tuple[str, ...], a: np.ndarray, b: np.ndarray, ia, ib) -> 
 
     Rows are (left, top, right, bottom) 2D boxes for ``("2d",)`` and
     (x, y, z, h, w, l, yaw) 3D boxes for ``"bev"`` and ``"3d"``, which share
-    one BEV intersection.  Raises :class:`DegenerateBox` if a compared BEV
-    footprint has (near-)zero area.
+    one BEV intersection.  Raises :class:`DegenerateBox` if a compared box
+    breaks a rule of :func:`_row_faults`.
     """
+    refusal = _refusal(kinds, a, b, ia, ib)
+    if refusal:
+        raise DegenerateBox(refusal[1])
     if kinds == ("2d",):
         inter, area_a, area_b = _rect_overlap(a, b, ia, ib)
         return [np.where(inter > 0.0, inter / (area_a + area_b - inter), 0.0)]
-    if _flat(a)[ia].any() or _flat(b)[ib].any():
-        raise DegenerateBox("BEV footprint has (near-)zero area")
-    area_a = (a[:, 4] * a[:, 5])[ia]
-    area_b = (b[:, 4] * b[:, 5])[ib]
+    area_a = a[ia, 4] * a[ia, 5]
+    area_b = b[ib, 4] * b[ib, 5]
     # bit-equal footprints overlap fully, boxes with apart bounding circles not at all
     same = np.logical_and.reduce([a[ia, c] == b[ib, c] for c in (0, 2, 4, 5, 6)])
-    reach = 0.5 * (np.hypot(a[:, 4], a[:, 5])[ia] + np.hypot(b[:, 4], b[:, 5])[ib])
+    reach = 0.5 * (np.hypot(a[ia, 4], a[ia, 5]) + np.hypot(b[ib, 4], b[ib, 5]))
     near = np.flatnonzero(~same & (np.hypot(a[ia, 0] - b[ib, 0], a[ia, 2] - b[ib, 2]) < reach))
     inter = np.where(same, area_a, 0.0)
     for k in (near[i:i + _NEAR_PAIRS] for i in range(0, len(near), _NEAR_PAIRS)):
@@ -288,7 +330,7 @@ def _match_chunk(frames, kinds, threshold: float, difficulties):
     The same-class pairs of all ``frames`` are scored by one :func:`_pair_ious`
     call per IoU group of ``kinds``; each detection's candidates are its pairs
     at or above ``threshold``, in column order.  Raises :class:`DegenerateBox`
-    naming the first frame with a compared footprint of (near-)zero area.
+    naming the first frame with a compared box that :func:`_row_faults` refuses.
     """
     for iou_kind in kinds:
         if iou_kind not in _IOU_KINDS:
@@ -313,6 +355,7 @@ def _match_chunk(frames, kinds, threshold: float, difficulties):
     pos, dc = _partners(det_frame[order], gt_frame[dontcare])
     if len(pos):
         boxes_det, boxes_gt = dets.values[:, _BBOX_COLUMNS], gt.values[:, _BBOX_COLUMNS]
+        _refuse_in_frame(frames, det_frame, ("2d",), boxes_det, boxes_gt, order[pos], dontcare[dc])
         inter, area_det, _ = _rect_overlap(boxes_det, boxes_gt, order[pos], dontcare[dc])
         coverage = np.where(inter > 0.0, inter / area_det, 0.0)
         covered[order[pos[coverage > threshold]]] = True
@@ -328,9 +371,9 @@ def _match_chunk(frames, kinds, threshold: float, difficulties):
         rows_det, rows_gt = dets.values[:, columns], gt.values[:, columns]
         try:
             ious = _pair_ious(wanted, rows_det, rows_gt, det_idx, gt_idx)
-        except DegenerateBox as exc:
-            first = det_frame[det_idx[np.argmax(_flat(rows_det)[det_idx] | _flat(rows_gt)[gt_idx])]]
-            raise DegenerateBox(f"frame {frames[first][0]}: {exc}") from exc
+        except DegenerateBox:
+            _refuse_in_frame(frames, det_frame, wanted, rows_det, rows_gt, det_idx, gt_idx)
+            raise
         for kind, values in zip(wanted, ious):
             hit = np.flatnonzero(values >= threshold)
             column = gt_idx[hit] - gt_start[gt_frame[gt_idx[hit]]]
@@ -522,16 +565,27 @@ def average_orientation_similarity(
 
 
 def _aligned_dims_iou(a, b) -> float:
-    """IoU of two (x, y, z, h, w, l, yaw) boxes after aligning centers and yaw."""
+    """IoU of two (x, y, z, h, w, l, yaw) boxes after aligning centers and yaw.
+
+    Raises :class:`DegenerateBox` if a volume is zero or reaches
+    ``_MAX_MEASURE``, as :func:`_pair_ious` does for ``"3d"``.
+    """
     inter = min(a[3], b[3]) * min(a[4], b[4]) * min(a[5], b[5])
     vol_a = a[3] * a[4] * a[5]
     vol_b = b[3] * b[4] * b[5]
+    if not (0.0 < vol_a < _MAX_MEASURE and 0.0 < vol_b < _MAX_MEASURE):
+        zero = min(vol_a, vol_b) == 0.0
+        raise DegenerateBox("box has zero volume" if zero else
+                            "box volume reaches half the float range")
     return inter / (vol_a + vol_b - inter)
 
 
-def _center_errors(gt, dets, match_radius: float, errors: dict[str, array]) -> None:
-    """Append (ATE, ASE, AOE) of each match of one frame's ``gt`` and ``dets``
-    label tables to ``errors[class_name]``, for each class ``errors`` holds."""
+def _center_errors(frame, match_radius: float, errors: dict[str, array]) -> None:
+    """Append (ATE, ASE, AOE) of each match of ``frame``, a ``(frame_id, gt,
+    dets)`` tuple of label tables, to ``errors[class_name]``, for each class
+    ``errors`` holds.  Raises :class:`DegenerateBox` naming the frame if a
+    matched pair's volume is refused (:func:`_aligned_dims_iou`)."""
+    frame_id, gt, dets = frame
     gt_boxes, det_boxes = gt.values[:, _BOX_COLUMNS].tolist(), dets.values[:, _BOX_COLUMNS].tolist()
     scores = dets.values[:, _SCORE].tolist()
     ranked = sorted(range(len(scores)), key=lambda i: -scores[i])  # stable: index order breaks ties
@@ -545,7 +599,10 @@ def _center_errors(gt, dets, match_radius: float, errors: dict[str, array]) -> N
         order = range(len(boxes))
         pairs, _, _ = _greedy(order, rows, -match_radius, [True] * len(gts), [False] * len(boxes))
         for j, i, value in pairs:
-            ase = 1.0 - _aligned_dims_iou(boxes[i], gts[j])
+            try:
+                ase = 1.0 - _aligned_dims_iou(boxes[i], gts[j])
+            except DegenerateBox as exc:
+                raise DegenerateBox(f"frame {frame_id}: {exc}") from exc
             class_errors.extend((-value, ase, abs(_wrap_angle(boxes[i][6] - gts[j][6]))))
 
 
@@ -569,8 +626,9 @@ def nuscenes_errors(
     Per pair: ATE is the BEV center distance in metres, ASE is one minus
     the center-and-yaw-aligned IoU of the dimensions, AOE is the absolute
     yaw difference wrapped to [0, pi].  Raises :class:`NoMatches` if no
-    detection matches anywhere.  DontCare rows are never scored, as in
-    :func:`match_frame`.
+    detection matches anywhere, and :class:`DegenerateBox` naming the frame
+    of a matched pair with a zero or overflowing volume.  DontCare rows are
+    never scored, as in :func:`match_frame`.
     """
     if not math.isfinite(match_radius) or match_radius <= 0:
         raise ValueError(f"match_radius must be positive, got {match_radius}")
@@ -578,5 +636,5 @@ def nuscenes_errors(
         raise NoMatches(f"class {DONTCARE!r} marks regions and is never scored")
     errors = array("d")
     for frame in frames:
-        _center_errors(*_tables(frame), match_radius, {class_name: errors})
+        _center_errors((frame.frame_id, *_tables(frame)), match_radius, {class_name: errors})
     return _mean_errors(errors, class_name)

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import DEFAULT_CLAMP, DEFAULT_SIGMA
 from .errors import CamPerturbError, OutOfRange, SingularHomography
 from .geometry import (
     CameraIntrinsics,
@@ -36,11 +37,6 @@ from .kitti import (
     _ALPHA, _BBOX_COLUMNS, _BOX_COLUMNS, DONTCARE, ObjectLabel, _LabelTable, _labels_of, _table_of,
 )
 from .netpbm import RasterImage
-
-#: Default sampling width: one degree, in radians.
-DEFAULT_SIGMA = math.radians(1.0)
-#: Default clamp: ten degrees, in radians.
-DEFAULT_CLAMP = math.radians(10.0)
 
 
 @dataclass(frozen=True)

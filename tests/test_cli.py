@@ -975,12 +975,13 @@ class TestEvaluate:
         import weakref
 
         import camperturb.cli as cli
+        import camperturb.kitti as kitti
 
         monkeypatch.setattr(cli, "_CHUNK_FRAMES", 4)
         gt_dir, det_dir = self._perfect_dirs(tmp_path, n_frames=40)  # 10 chunks
         lock = threading.Lock()
         live = peak = 0
-        real_label_table = cli._label_table
+        real_label_table = kitti._label_table
 
         def released():
             nonlocal live
@@ -996,7 +997,7 @@ class TestEvaluate:
             weakref.finalize(table.values, released)
             return table
 
-        monkeypatch.setattr(cli, "_label_table", counted_table)
+        monkeypatch.setattr(kitti, "_label_table", counted_table)
         code = main([
             "evaluate", "--gt", str(gt_dir), "--det", str(det_dir),
             "--det-disturbed", str(det_dir), "--metrics", "ap3d,aos,nuscenes",
@@ -1419,16 +1420,16 @@ def test_shared_calibration_file_is_read_once(tmp_path, capsys, monkeypatch, sub
 
 def counting_calibration_parses(monkeypatch) -> list[bytes]:
     """Record the bytes of every ``parse_calib_file`` call the CLI makes."""
-    import camperturb.cli as cli
+    import camperturb.kitti as kitti
 
     parses = []
-    parse = cli.parse_calib_file
+    parse = kitti.parse_calib_file
 
     def counting(data):
         parses.append(data)
         return parse(data)
 
-    monkeypatch.setattr(cli, "parse_calib_file", counting)
+    monkeypatch.setattr(kitti, "parse_calib_file", counting)
     return parses
 
 
@@ -2355,7 +2356,9 @@ def test_unexpected_error_in_a_chunk_ends_the_run(
     """An error that is not a frame's input or domain error (here a
     RuntimeError from the batch kernel, the matcher or the label reader)
     leaves ``main`` on a worker too; it is not counted as a frame failure."""
-    import camperturb.cli as cli
+    from camperturb import kitti, metrics, simulate
+
+    home = {"_move_tables": simulate, "_record_chunk": metrics, "_label_table": kitti}
 
     def broken(*args):
         raise RuntimeError("kernel fault")
@@ -2364,7 +2367,7 @@ def test_unexpected_error_in_a_chunk_ends_the_run(
     tilt_sidecar(tmp_path / "tilt.jsonl", [f"{i:06d}" for i in range(70)])
     (tmp_path / "no_dets").mkdir()
     for name in stage:
-        monkeypatch.setattr(cli, name, broken)
+        monkeypatch.setattr(home[name], name, broken)
     out, calib = ["--out", str(tmp_path / "out")], ["--calib", str(calib_dir)]
     args = {
         "simulate": ["simulate", "--labels", str(label_dir), *calib, *out],
@@ -2467,6 +2470,71 @@ def test_first_bad_frame_of_a_later_chunk_names_the_error(
     assert capsys.readouterr().err == (
         "error: frame 000072: BEV footprint has (near-)zero area\n"
     )
+
+
+def refuse_constant(name: str):
+    raise ValueError(f"report holds {name}, which is not JSON")
+
+
+def evaluate_one_pair(root: Path, bbox: str, dims: str, metrics: str):
+    """``evaluate`` of frame 000003, whose ground truth and detection are one
+    and the same Car with 2D box ``bbox`` and dimensions ``dims`` (h w l)."""
+    line = f"Car 0.00 0 0.00 {bbox} {dims} 1.00 1.65 20.00 0.00"
+    for name, text in (("gt", line), ("det", f"{line} 0.9")):
+        (root / name).mkdir(exist_ok=True)
+        (root / name / "000003.txt").write_text(text + "\n")
+    report = root / "report.json"
+    report.unlink(missing_ok=True)
+    code = main(["evaluate", "--gt", str(root / "gt"), "--det", str(root / "det"),
+                 "--metrics", metrics, "--out", str(report)])
+    return code, report
+
+
+_BBOX = "100.00 100.00 200.00 200.00"
+_DIMS = "1.50 1.60 3.90"
+
+
+@pytest.mark.parametrize("bbox, dims, metrics, reason", [
+    pytest.param("0 0 1e200 1e200", _DIMS, "ap2d", "2D box area reaches half the float range",
+                 id="2d-ap2d"),
+    pytest.param("0 0 1e200 1e200", _DIMS, "aos", "2D box area reaches half the float range",
+                 id="2d-aos"),
+    pytest.param(_BBOX, "1e200 1e200 1e200", "apbev",
+                 "BEV footprint area reaches half the float range", id="bev-apbev"),
+    pytest.param(_BBOX, "1e200 1e200 1e200", "ap3d",
+                 "BEV footprint area reaches half the float range", id="bev-ap3d"),
+    pytest.param(_BBOX, "1e200 1e100 1e100", "ap3d", "box volume reaches half the float range",
+                 id="volume-ap3d"),
+    pytest.param(_BBOX, "1e200 1e100 1e100", "nuscenes",
+                 "box volume reaches half the float range", id="volume-nuscenes"),
+    pytest.param(_BBOX, "1e-320 1e-5 1e-5", "ap3d", "box has zero volume", id="zero-ap3d"),
+    pytest.param(_BBOX, "1e-320 1e-5 1e-5", "nuscenes", "box has zero volume",
+                 id="zero-nuscenes"),
+])
+def test_box_measures_beyond_the_float_range_are_refused(
+    tmp_path, capsys, bbox, dims, metrics, reason
+):
+    """A compared box whose area or volume overflows (or whose volume underflows
+    to zero) fails its frame with exit 2 and no warning; the parent scored it
+    0 or wrote NaN into the report."""
+    code, report = evaluate_one_pair(tmp_path, bbox, dims, metrics)
+    assert code == 2
+    assert capsys.readouterr().err == f"error: frame 000003: {reason}\n"
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("bbox, dims, metrics", [
+    pytest.param("0 0 1e150 1e150", _DIMS, "ap2d,aos", id="2d"),
+    pytest.param(_BBOX, "1e200 1e100 1e100", "apbev", id="bev"),
+    pytest.param(_BBOX, "1e100 1e100 1e100", "ap2d,apbev,ap3d,aos,nuscenes", id="volume"),
+])
+def test_box_measures_within_the_float_range_score_in_full(tmp_path, bbox, dims, metrics):
+    code, report = evaluate_one_pair(tmp_path, bbox, dims, metrics)
+    assert code == 0
+    cells = json.loads(report.read_text(), parse_constant=refuse_constant)["cells"]
+    assert {cell["metric"].split("_")[0] for cell in cells} == set(metrics.split(","))
+    for cell in cells:
+        assert cell["value"] == (0.0 if cell["metric"].startswith("nuscenes") else 100.0), cell
 
 
 def test_zero_sigma_keeps_every_label_of_every_chunk(tmp_path, capsys):

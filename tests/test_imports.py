@@ -1,0 +1,204 @@
+"""What a process imports: the lazy package namespace and each subcommand's layers.
+
+Each import budget runs in a fresh interpreter, since this test process has
+every layer loaded already.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import camperturb
+from camperturb import FeatureTensor, save_tensor
+from camperturb.cli import main
+
+SRC = Path(camperturb.__file__).resolve().parent.parent
+
+LAYERS = ("errors", "geometry", "horizon", "kitti", "losses", "metrics", "netpbm", "simulate",
+          "tensorio")
+
+
+def run_fresh(code: str, cwd: Path | None = None) -> list[str]:
+    """The stdout lines of ``code`` run by a fresh interpreter that imports this tree."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], cwd=cwd, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()
+
+
+def loaded_after(code: str, cwd: Path) -> set[str]:
+    """The camperturb layers, and ``concurrent.futures``, loaded once ``code`` ran."""
+    last = run_fresh(f"{code}\nimport sys\nprint(' '.join(sys.modules))", cwd)[-1].split()
+    return {name.removeprefix("camperturb.") for name in last
+            if name.startswith("camperturb.") or name == "concurrent.futures"}
+
+
+def run_main(argv: list[str]) -> str:
+    return f"from camperturb.cli import main\nassert main({argv!r}) == 0"
+
+
+LABEL = "Car 0.00 0 -1.57 100.00 100.00 200.00 200.00 1.50 1.60 3.90 0.00 1.65 20.00 0.00"
+
+
+# ---------------------------------------------------------------------------
+# import budgets
+
+
+def test_building_the_parser_imports_no_layer_but_errors(tmp_path):
+    loaded = loaded_after("import camperturb.cli as cli\ncli.build_parser()", tmp_path)
+    assert loaded == {"cli", "errors"}
+
+
+def test_loss_imports_only_its_layers(tmp_path):
+    rng = np.random.default_rng(3)
+    for name in ("out", "content", "style"):
+        save_tensor(tmp_path / f"{name}.ftb", FeatureTensor(data=rng.normal(size=(2, 3, 4))))
+    loaded = loaded_after(run_main([
+        "loss", "--output", "out.ftb", "--content", "content.ftb", "--style", "style.ftb",
+        "--grad-check", "--report", "loss.json",
+    ]), tmp_path)
+    assert loaded == {"cli", "errors", "losses", "tensorio"}
+
+
+def test_evaluate_imports_only_its_layers(tmp_path):
+    for name, line in (("gt", LABEL), ("det", f"{LABEL} 0.9")):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "000000.txt").write_text(line + "\n")
+    loaded = loaded_after(run_main([
+        "evaluate", "--gt", "gt", "--det", "det", "--metrics", "ap2d,ap3d,nuscenes",
+        "--jobs", "2", "--out", "report.json",
+    ]), tmp_path)
+    assert loaded & {"simulate", "netpbm", "losses", "tensorio", "horizon"} == set()
+    assert {"kitti", "metrics", "concurrent.futures"} <= loaded
+
+
+def test_pose_error_imports_only_its_layers(tmp_path):
+    pose = "1 0 0 {} 0 1 0 0 0 0 1 0\n"
+    (tmp_path / "poses.txt").write_text("".join(pose.format(k) for k in range(3)))
+    (tmp_path / "est.jsonl").write_text('{"pitch": 0.01, "roll": 0.0}\n' * 3)
+    for est in ("est.jsonl", "poses.txt"):
+        loaded = loaded_after(run_main([
+            "pose-error", "--est", est, "--gt-poses", "poses.txt", "--report", "pe.json",
+        ]), tmp_path)
+        assert loaded == {"cli", "errors", "geometry", "horizon", "kitti"}
+
+
+# ---------------------------------------------------------------------------
+# the lazy namespace
+
+
+def test_every_exported_name_is_its_layer_module_object():
+    for name in camperturb.__all__:
+        value = getattr(camperturb, name)
+        if name in LAYERS:
+            assert value is sys.modules[f"camperturb.{name}"]
+        else:
+            assert value.__module__ in {f"camperturb.{layer}" for layer in LAYERS}
+            assert value is getattr(sys.modules[value.__module__], name)
+
+
+def test_star_import_binds_every_exported_name():
+    namespace: dict = {}
+    exec("from camperturb import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == camperturb.__all__
+    assert all(namespace[name] is getattr(camperturb, name) for name in namespace)
+
+
+def test_unknown_name_raises_the_standard_attribute_error():
+    with pytest.raises(AttributeError, match=r"^module 'camperturb' has no attribute 'nope'$"):
+        camperturb.nope  # noqa: B018
+    with pytest.raises(ImportError, match="cannot import name 'nope'"):
+        from camperturb import nope  # noqa: F401
+
+
+def test_dir_covers_the_exported_names():
+    assert set(camperturb.__all__) <= set(dir(camperturb))
+
+
+def test_names_resolve_lazily_in_a_fresh_process():
+    lines = run_fresh(
+        "import sys\n"
+        "import camperturb\n"
+        "print(sorted(m for m in sys.modules if m.startswith('camperturb.')))\n"
+        "from camperturb import kitti\n"
+        "camperturb.iou_bev\n"
+        "print(sorted(m for m in sys.modules if m.startswith('camperturb.')))\n"
+        "print(set(camperturb.__all__) <= set(dir(camperturb)), kitti is camperturb.kitti)\n"
+    )
+    assert lines[0] == "[]"
+    assert lines[1] == "['camperturb.errors', 'camperturb.geometry', 'camperturb.kitti', " \
+                       "'camperturb.metrics']"
+    assert lines[2] == "True True"
+
+
+def test_threads_that_first_touch_one_name_together_get_one_object():
+    lines = run_fresh(
+        "import sys, threading\n"
+        "import camperturb\n"
+        "assert 'camperturb.metrics' not in sys.modules\n"
+        "sys.setswitchinterval(1e-6)\n"
+        "barrier, seen = threading.Barrier(8), []\n"
+        "def touch():\n"
+        "    barrier.wait()\n"
+        "    seen.append(camperturb.match_frame)\n"
+        "threads = [threading.Thread(target=touch) for _ in range(8)]\n"
+        "for t in threads: t.start()\n"
+        "for t in threads: t.join()\n"
+        "from camperturb.metrics import match_frame\n"
+        "print(len(seen), all(f is match_frame for f in seen))\n"
+    )
+    assert lines == ["8 True"]
+
+
+# ---------------------------------------------------------------------------
+# help text
+
+
+#: sha256 (first 32 hex digits) of each ``--help`` text with its whitespace
+#: collapsed, so that the terminal width does not matter.
+HELP_DIGESTS = {
+    "": "101fe3dfdd2e0f7db8ba45c34c40e663",
+    "simulate": "0f32223b18de413dc2cf8d9cc964c6ef",
+    "evaluate": "a1f8181c22067261c0262b72114b4398",
+    "rectify": "9e107dff970b7cc7e8d81c2a180445d3",
+    "pose-error": "f5451deaef812b88165b50d72a16c3a9",
+    "loss": "25f7b87dea1ec101438fce3f98060ae7",
+}
+
+
+def help_text(subcommand: str) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as excinfo:
+        main([subcommand, "--help"] if subcommand else ["--help"])
+    assert excinfo.value.code == 0
+    return " ".join(out.getvalue().split())
+
+
+@pytest.mark.parametrize("subcommand", sorted(HELP_DIGESTS))
+def test_help_text_is_pinned(subcommand):
+    digest = hashlib.sha256(help_text(subcommand).encode()).hexdigest()[:32]
+    assert digest == HELP_DIGESTS[subcommand]
+
+
+def test_simulate_help_shows_the_sampling_defaults():
+    from camperturb.simulate import PerturbationSpec
+
+    text = help_text("simulate")
+    for flag in ("pitch", "roll"):
+        assert f"{flag} sampling sigma in radians (default 0.017453 = 1 deg)" in text
+    assert "symmetric clamp in radians (default 0.174533 = 10 deg)" in text
+    spec = PerturbationSpec()
+    assert (spec.sigma_pitch, spec.sigma_roll, spec.clamp) == (
+        camperturb.DEFAULT_SIGMA, camperturb.DEFAULT_SIGMA, camperturb.DEFAULT_CLAMP
+    )

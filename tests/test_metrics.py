@@ -463,6 +463,47 @@ class TestGroupedKernel:
             match_pass([lone, paired, paired], "3d", 0.5)
 
 
+    def test_measures_that_overflow_fail_only_with_a_partner(self):
+        """A box whose area or volume reaches half the float range is refused,
+        naming its frame, once it is compared; no overflow warning is raised
+        (warnings fail the tests), and an uncompared one is scored around."""
+        huge = make_label("Car", make_box(height=1e200, width=1e100, length=1e100),
+                          bbox=(0.0, 0.0, 1e200, 1e200))
+        car = make_label("Car", make_box())
+        lone = detection_frame([car], [with_score(huge, 0.9)], frame_id="000001")
+        walker = make_label("Pedestrian", make_box(x=6.0), bbox=(0.0, 0.0, 1e200, 1e200))
+        unpaired = detection_frame([walker], [with_score(car, 0.9)], frame_id="000002")
+        for kind in ("2d", "3d"):
+            assert match_pass([unpaired], kind, 0.5)[DifficultyBin.MODERATE][1] == {
+                "Pedestrian": 1
+            }
+        for kind, reason in (("2d", "2D box area"), ("bev", None), ("3d", "box volume")):
+            if reason is None:
+                assert match_pass([lone], kind, 0.5)[DifficultyBin.MODERATE][1] == {"Car": 1}
+                continue
+            with pytest.raises(DegenerateBox, match=f"^frame 000001: {reason} reaches half"):
+                match_pass([unpaired, lone], kind, 0.5)
+        with pytest.raises(DegenerateBox, match="^frame 000001: box volume reaches half"):
+            nuscenes_errors([unpaired, lone], "Car", match_radius=30.0)
+
+    def test_dontcare_cover_refuses_an_overflowing_2d_area(self):
+        region = make_label("DontCare", make_box(), bbox=(0.0, 0.0, 50.0, 50.0))
+        det = with_score(make_label("Car", make_box(), bbox=(0.0, 0.0, 1e200, 1e200)), 0.9)
+        frame = detection_frame([region], [det], frame_id="000007")
+        with pytest.raises(DegenerateBox, match="^frame 000007: 2D box area reaches half"):
+            match_pass([frame], "3d", 0.5)
+
+    def test_zero_volume_is_refused_for_3d_and_nuscenes(self):
+        tiny = make_label("Car", make_box(height=1e-320, width=1e-5, length=1e-5),
+                          bbox=(100.0, 100.0, 200.0, 200.0))
+        frame = detection_frame([tiny], [with_score(tiny, 0.9)], frame_id="000009")
+        assert match_pass([frame], "bev", 0.5)[DifficultyBin.MODERATE][1] == {"Car": 1}
+        for run in (lambda: match_pass([frame], "3d", 0.5),
+                    lambda: nuscenes_errors([frame], "Car")):
+            with pytest.raises(DegenerateBox, match="^frame 000009: box has zero volume$"):
+                run()
+
+
 # ---------------------------------------------------------------------------
 # matching
 
