@@ -44,7 +44,6 @@ import os
 import re
 import stat
 import sys
-from array import array
 from pathlib import Path
 
 import numpy as np
@@ -734,7 +733,7 @@ def _cell_keys(cfg):
 
 def cmd_evaluate(cfg: argparse.Namespace) -> int:
     from .kitti import DifficultyBin, _label_table
-    from .metrics import _add_tally, _center_errors, _passes, _record_chunk, _require_scores
+    from .metrics import _add_tally, _passes, _record_chunk, _require_scores
 
     gt_dir = _require(cfg.gt, "ground-truth")
     det_dirs = [_require(cfg.det, "detection")]
@@ -747,7 +746,7 @@ def cmd_evaluate(cfg: argparse.Namespace) -> int:
     bin_of = {d: DifficultyBin[d.upper()] for d in cfg.difficulties}  # the matcher reads .name
     bins = list(bin_of.values())
     classes = cfg.classes if "nuscenes" in cfg.metrics else ()
-    tally = lambda: (_passes(kinds, bins), {c: array("d") for c in classes})  # noqa: E731
+    tally = lambda: (_passes(kinds, bins), {c: [] for c in classes})  # noqa: E731
 
     def detections(det_dir: Path, frame_id: str):
         """The frame's detection table; a missing file is a frame without detections."""
@@ -774,18 +773,12 @@ def cmd_evaluate(cfg: argparse.Namespace) -> int:
             for set_frames, dets in zip(sets, det_tables):
                 set_frames.append((frame_id, gt, dets))
         try:
-            for set_frames, (passes, errors) in zip(sets, parts):
-                if passes and set_frames:
-                    _record_chunk(set_frames, cfg.iou_threshold, passes)
-                for frame in set_frames:
-                    _center_errors(frame, cfg.match_radius, errors)
+            if sets[0]:
+                _record_chunk(sets, parts, cfg.iou_threshold, cfg.match_radius)
         except DegenerateBox:  # of several bad frames (and sets) the first in id order names it
             for frame in zip(*sets):
                 for set_frame in frame:
-                    passes, errors = tally()
-                    if passes:
-                        _record_chunk([set_frame], cfg.iou_threshold, passes)
-                    _center_errors(set_frame, cfg.match_radius, errors)
+                    _record_chunk([[set_frame]], [tally()], cfg.iou_threshold, cfg.match_radius)
             raise
         if failure:
             raise failure
@@ -1022,15 +1015,18 @@ def _finite_difference_check(out, content, target_grams, gamma_c, gamma_s, step)
 
     The style targets enter through their Gram matrices, computed once by
     the caller; each probe moves one coordinate of one scratch copy of the
-    output and computes the loss, and so the Gram matrix, of that copy.
-    A probe whose loss leaves the float range is a usage error: ``step``
-    is too large for the tensor.  ``out`` and ``content`` are feature tensors.
+    output, and of the content difference kept with it, and computes the
+    loss, and so the Gram matrix, of that copy.  A probe whose loss leaves
+    the float range is a usage error: ``step`` is too large for the tensor.
+    ``out`` and ``content`` are feature tensors.
     """
     from .losses import _loss_gradients, _total_loss
 
     analytic = _loss_gradients(out.data, content.data, target_grams, gamma_c, gamma_s)
     scratch = out.data.copy()
-    flat = scratch.reshape(-1)
+    flat, target = scratch.reshape(-1), content.data.reshape(-1)
+    with np.errstate(over="ignore"):  # the content loss has warned of it
+        diff = flat - target  # scratch - content, as each probe moves it
     size = flat.size
     if size <= _GRAD_CHECK_FULL_SIZE:
         coords = range(size)
@@ -1039,8 +1035,8 @@ def _finite_difference_check(out, content, target_grams, gamma_c, gamma_s, step)
         coords = range(0, size, stride)
 
     def loss_moved(idx: int, value: float) -> float:
-        flat[idx] = value
-        return _total_loss(scratch, content.data, target_grams, gamma_c, gamma_s)
+        flat[idx], diff[idx] = value, value - target[idx]
+        return _total_loss(scratch, content.data, target_grams, gamma_c, gamma_s, diff)
 
     fd_values = []
     an_values = []
@@ -1049,7 +1045,7 @@ def _finite_difference_check(out, content, target_grams, gamma_c, gamma_s, step)
         with np.errstate(over="ignore", invalid="ignore"):
             h = step * max(1.0, abs(x))
             fd = (loss_moved(idx, x + h) - loss_moved(idx, x - h)) / (2.0 * h)
-        flat[idx] = x
+            flat[idx], diff[idx] = x, x - target[idx]
         if not math.isfinite(fd):
             coordinate = tuple(int(i) for i in np.unravel_index(idx, scratch.shape))
             raise _UsageError(

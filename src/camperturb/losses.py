@@ -84,9 +84,10 @@ def _require_same_shape(out: FeatureTensor, target: FeatureTensor) -> None:
         )
 
 
-def _content_loss(out: np.ndarray, target: np.ndarray) -> float:
-    """:func:`content_loss` of two arrays of one shape."""
-    diff = (out - target).ravel()
+def _content_loss(out: np.ndarray, target: np.ndarray, diff=None) -> float:
+    """:func:`content_loss` of two arrays of one shape; ``diff``, if given, is
+    ``(out - target).ravel()``, kept by the caller."""
+    diff = (out - target).ravel() if diff is None else diff
     return float(diff @ diff) / out.size
 
 
@@ -162,10 +163,11 @@ def _total_loss(
     target_grams,
     gamma_content: float,
     gamma_style: float,
+    diff=None,
 ) -> float:
     """:func:`total_loss` of checked arrays, given the style targets' Gram matrices;
-    styles added in order."""
-    total = gamma_content * _content_loss(out, content_target)
+    styles added in order.  ``diff`` as for :func:`_content_loss`."""
+    total = gamma_content * _content_loss(out, content_target, diff)
     for style in _style_losses(out, target_grams):
         total += gamma_style * style
     return total

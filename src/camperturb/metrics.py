@@ -7,9 +7,8 @@ crossings of their edges, and sorted by angle these give the area by the
 shoelace formula.  3D IoU multiplies the BEV intersection by the overlap
 of the vertical extents, so ``bev`` and ``3d`` share one intersection.
 The same-class pairs of a whole chunk of frames are gathered with NumPy
-and scored in one kernel call per IoU group (``2d``; ``bev`` and ``3d``),
-then split back per frame; ``iou_2d``/``iou_bev``/``iou_3d`` score one
-pair through the same kernel.
+and scored in one kernel call per IoU group (``2d``; ``bev`` and ``3d``);
+``iou_2d``/``iou_bev``/``iou_3d`` score one pair through the same kernel.
 
 AP40 follows the 40-recall-point protocol: detections are matched
 greedily in score order, the precision-recall curve is sampled after
@@ -18,28 +17,27 @@ the result is independent of tie ordering), and precision is
 max-interpolated at recalls 1/40 .. 40/40.  AOS runs the same sweep with
 the numerator replaced by accumulated orientation similarity
 (1 + cos(delta alpha)) / 2, which makes AOS <= AP on 2D matching.
-Matching is class-independent and IoU difficulty-independent, so one
-IoU value per pair and kind serves every class and difficulty.  A chunk
-of frames is folded into a tally by one call (:func:`_record_chunk`,
-which every matcher entry point uses; :func:`_center_errors` per frame),
-:func:`_add_tally` appends one tally to another, and :func:`class_sweep`
-turns one class's records into AP40 or AOS.
+:func:`_record_chunk` folds a chunk of frames of one or more detection
+sets into tallies: the matching of every set, IoU kind and difficulty,
+and the nuScenes center-distance matching, is one :func:`_greedy_by_rank`
+call, which matches all (frame, class) groups side by side, one NumPy
+step per detection rank, and each tally cell gets one block of records
+per class.  :func:`class_sweep` ranks and accumulates a class's records
+as arrays.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from array import array
-from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import accumulate, groupby
+from functools import partial
 
 import numpy as np
 
 from .errors import DegenerateBox, NoGroundTruth, NoMatches
-from .geometry import Box3D, CameraIntrinsics, _box_row, _corners, _wrap_angle
+from .geometry import Box3D, CameraIntrinsics, _box_row, _corners
 from .kitti import (
     _ALPHA, _BBOX_COLUMNS, _BOX_COLUMNS, _SCORE, DONTCARE, DifficultyBin, ObjectLabel, _bins_of,
     _LabelTable, _table_of,
@@ -140,7 +138,7 @@ def _convex_intersection(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     s = (np.roll(q, -1, axis=1) - q)[:, None]  # edge j of q: q[j] + u s[j]
     d = q[:, None] - p[:, :, None]
     ds, dr, den = _cross(d, s), _cross(d, r), _cross(r, s)
-    with np.errstate(divide="ignore", invalid="ignore"):  # parallel edges
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # (near-)parallel edges
         t, u = ds / den, dr / den
         crossings = (p[:, :, None] + t[..., None] * r).reshape(n, 16, 2)
     # crossings within 1e-14 edge lengths past a corner count: rounding loses no vertex
@@ -165,46 +163,47 @@ def _convex_intersection(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 #: A compared box's 2D area, BEV area and volume stay below this, so that the
 #: union of two boxes, a sum of two of them, is finite.
 _MAX_MEASURE = sys.float_info.max / 2
+#: Corner coordinates of a compared box stay below this in magnitude, so that the
+#: edge crossings and shoelace sums of :func:`_convex_intersection` are finite.
+_MAX_EXTENT = 1e152
 
 
 def _row_faults(kinds: tuple[str, ...], rows: np.ndarray) -> list[tuple[str, np.ndarray]]:
     """``(reason, mask)`` of each rule that :func:`_pair_ious` holds the rows of
     an IoU group to, in the order they are checked: no BEV footprint of
-    (near-)zero area, nor a volume of zero (for ``"3d"``), and every measure
-    below ``_MAX_MEASURE``."""
+    (near-)zero area, nor a volume of zero (for ``"3d"``), every measure
+    below ``_MAX_MEASURE``, and every corner coordinate below ``_MAX_EXTENT``."""
     with np.errstate(over="ignore"):  # the rules catch what overflows
         if kinds == ("2d",):
             area = (rows[:, 2] - rows[:, 0]) * (rows[:, 3] - rows[:, 1])
-            return [("2D box area reaches half the float range", ~(area < _MAX_MEASURE))]
+            return [("2D box area reaches half the float range", ~(area < _MAX_MEASURE)),
+                    ("2D box coordinate reaches 1e152", ~(np.abs(rows).max(axis=1) < _MAX_EXTENT))]
         area = rows[:, 4] * rows[:, 5]
+        reach = np.maximum(np.abs(rows[:, 0]), np.abs(rows[:, 2])) + 0.5 * (rows[:, 4] + rows[:, 5])
         faults = [("BEV footprint has (near-)zero area", area < 1e-12),
                   ("BEV footprint area reaches half the float range", ~(area < _MAX_MEASURE))]
         if "3d" in kinds:
             volume = area * rows[:, 3]
             faults += [("box has zero volume", volume == 0.0),
                        ("box volume reaches half the float range", ~(volume < _MAX_MEASURE))]
+        faults.append(("BEV footprint reaches 1e152 m from the camera", ~(reach < _MAX_EXTENT)))
+        if "3d" in kinds:
+            faults.append(("box top or bottom reaches 1e152 m from the camera",
+                           ~(np.abs(rows[:, 1]) + rows[:, 3] < _MAX_EXTENT)))
     return faults
 
 
-def _refusal(kinds: tuple[str, ...], a: np.ndarray, b: np.ndarray, ia, ib):
-    """``(k, reason)`` of the first row pair (a[ia[k]], b[ib[k]]) that breaks a
-    rule of :func:`_row_faults`, and the first rule it breaks; None if none does."""
+def _refuse(kinds: tuple[str, ...], a: np.ndarray, b: np.ndarray, ia, ib, frame_of=None):
+    """Raise :class:`DegenerateBox` for the first row pair (a[ia[k]], b[ib[k]])
+    that breaks a rule of :func:`_row_faults`, with the first rule it breaks,
+    naming the frame ``frame_of(ia[k])`` if given."""
     broken = [(reason, bad_a[ia] | bad_b[ib])
               for (reason, bad_a), (_, bad_b) in zip(_row_faults(kinds, a), _row_faults(kinds, b))]
     bad = np.logical_or.reduce([mask for _, mask in broken])
-    if not bad.any():
-        return None
-    k = int(np.argmax(bad))
-    return k, next(reason for reason, mask in broken if mask[k])
-
-
-def _refuse_in_frame(frames, frame_of, kinds, a, b, ia, ib) -> None:
-    """Raise :class:`DegenerateBox` for the first pair that :func:`_refusal`
-    finds, naming its frame: ``frames[frame_of[ia[k]]]``."""
-    refusal = _refusal(kinds, a, b, ia, ib)
-    if refusal:
-        k, reason = refusal
-        raise DegenerateBox(f"frame {frames[frame_of[ia[k]]][0]}: {reason}")
+    if bad.any():
+        k = int(np.argmax(bad))
+        reason = next(reason for reason, mask in broken if mask[k])
+        raise DegenerateBox(f"frame {frame_of(ia[k])}: {reason}" if frame_of else reason)
 
 
 #: Near box pairs (bounding circles not apart) per :func:`_convex_intersection`
@@ -212,20 +211,20 @@ def _refuse_in_frame(frames, frame_of, kinds, a, b, ia, ib) -> None:
 _NEAR_PAIRS = 128
 
 
-def _pair_ious(kinds: tuple[str, ...], a: np.ndarray, b: np.ndarray, ia, ib) -> list[np.ndarray]:
+def _pair_ious(kinds: tuple[str, ...], a: np.ndarray, b: np.ndarray, ia, ib,
+               frame_of=None) -> list[np.ndarray]:
     """IoU of each row pair (a[ia[k]], b[ib[k]]) for each of ``kinds``, in order.
 
     Rows are (left, top, right, bottom) 2D boxes for ``("2d",)`` and
     (x, y, z, h, w, l, yaw) 3D boxes for ``"bev"`` and ``"3d"``, which share
-    one BEV intersection.  Raises :class:`DegenerateBox` if a compared box
-    breaks a rule of :func:`_row_faults`.
+    one BEV intersection.  Raises :class:`DegenerateBox` (:func:`_refuse`) if
+    a compared box breaks a rule of :func:`_row_faults`.
     """
-    refusal = _refusal(kinds, a, b, ia, ib)
-    if refusal:
-        raise DegenerateBox(refusal[1])
+    _refuse(kinds, a, b, ia, ib, frame_of)
     if kinds == ("2d",):
         inter, area_a, area_b = _rect_overlap(a, b, ia, ib)
-        return [np.where(inter > 0.0, inter / (area_a + area_b - inter), 0.0)]
+        union = area_a + area_b - inter  # 0 with an area that underflows: overlap is 0
+        return [np.divide(inter, union, out=np.zeros_like(inter), where=inter > 0.0)]
     area_a = a[ia, 4] * a[ia, 5]
     area_b = b[ib, 4] * b[ib, 5]
     # bit-equal footprints overlap fully, boxes with apart bounding circles not at all
@@ -276,132 +275,159 @@ def iou_3d(a: Box3D, b: Box3D) -> float:
     return float(_pair_ious(("3d",), _box_row(a), _box_row(b), *_ONE_PAIR)[0][0])
 
 
-def _greedy(order, rows, threshold: float, in_bin, covered):
-    """The one greedy matching rule: returns ``(pairs, ignored, false_pos)``.
+def _greedy_by_rank(segments) -> list[np.ndarray]:
+    """The one greedy matching rule, for many groups at once: the column each row
+    of each ``(group, row, column, value)`` segment claims, or -1.
 
-    Detections are visited in ``order``, (-score, index), and ``rows``
-    holds each one's (column, value) candidates in column order.  Each
-    claims the unclaimed column of highest value at or above ``threshold``;
-    an in-bin column beats an out-of-bin one, and the lowest index wins
-    exact ties.  Out-of-bin claims and ``covered`` detections are ignored.
-    """
-    claimed: set[int] = set()
-    pairs: list[tuple[int, int, float]] = []  # (column, detection, value)
-    ignored: list[int] = []
-    false_pos: list[int] = []
-    for di, row in zip(order, rows):
-        best_j, best = -1, (False, -math.inf)
-        for j, value in row:
-            if value >= threshold and j not in claimed and (in_bin[j], value) > best:
-                best_j, best = j, (in_bin[j], value)
-        if best[0]:
-            claimed.add(best_j)
-            pairs.append((best_j, di, best[1]))
-        elif best_j >= 0 or covered[di]:
-            ignored.append(di)
-        else:
-            false_pos.append(di)
-    return pairs, ignored, false_pos
+    Candidate k offers row ``row[k]`` column ``column[k]`` of group
+    ``group[row[k]]`` at a finite ``value[k]``.  A group's rows are visited in
+    row order (the caller's visit order), each claiming the best-valued column
+    that no earlier row claimed, the lowest on a tie.  All groups step together,
+    one NumPy step per rank."""
+    if not segments:
+        return []
+    sizes = np.array([(len(g), int(g.max(initial=-1)) + 1) for g, *_ in segments])
+    starts = np.cumsum(sizes, axis=0) - sizes  # each segment's rows and groups apart
+    group, row, column, value = (np.concatenate(part) for part in zip(*(
+        (g + start[1], r + start[0], c, v) for (g, r, c, v), start in zip(segments, starts)
+    )))
+    live = np.flatnonzero(np.bincount(row, minlength=len(group)))  # rows with candidates
+    live = live[np.argsort(group[live], kind="stable")]
+    counts = np.unique(group[live], return_counts=True)[1]
+    rank = np.arange(len(live)) - np.repeat(np.cumsum(counts) - counts, counts)
+    # larger groups take lower slots, so the groups still visiting at rank k are the first n_k
+    slot = np.empty(len(counts), dtype=np.intp)
+    slot[np.argsort(-counts, kind="stable")] = np.arange(len(counts))
+    live_slot = np.repeat(slot, counts)
+    by_rank = np.lexsort((live_slot, rank))
+    visit, slot_of = live[by_rank], live_slot[by_rank]
+    at = np.empty(len(group), dtype=np.intp)
+    at[visit] = np.arange(len(visit))
+    pos = at[row]  # each candidate's visit position
+    # the columns each group offers, renumbered 1, 2, ... in order, so the table is as
+    # wide as the most any group offers; column 0 is offered to no row: a row with
+    # nothing left to claim takes it, and it stays free
+    width = int(column.max(initial=0)) + 1
+    cells, cell = np.unique(slot_of[pos] * width + column, return_inverse=True)
+    first = np.searchsorted(cells, np.arange(len(counts)) * width)  # each slot's first cell
+    local = cell - first[slot_of[pos]] + 1
+    values = np.full((len(visit), int(local.max(initial=0)) + 1), -np.inf)
+    values[pos, local] = value
+    claimed = np.zeros((len(counts), values.shape[1]))  # -inf once claimed
+    taken, start = np.empty(len(visit), dtype=np.intp), 0
+    for n in np.bincount(rank).tolist():
+        j = (values[start:start + n] + claimed[:n]).argmax(axis=1)  # the first maximum
+        claimed[np.arange(n), j] = -np.inf
+        taken[start:start + n] = j
+        start += n
+    claims = np.full(len(group), -1, dtype=np.intp)
+    claims[visit] = np.where(taken > 0, cells[first[slot_of] + taken - 1] % width, -1)
+    return np.split(claims, starts[1:, 0])
 
 
 def _partners(keys: np.ndarray, column_keys: np.ndarray):
-    """The nonzero entries ``(k, j)`` of ``keys[:, None] == column_keys``, row-major."""
+    """The nonzero entries ``(k, j)`` of ``keys[:, None] == column_keys``, row-major,
+    and the rank of each ``j`` among the columns of its key, in index order."""
     by_key = np.argsort(column_keys, kind="stable")
     sorted_keys = column_keys[by_key]
     first = np.searchsorted(sorted_keys, keys, "left")
     counts = np.searchsorted(sorted_keys, keys, "right") - first
     rows = np.repeat(np.arange(len(keys)), counts)
     offsets = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
-    return rows, by_key[np.repeat(first, counts) + offsets]
+    return rows, by_key[np.repeat(first, counts) + offsets], offsets
 
 
 def _stacked(tables):
-    """One label table (no score mask) of ``tables`` in order, and the first row
-    of each (and the end)."""
-    starts = np.cumsum([0, *(len(t.names) for t in tables)])
+    """One label table (no score mask) of ``tables`` in order, and each row's table."""
+    counts = [len(t.names) for t in tables]
     names = [name for t in tables for name in t.names]
-    return _LabelTable(names, np.concatenate([t.values for t in tables]), None), starts
+    values = np.concatenate([t.values for t in tables])
+    return _LabelTable(names, values, None), np.repeat(np.arange(len(tables)), counts)
 
 
-def _match_chunk(frames, kinds, threshold: float, difficulties):
-    """Yield ``(k, {(kind, difficulty): MatchResult})`` for each ``frames[k]``, a
-    ``(frame_id, gt, dets)`` tuple of label tables, in order.
+class _Chunk:
+    """One detection set's ``(frame_id, gt, dets)`` frames, their tables stacked.
 
-    The same-class pairs of all ``frames`` are scored by one :func:`_pair_ious`
-    call per IoU group of ``kinds``; each detection's candidates are its pairs
-    at or above ``threshold``, in column order.  Raises :class:`DegenerateBox`
-    naming the first frame with a compared box that :func:`_row_faults` refuses.
+    Classes are coded (``names[code]``, DontCare 0).  The scored detections,
+    all but DontCare regions, are visited in ``order``: by frame, descending
+    score, index; ``group`` is each one's (frame, class).  The same-class
+    pairs are (``order[pos[k]]``, ``gt_idx[k]``); ``column[k]`` is the rank
+    of the ground truth in its group; a position's pairs are consecutive, in
+    column order.
     """
+
+    def __init__(self, frames):
+        self.frames = frames
+        self.gt, self.gt_frame = _stacked([frame[1] for frame in frames])
+        self.dets, self.det_frame = _stacked([frame[2] for frame in frames])
+        self.names = list(dict.fromkeys([DONTCARE, *self.gt.names, *self.dets.names]))
+        codes = {name: code for code, name in enumerate(self.names)}
+        self.gt_class, self.det_class = (
+            np.fromiter(map(codes.__getitem__, t.names), np.int64, len(t.names))
+            for t in (self.gt, self.dets)
+        )
+        scored = np.flatnonzero(self.det_class)
+        self.order = scored[np.lexsort((-self.dets.values[scored, _SCORE],
+                                        self.det_frame[scored]))]
+        self.group = self.det_frame[self.order] * len(codes) + self.det_class[self.order]
+        self.pos, self.gt_idx, self.column = _partners(
+            self.group, self.gt_frame * len(codes) + self.gt_class
+        )
+        self.first_pair = np.searchsorted(self.pos, np.arange(len(self.order)))
+
+    def claimed(self, claims):
+        """Which detections (positions of ``order``) claim a column, and the pair each claims."""
+        tp = claims >= 0
+        return tp, self.first_pair[tp] + claims[tp]
+
+    def frame_of(self, det: int) -> str:
+        """The frame id of detection row ``det``."""
+        return self.frames[self.det_frame[det]][0]
+
+    def segment(self, pairs, values):
+        """The :func:`_greedy_by_rank` segment of the candidate ``pairs`` at ``values[pairs]``."""
+        return self.group, self.pos[pairs], self.column[pairs], values[pairs]
+
+
+def _ap_segments(chunk: _Chunk, kinds, threshold: float, bins):
+    """``(kind, bin, in_bin, pairs, absorbed, ious)`` of each IoU kind and difficulty:
+    the kind's IoUs of the same-class pairs, the ground truth in the bin, the
+    candidate pairs (at or above ``threshold``, in the bin), and the detections
+    ignored if they claim none (with such a pair out of the bin, or mostly
+    covered by a DontCare region).  Raises :class:`DegenerateBox` naming the
+    first frame with a refused box."""
     for iou_kind in kinds:
         if iou_kind not in _IOU_KINDS:
             raise ValueError(f"iou_kind must be one of {_IOU_KINDS}, got {iou_kind!r}")
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"threshold must lie in (0, 1], got {threshold}")
-    gt, gt_start = _stacked([frame[1] for frame in frames])
-    dets, det_start = _stacked([frame[2] for frame in frames])
-    gt_frame = np.repeat(np.arange(len(frames)), np.diff(gt_start))  # each row's frame
-    det_frame = np.repeat(np.arange(len(frames)), np.diff(det_start))
-    codes = {DONTCARE: 0}
-    gt_class, det_class = (
-        np.array([codes.setdefault(name, len(codes)) for name in t.names], dtype=np.int64)
-        for t in (gt, dets)
-    )
-    scored = np.flatnonzero(det_class)  # all but DontCare regions
-    # detections by frame, then descending score, then index
-    order = scored[np.lexsort((-dets.values[scored, _SCORE], det_frame[scored]))]
-    bounds = np.searchsorted(det_frame[order], np.arange(len(frames) + 1)).tolist()
-    covered = np.zeros(len(dets.names), dtype=bool)
-    dontcare = np.flatnonzero(gt_class == 0)
-    pos, dc = _partners(det_frame[order], gt_frame[dontcare])
-    if len(pos):
+    gt, dets, det_idx, gt_idx = chunk.gt, chunk.dets, chunk.order[chunk.pos], chunk.gt_idx
+    covered = np.zeros(len(chunk.order), dtype=bool)
+    dontcare = np.flatnonzero(chunk.gt_class == 0)
+    near, dc, _ = _partners(chunk.det_frame[chunk.order], chunk.gt_frame[dontcare])
+    if len(near):
         boxes_det, boxes_gt = dets.values[:, _BBOX_COLUMNS], gt.values[:, _BBOX_COLUMNS]
-        _refuse_in_frame(frames, det_frame, ("2d",), boxes_det, boxes_gt, order[pos], dontcare[dc])
-        inter, area_det, _ = _rect_overlap(boxes_det, boxes_gt, order[pos], dontcare[dc])
-        coverage = np.where(inter > 0.0, inter / area_det, 0.0)
-        covered[order[pos[coverage > threshold]]] = True
-    covered = covered.tolist()
-    # same-class pairs: a frame and class is one key
-    pos, gt_idx = _partners(det_frame[order] * len(codes) + det_class[order],
-                            gt_frame * len(codes) + gt_class)
-    det_idx, rows_by_kind = order[pos], {}
+        ia, ib = chunk.order[near], dontcare[dc]
+        _refuse(("2d",), boxes_det, boxes_gt, ia, ib, chunk.frame_of)
+        inter, area_det, _ = _rect_overlap(boxes_det, boxes_gt, ia, ib)
+        coverage = np.divide(inter, area_det, out=np.zeros_like(inter), where=inter > 0.0)
+        covered[near[coverage > threshold]] = True
+    ious = {}
     for group, columns in _IOU_GROUPS.items():
         wanted = tuple(kind for kind in group if kind in kinds)
-        if not wanted:
-            continue
-        rows_det, rows_gt = dets.values[:, columns], gt.values[:, columns]
-        try:
-            ious = _pair_ious(wanted, rows_det, rows_gt, det_idx, gt_idx)
-        except DegenerateBox:
-            _refuse_in_frame(frames, det_frame, wanted, rows_det, rows_gt, det_idx, gt_idx)
-            raise
-        for kind, values in zip(wanted, ious):
-            hit = np.flatnonzero(values >= threshold)
-            column = gt_idx[hit] - gt_start[gt_frame[gt_idx[hit]]]
-            rows = rows_by_kind[kind] = [[] for _ in order]
-            for p, j, value in zip(pos[hit].tolist(), column.tolist(), values[hit].tolist()):
-                rows[p].append((j, value))
+        if wanted:
+            ious.update(zip(wanted, _pair_ious(wanted, dets.values[:, columns],
+                                               gt.values[:, columns], det_idx, gt_idx,
+                                               chunk.frame_of)))
     levels = _bins_of(gt)  # DontCare is IGNORED, never in bin
-    in_bins = [(levels <= min(d, DifficultyBin.HARD)).tolist() for d in difficulties]
-    local_order = (order - det_start[det_frame[order]]).tolist()
-    gt_start, det_start = gt_start.tolist(), det_start.tolist()
-    for k in range(len(frames)):
-        first, last = bounds[k], bounds[k + 1]
-        frame_order = local_order[first:last]
-        frame_covered = covered[det_start[k]:det_start[k + 1]]
-        frame_bins = [in_bin[gt_start[k]:gt_start[k + 1]] for in_bin in in_bins]
-        results = {}
-        for iou_kind in kinds:
-            rows = rows_by_kind[iou_kind][first:last]
-            for difficulty, in_bin in zip(difficulties, frame_bins):
-                pairs, ignored, false_pos = _greedy(
-                    frame_order, rows, threshold, in_bin, frame_covered
-                )
-                claimed = {j for j, _, _ in pairs}
-                unmatched_gt = tuple(j for j, b in enumerate(in_bin) if b and j not in claimed)
-                results[iou_kind, difficulty] = MatchResult(
-                    tuple(pairs), unmatched_gt, tuple(sorted(false_pos)), tuple(sorted(ignored))
-                )
-        yield k, results
+    for kind in kinds:
+        hit = np.flatnonzero(ious[kind] >= threshold)
+        for bin_ in bins:
+            in_bin = levels <= min(bin_, DifficultyBin.HARD)
+            inside = in_bin[gt_idx[hit]]
+            absorbed = covered.copy()
+            absorbed[chunk.pos[hit[~inside]]] = True
+            yield kind, bin_, in_bin, hit[inside], absorbed, ious[kind]
 
 
 def match_frame(
@@ -419,14 +445,24 @@ def match_frame(
     such detections are *ignored* rather than counted, as are detections
     mostly covered by a DontCare region.
     """
-    frames = [(frame.frame_id, *_tables(frame))]
-    _, results = next(_match_chunk(frames, (iou_kind,), threshold, (difficulty,)))
-    return results[iou_kind, difficulty]
+    chunk = _Chunk([(frame.frame_id, *_tables(frame))])
+    ((*_, in_bin, pairs, absorbed, ious),) = _ap_segments(chunk, (iou_kind,), threshold,
+                                                          (difficulty,))
+    tp, claimed = chunk.claimed(*_greedy_by_rank([chunk.segment(pairs, ious)]))
+    unmatched = in_bin.copy()
+    unmatched[chunk.gt_idx[claimed]] = False
+    return MatchResult(
+        tuple(zip(chunk.gt_idx[claimed].tolist(), chunk.order[tp].tolist(),
+                  ious[claimed].tolist())),
+        tuple(np.flatnonzero(unmatched).tolist()),
+        tuple(np.sort(chunk.order[~tp & ~absorbed]).tolist()),
+        tuple(np.sort(chunk.order[~tp & absorbed]).tolist()),
+    )
 
 
 def _passes(iou_kinds, difficulties) -> dict:
     """Empty ``{kind: {difficulty: (records, num_gt)}}`` for :func:`_record_chunk`."""
-    return {kind: {d: (defaultdict(lambda: array("d")), Counter()) for d in difficulties}
+    return {kind: {d: (defaultdict(list), Counter()) for d in difficulties}
             for kind in iou_kinds}
 
 
@@ -435,31 +471,96 @@ def _add_tally(total, part) -> None:
     (passes, errors), (part_passes, part_errors) = total, part
     for kind, by_bin in part_passes.items():
         for bin_, (records, num_gt) in by_bin.items():
-            for class_name, values in records.items():
-                passes[kind][bin_][0][class_name].extend(values)
+            for class_name, blocks in records.items():
+                passes[kind][bin_][0][class_name].extend(blocks)
             passes[kind][bin_][1].update(num_gt)
-    for class_name, values in part_errors.items():
-        errors[class_name].extend(values)
+    for class_name, blocks in part_errors.items():
+        errors[class_name].extend(blocks)
 
 
-def _record_chunk(frames, threshold: float, passes) -> None:
-    """Add the records of ``frames``, ``(frame_id, gt, dets)`` tuples of label
-    tables, for each kind and difficulty of ``passes``, as :func:`match_pass`.
-    The frames are matched together (:func:`_match_chunk`)."""
-    bins = next(iter(passes.values()))
-    for k, results in _match_chunk(frames, passes, threshold, bins):
-        _, gt, dets = frames[k]
-        gt_alpha, det_alpha = gt.values[:, _ALPHA].tolist(), dets.values[:, _ALPHA].tolist()
-        scores = dets.values[:, _SCORE].tolist()
-        for (kind, bin_), result in results.items():
-            records, num_gt = passes[kind][bin_]
-            num_gt.update(gt.names[j] for j, _, _ in result.pairs)
-            num_gt.update(gt.names[j] for j in result.unmatched_gt)
-            for j, i, _ in result.pairs:
-                sim = (1.0 + math.cos(det_alpha[i] - gt_alpha[j])) / 2.0
-                records[dets.names[i]].extend((scores[i], 1.0, sim))
-            for i in result.unmatched_det:
-                records[dets.names[i]].extend((scores[i], 0.0, 0.0))
+def _add_blocks(blocks, chunk: _Chunk, det, rows, *keys) -> None:
+    """Append ``rows``, one per detection ``det`` of ``chunk``, to ``blocks`` as a
+    block per class, in the order of ``keys`` (``np.lexsort``'s), then their own."""
+    codes = chunk.det_class[det]
+    counts = np.bincount(codes, minlength=len(chunk.names))
+    for name, block in zip(chunk.names, np.split(rows[np.lexsort((*keys, codes))],
+                                                 np.cumsum(counts)[:-1])):
+        if len(block):
+            blocks[name].append(block)
+
+
+def _add_records(chunk: _Chunk, in_bin, absorbed, cell, claims) -> None:
+    """Add the records of one kind and difficulty of ``chunk``, given its ``claims``,
+    to ``cell``, a ``(records, num_gt)`` of :func:`_passes`."""
+    records, num_gt = cell
+    counts = np.bincount(chunk.gt_class[in_bin], minlength=len(chunk.names)).tolist()
+    num_gt.update({name: n for name, n in zip(chunk.names[1:], counts[1:]) if n})
+    tp, claimed = chunk.claimed(claims)
+    det = np.concatenate([chunk.order[tp], np.sort(chunk.order[~tp & ~absorbed])])
+    gt_alpha = chunk.gt.values[chunk.gt_idx[claimed], _ALPHA]
+    rows = np.zeros((len(det), 3))  # (score, is_tp, similarity)
+    rows[:, 0] = chunk.dets.values[det, _SCORE]
+    rows[:len(gt_alpha), 1] = 1.0
+    rows[:len(gt_alpha), 2] = (1.0 + np.cos(chunk.dets.values[det[:len(gt_alpha)], _ALPHA]
+                                            - gt_alpha)) / 2.0
+    # by frame; a frame's true positives in match order, then its false positives
+    _add_blocks(records, chunk, det, rows, chunk.det_frame[det])
+
+
+def _add_errors(chunk: _Chunk, classes, errors, claims) -> None:
+    """Add (ATE, ASE, AOE) of each match of ``chunk``, given its ``claims``, to
+    ``errors``; ATE is ``math.hypot`` of the centers.
+    Raises :class:`DegenerateBox` naming the frame of the first match (by frame,
+    ``classes`` order, visit) with a volume of zero or of ``_MAX_MEASURE``."""
+    tp, claimed = chunk.claimed(claims)
+    det = chunk.order[tp]
+    a = chunk.dets.values[det][:, _BOX_COLUMNS]
+    b = chunk.gt.values[chunk.gt_idx[claimed]][:, _BOX_COLUMNS]
+    with np.errstate(over="ignore"):
+        vol_a, vol_b = (box[:, 3] * box[:, 4] * box[:, 5] for box in (a, b))
+    bad = ~((0.0 < vol_a) & (vol_a < _MAX_MEASURE) & (0.0 < vol_b) & (vol_b < _MAX_MEASURE))
+    if bad.any():
+        rank = np.array([classes.index(name) if name in classes else 0 for name in chunk.names])
+        first = np.lexsort((rank[chunk.det_class[det]][bad], chunk.det_frame[det][bad]))[0]
+        k = np.flatnonzero(bad)[first]
+        zero = min(vol_a[k], vol_b[k]) == 0.0
+        reason = "box has zero volume" if zero else "box volume reaches half the float range"
+        raise DegenerateBox(f"frame {chunk.frame_of(det[k])}: {reason}")
+    inter = (np.minimum(a[:, 3], b[:, 3]) * np.minimum(a[:, 4], b[:, 4])
+             * np.minimum(a[:, 5], b[:, 5]))  # of the dimensions, centers and yaw aligned
+    rows = np.empty((len(det), 3))
+    rows[:, 0] = list(map(math.hypot, (a[:, 0] - b[:, 0]).tolist(), (a[:, 2] - b[:, 2]).tolist()))
+    rows[:, 1] = 1.0 - inter / (vol_a + vol_b - inter)
+    rows[:, 2] = np.abs(np.remainder(a[:, 6] - b[:, 6] + math.pi, 2.0 * math.pi) - math.pi)
+    _add_blocks(errors, chunk, det, rows)
+
+
+def _record_chunk(sets, tallies, threshold, match_radius) -> None:
+    """Add the records of each detection set's ``(frame_id, gt, dets)`` frames to its
+    ``(passes, errors)`` tally: the AP/AOS records of each kind and difficulty of
+    ``passes`` (:func:`_passes`) and the (ATE, ASE, AOE) blocks of each class of
+    ``errors``.  All are matched in one :func:`_greedy_by_rank` call.  Raises
+    :class:`DegenerateBox` naming a frame with a refused box."""
+    plans, segments = [], []
+    for chunk, (passes, errors) in zip(map(_Chunk, sets), tallies):
+        bins = list(next(iter(passes.values()), ()))
+        for kind, bin_, in_bin, pairs, absorbed, ious in (
+            _ap_segments(chunk, passes, threshold, bins) if passes else ()
+        ):
+            segments.append(chunk.segment(pairs, ious))
+            plans.append(partial(_add_records, chunk, in_bin, absorbed, passes[kind][bin_]))
+        classes = [name for name in errors if name != DONTCARE]  # regions, never paired
+        if classes:
+            det, gt = chunk.dets.values[chunk.order[chunk.pos]], chunk.gt.values[chunk.gt_idx]
+            x, _, z = _BOX_COLUMNS[:3]
+            with np.errstate(over="ignore", invalid="ignore"):  # far apart is no match
+                dist = np.hypot(det[:, x] - gt[:, x], det[:, z] - gt[:, z])
+            wanted = np.isin(chunk.names, classes)[chunk.gt_class[chunk.gt_idx]]
+            pairs = np.flatnonzero(wanted & (dist <= match_radius))
+            segments.append(chunk.segment(pairs, -dist))
+            plans.append(partial(_add_errors, chunk, classes, errors))
+    for plan, claims in zip(plans, _greedy_by_rank(segments)):
+        plan(claims)
 
 
 def match_pass(
@@ -467,13 +568,13 @@ def match_pass(
     iou_kind: str = "2d",
     threshold: float = 0.7,
     difficulties=(DifficultyBin.MODERATE,),
-) -> dict[DifficultyBin, tuple[dict[str, array], Counter]]:
+) -> dict[DifficultyBin, tuple[dict[str, list], Counter]]:
     """Match every frame at each of ``difficulties``, for all classes at once.
 
     Returns ``{difficulty: (records, num_gt)}``.  ``records`` maps each
-    class to a flat array of (score, is_tp, similarity) triples, one per
-    true or false positive, in frame order (each frame's true positives
-    in match order, then its false positives in index order);
+    class to a list of (n, 3) blocks of (score, is_tp, similarity) rows,
+    one per true or false positive, in frame order (each frame's true
+    positives in match order, then its false positives in index order);
     ``similarity`` is (1 + cos(alpha_det - alpha_gt)) / 2 for true
     positives and 0 otherwise.  ``num_gt`` counts each class's in-bin
     ground truth.  Raises ``ValueError`` on an empty frame list, and
@@ -483,7 +584,8 @@ def match_pass(
     if not frames:
         raise ValueError("frames must be non-empty")
     passes = _passes((iou_kind,), difficulties)
-    _record_chunk([(frame.frame_id, *_tables(frame)) for frame in frames], threshold, passes)
+    tables = [(frame.frame_id, *_tables(frame)) for frame in frames]
+    _record_chunk([tables], [(passes, {})], threshold, None)
     return passes[iou_kind]
 
 
@@ -497,11 +599,12 @@ def class_sweep(
     """Run the 40-point sweep over one class's records of :func:`match_pass`.
 
     The numerator is the true-positive count (AP40) or, with
-    ``use_similarity``, the summed orientation similarity (AOS).  Curve
-    points are taken after each group of equal scores, so ties contribute
-    atomically and the result matches an exhaustive per-threshold
-    evaluation exactly.  Raises :class:`NoGroundTruth` when the class has
-    no in-bin ground truth (``difficulty`` names the bin in the message).
+    ``use_similarity``, the summed orientation similarity (AOS), added in
+    rank order (equal scores in record order).  Curve points are taken after
+    each group of equal scores, so ties contribute atomically and the result
+    matches an exhaustive per-threshold evaluation.  Raises
+    :class:`NoGroundTruth` when the class has no in-bin ground truth
+    (``difficulty`` names the bin in the message).
     """
     total_gt = num_gt.get(class_name, 0)
     if total_gt == 0:
@@ -509,25 +612,17 @@ def class_sweep(
             f"no ground truth of class {class_name!r} in difficulty bin "
             f"{difficulty.name}"
         )
-    scores, is_tp, sims = (records.get(class_name, array("d"))[k::3] for k in range(3))
-    ranked = sorted(range(len(scores)), key=lambda k: -scores[k])
-    recalls: list[float] = []
-    values: list[float] = []
-    tp = 0
-    fp = 0
-    sim_sum = 0.0
-    for _, tied in groupby(ranked, key=scores.__getitem__):
-        for k in tied:
-            if is_tp[k]:
-                tp += 1
-                sim_sum += sims[k]
-            else:
-                fp += 1
-        recalls.append(tp / total_gt)
-        values.append((sim_sum if use_similarity else tp) / (tp + fp))
+    blocks = records.get(class_name)
+    rows = np.concatenate(blocks) if blocks else np.empty((0, 3))
+    rows = rows[np.argsort(-rows[:, 0], kind="stable")]
+    ends = np.flatnonzero(np.append(rows[1:, 0] != rows[:-1, 0], True))[:len(rows)]
+    tp = np.cumsum(rows[:, 1])[ends]
+    numerator = np.cumsum(rows[:, 2])[ends] if use_similarity else tp
+    values = numerator / (ends + 1)
+    recalls = tp / total_gt
     # best value at or after each curve point; recalls never decrease
-    best_after = [*reversed(list(accumulate(reversed(values), max))), 0.0]
-    interpolated = [best_after[bisect_left(recalls, r)] for r in RECALL_POINTS]
+    best_after = np.append(np.maximum.accumulate(values[::-1])[::-1], 0.0)
+    interpolated = best_after[np.searchsorted(recalls, RECALL_POINTS, "left")].tolist()
     ap = 100.0 * sum(interpolated) / len(RECALL_POINTS)
     return ap, PRCurve(recalls=RECALL_POINTS, precisions=tuple(interpolated))
 
@@ -564,54 +659,13 @@ def average_orientation_similarity(
     return class_sweep(records, num_gt, class_name, difficulty, use_similarity=True)
 
 
-def _aligned_dims_iou(a, b) -> float:
-    """IoU of two (x, y, z, h, w, l, yaw) boxes after aligning centers and yaw.
-
-    Raises :class:`DegenerateBox` if a volume is zero or reaches
-    ``_MAX_MEASURE``, as :func:`_pair_ious` does for ``"3d"``.
-    """
-    inter = min(a[3], b[3]) * min(a[4], b[4]) * min(a[5], b[5])
-    vol_a = a[3] * a[4] * a[5]
-    vol_b = b[3] * b[4] * b[5]
-    if not (0.0 < vol_a < _MAX_MEASURE and 0.0 < vol_b < _MAX_MEASURE):
-        zero = min(vol_a, vol_b) == 0.0
-        raise DegenerateBox("box has zero volume" if zero else
-                            "box volume reaches half the float range")
-    return inter / (vol_a + vol_b - inter)
-
-
-def _center_errors(frame, match_radius: float, errors: dict[str, array]) -> None:
-    """Append (ATE, ASE, AOE) of each match of ``frame``, a ``(frame_id, gt,
-    dets)`` tuple of label tables, to ``errors[class_name]``, for each class
-    ``errors`` holds.  Raises :class:`DegenerateBox` naming the frame if a
-    matched pair's volume is refused (:func:`_aligned_dims_iou`)."""
-    frame_id, gt, dets = frame
-    gt_boxes, det_boxes = gt.values[:, _BOX_COLUMNS].tolist(), dets.values[:, _BOX_COLUMNS].tolist()
-    scores = dets.values[:, _SCORE].tolist()
-    ranked = sorted(range(len(scores)), key=lambda i: -scores[i])  # stable: index order breaks ties
-    for class_name, class_errors in errors.items():
-        if class_name == DONTCARE:  # regions, never paired
-            continue
-        gts = [box for name, box in zip(gt.names, gt_boxes) if name == class_name]
-        boxes = [det_boxes[i] for i in ranked if dets.names[i] == class_name]
-        rows = [[(j, -math.hypot(d[0] - g[0], d[2] - g[2])) for j, g in enumerate(gts)]
-                for d in boxes]
-        order = range(len(boxes))
-        pairs, _, _ = _greedy(order, rows, -match_radius, [True] * len(gts), [False] * len(boxes))
-        for j, i, value in pairs:
-            try:
-                ase = 1.0 - _aligned_dims_iou(boxes[i], gts[j])
-            except DegenerateBox as exc:
-                raise DegenerateBox(f"frame {frame_id}: {exc}") from exc
-            class_errors.extend((-value, ase, abs(_wrap_angle(boxes[i][6] - gts[j][6]))))
-
-
-def _mean_errors(errors: array, class_name: str) -> NuScenesErrors:
-    """Means of the (ATE, ASE, AOE) triples of :func:`_center_errors`."""
-    matches = len(errors) // 3
+def _mean_errors(blocks, class_name: str) -> NuScenesErrors:
+    """Means of the (ATE, ASE, AOE) rows of :func:`_add_errors`, each summed left to right."""
+    rows = np.concatenate(blocks) if blocks else np.empty((0, 3))
+    matches = len(rows)
     if not matches:
         raise NoMatches(f"no detection of class {class_name!r} matched any ground truth")
-    return NuScenesErrors(*(sum(errors[k::3]) / matches for k in range(3)), matches=matches)
+    return NuScenesErrors(*(sum(rows[:, k].tolist()) / matches for k in range(3)), matches=matches)
 
 
 def nuscenes_errors(
@@ -621,20 +675,21 @@ def nuscenes_errors(
 
     Detections are matched by the same greedy rule as AP: in descending
     score order, each claims the unmatched same-class ground truth with
-    the smallest BEV center distance, if that distance is within
-    ``match_radius`` metres; the lowest index wins exact ties.
-    Per pair: ATE is the BEV center distance in metres, ASE is one minus
-    the center-and-yaw-aligned IoU of the dimensions, AOE is the absolute
-    yaw difference wrapped to [0, pi].  Raises :class:`NoMatches` if no
-    detection matches anywhere, and :class:`DegenerateBox` naming the frame
-    of a matched pair with a zero or overflowing volume.  DontCare rows are
-    never scored, as in :func:`match_frame`.
+    the smallest BEV center distance (``np.hypot``, which can differ from
+    ``math.hypot`` by an ulp), if within ``match_radius`` metres; the lowest
+    index wins exact ties.  Per pair: ATE is the BEV center distance in
+    metres (``math.hypot``), ASE is one minus the center-and-yaw-aligned IoU
+    of the dimensions, AOE is the absolute yaw difference wrapped to [0, pi].
+    Raises :class:`NoMatches` if no detection matches anywhere, and
+    :class:`DegenerateBox` naming the frame of a matched pair with a zero or
+    overflowing volume.  DontCare rows are never scored.
     """
     if not math.isfinite(match_radius) or match_radius <= 0:
         raise ValueError(f"match_radius must be positive, got {match_radius}")
     if class_name == DONTCARE:
         raise NoMatches(f"class {DONTCARE!r} marks regions and is never scored")
-    errors = array("d")
-    for frame in frames:
-        _center_errors((frame.frame_id, *_tables(frame)), match_radius, {class_name: errors})
-    return _mean_errors(errors, class_name)
+    errors = {class_name: []}
+    tables = [(frame.frame_id, *_tables(frame)) for frame in frames]
+    if tables:
+        _record_chunk([tables], [({}, errors)], None, match_radius)
+    return _mean_errors(errors[class_name], class_name)

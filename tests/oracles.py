@@ -4,8 +4,9 @@ Everything here deliberately avoids the code paths under test: IoU by
 Monte-Carlo point sampling (over a grid that counts whole cells at once)
 and by exact rational polygon clipping, AP by exhaustive per-threshold
 evaluation, Gram matrices by direct double summation, gradients by
-central finite differences, rotations by explicit 3x3 arithmetic, and
-label files by the field-at-a-time parser with its own value rules.
+central finite differences, rotations by explicit 3x3 arithmetic,
+label files by the field-at-a-time parser with its own value rules, and
+greedy matching by the scalar loop that visits one detection at a time.
 """
 
 from __future__ import annotations
@@ -239,6 +240,38 @@ def exact_iou_bev(box_a, box_b) -> float:
 
 
 # ---------------------------------------------------------------------------
+# greedy matching, one detection at a time
+
+
+def _greedy(order, rows, threshold: float, in_bin, covered):
+    """The one greedy matching rule: returns ``(pairs, ignored, false_pos)``.
+
+    Detections are visited in ``order``, (-score, index), and ``rows``
+    holds each one's (column, value) candidates in column order.  Each
+    claims the unclaimed column of highest value at or above ``threshold``;
+    an in-bin column beats an out-of-bin one, and the lowest index wins
+    exact ties.  Out-of-bin claims and ``covered`` detections are ignored.
+    """
+    claimed: set[int] = set()
+    pairs: list[tuple[int, int, float]] = []  # (column, detection, value)
+    ignored: list[int] = []
+    false_pos: list[int] = []
+    for di, row in zip(order, rows):
+        best_j, best = -1, (False, -math.inf)
+        for j, value in row:
+            if value >= threshold and j not in claimed and (in_bin[j], value) > best:
+                best_j, best = j, (in_bin[j], value)
+        if best[0]:
+            claimed.add(best_j)
+            pairs.append((best_j, di, best[1]))
+        elif best_j >= 0 or covered[di]:
+            ignored.append(di)
+        else:
+            false_pos.append(di)
+    return pairs, ignored, false_pos
+
+
+# ---------------------------------------------------------------------------
 # AP40 / AOS by exhaustive per-threshold evaluation
 
 RECALL_POINTS_40 = [(k + 1) / 40.0 for k in range(40)]
@@ -271,6 +304,34 @@ def brute_force_ap40(
         else:
             value = tp / (tp + fp)
         points.append((recall, value))
+    total = 0.0
+    for r in RECALL_POINTS_40:
+        total += max((v for rec, v in points if rec >= r), default=0.0)
+    return 100.0 * total / len(RECALL_POINTS_40)
+
+
+def sequential_sweep(
+    records: list[tuple[float, bool, float]],
+    total_gt: int,
+    use_similarity: bool = False,
+) -> float:
+    """AP40 by one pass over the records in rank order, one at a time.
+
+    ``records`` are (score, is_tp, similarity), ranked by a stable sort on
+    descending score; counts and the similarity sum run left to right and
+    a curve point is taken after each run of equal scores.  Gives the bits
+    that a left-to-right accumulation gives, which ``brute_force_ap40``,
+    summing each threshold's records afresh, need not.
+    """
+    ranked = sorted(records, key=lambda record: -record[0])
+    points, tp, fp, sim_sum = [], 0, 0, 0.0
+    for k, (score, is_tp, sim) in enumerate(ranked):
+        if is_tp:
+            tp, sim_sum = tp + 1, sim_sum + sim
+        else:
+            fp += 1
+        if k + 1 == len(ranked) or ranked[k + 1][0] != score:
+            points.append((tp / total_gt, (sim_sum if use_similarity else tp) / (tp + fp)))
     total = 0.0
     for r in RECALL_POINTS_40:
         total += max((v for rec, v in points if rec >= r), default=0.0)

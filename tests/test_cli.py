@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import hashlib
 import json
 import math
 import operator
@@ -2064,6 +2065,37 @@ class TestLoss:
             target = load_tensor(path).data
             assert sum(np.array_equal(data, target) for data in seen) == 1
 
+    @pytest.mark.parametrize("shape", [(3, 4, 5), (2, 24, 24)])
+    def test_each_probe_loss_has_the_bits_of_the_moved_tensor(
+        self, tmp_path, capsys, monkeypatch, shape
+    ):
+        """The probes keep one content difference up to date instead of taking
+        ``out - content`` afresh; each probe's loss is still the loss of the moved
+        tensor, bit for bit, and the difference is restored after each probe
+        (every coordinate below 512 values, a stride above)."""
+        rng = np.random.default_rng(37)
+        out = save_feature(tmp_path / "out.ftb", rng.normal(size=shape))
+        content = save_feature(tmp_path / "content.ftb", rng.normal(size=shape))
+        style = save_feature(tmp_path / "style.ftb", rng.normal(size=(shape[0], 3, 4)))
+        real_total = losses._total_loss
+        moved = []
+
+        def checked_total(scratch, target, grams, gamma_c, gamma_s, diff=None):
+            if diff is None:  # the report's own total
+                return real_total(scratch, target, grams, gamma_c, gamma_s)
+            assert np.array_equal(diff, (scratch - target).ravel())
+            value = real_total(scratch, target, grams, gamma_c, gamma_s, diff)
+            assert value == real_total(scratch.copy(), target, grams, gamma_c, gamma_s)
+            moved.append(int(np.count_nonzero(scratch != load_tensor(out).data)))
+            return value
+
+        monkeypatch.setattr(losses, "_total_loss", checked_total)
+        assert main(["loss", "--output", str(out), "--content", str(content),
+                     "--style", str(style), "--gamma-content", "0.75", "--grad-check"]) == 0
+        checked = json.loads(capsys.readouterr().out)["grad_check"]["coords_checked"]
+        assert checked == (60 if shape == (3, 4, 5) else 64)
+        assert moved == [1] * (2 * checked)
+
     def test_shape_mismatch_exits_1_with_both_shapes(self, tmp_path, capsys):
         out = save_feature(tmp_path / "out.ftb", np.zeros((2, 1, 1)))
         content = save_feature(tmp_path / "content.ftb", np.zeros((3, 1, 1)))
@@ -2444,6 +2476,30 @@ def test_evaluate_report_does_not_depend_on_chunk_boundaries(
     assert capsys.readouterr() == ("", "")
 
 
+#: SHA-256 of the A/B report of the ``ab_chunk_dataset`` frames (every metric,
+#: IoU threshold 0.5) per format, as the one-detection-at-a-time matcher and the
+#: record-at-a-time sweep wrote it.
+_AB_REPORT_SHA256 = {
+    "json": "90a34248ab6335984346ab66e8cf9b94d60398f7894025ff352e2a519d8aa1c2",
+    "csv": "de8fe88380fde866bf0b45c8f5f78e200cc833d53085fda200d37ccfaa4fbe86",
+}
+
+
+@pytest.mark.parametrize("jobs", ["1", "3"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_ab_report_bytes_are_pinned(tmp_path, capsys, ab_chunk_dataset, fmt, jobs):
+    """Any change to the bits of a match, a record or a sweep changes the report."""
+    gt, det, disturbed = ab_chunk_dataset
+    out = tmp_path / f"report.{fmt}"
+    assert main([
+        "evaluate", "--gt", str(gt), "--det", str(det), "--det-disturbed", str(disturbed),
+        "--classes", "Car,Pedestrian,DontCare", "--metrics", "ap2d,apbev,ap3d,aos,nuscenes",
+        "--iou-threshold", "0.5", "--format", fmt, "--out", str(out), "--jobs", jobs,
+    ]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _AB_REPORT_SHA256[fmt]
+    assert capsys.readouterr() == ("", "")
+
+
 @pytest.mark.parametrize("jobs", ["1", "3"])
 def test_first_bad_frame_of_a_later_chunk_names_the_error(
     tmp_path, capsys, ab_chunk_dataset, jobs
@@ -2510,17 +2566,40 @@ _DIMS = "1.50 1.60 3.90"
     pytest.param(_BBOX, "1e-320 1e-5 1e-5", "ap3d", "box has zero volume", id="zero-ap3d"),
     pytest.param(_BBOX, "1e-320 1e-5 1e-5", "nuscenes", "box has zero volume",
                  id="zero-nuscenes"),
+    pytest.param("0 0 1e152 1", _DIMS, "ap2d", "2D box coordinate reaches 1e152",
+                 id="extent-ap2d"),
+    pytest.param(_BBOX, "1.5 1e300 1e-10", "apbev",
+                 "BEV footprint reaches 1e152 m from the camera", id="extent-apbev"),
+    pytest.param(_BBOX, "1e152 1 1", "ap3d", "box top or bottom reaches 1e152 m from the camera",
+                 id="extent-ap3d"),
 ])
 def test_box_measures_beyond_the_float_range_are_refused(
     tmp_path, capsys, bbox, dims, metrics, reason
 ):
     """A compared box whose area or volume overflows (or whose volume underflows
-    to zero) fails its frame with exit 2 and no warning; the parent scored it
-    0 or wrote NaN into the report."""
+    to zero), or whose corners reach 1e152, fails its frame with exit 2 and no
+    warning, rather than scoring 0 or writing NaN into the report."""
     code, report = evaluate_one_pair(tmp_path, bbox, dims, metrics)
     assert code == 2
     assert capsys.readouterr().err == f"error: frame 000003: {reason}\n"
     assert not report.exists()
+
+
+def test_a_long_thin_turned_footprint_fails_its_frame_without_a_warning(tmp_path, capsys):
+    """h w l 1.5 1e300 1e-10, and the detection turned 0.3 rad: the BEV kernel
+    would overflow its edge crossings, so the frame is refused before it runs."""
+    line = "Car 0.00 0 0.00 100.00 100.00 200.00 200.00 1.5 1e300 1e-10 1.00 1.65 20.00 {}"
+    for name, text in (("gt", line.format("0.00")), ("det", line.format("0.30") + " 0.9")):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "000003.txt").write_text(text + "\n")
+    args = ["evaluate", "--gt", str(tmp_path / "gt"), "--det", str(tmp_path / "det"),
+            "--metrics", "apbev,ap3d"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(args) == 2
+    assert capsys.readouterr() == (
+        "", "error: frame 000003: BEV footprint reaches 1e152 m from the camera\n"
+    )
 
 
 @pytest.mark.parametrize("bbox, dims, metrics", [

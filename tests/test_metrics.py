@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import tracemalloc
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -24,10 +26,14 @@ from camperturb import (
 )
 from camperturb import metrics
 from camperturb.geometry import _box_row
-from camperturb.metrics import match_pass
+from camperturb.kitti import difficulty_of
+from camperturb.metrics import class_sweep, match_pass
 
 from helpers import detection_frame, make_box, make_label, with_score
-from oracles import _GRID, bin_cloud, brute_force_ap40, exact_iou_bev, mc_counts, mc_iou_bev
+from oracles import (
+    _GRID, _greedy, bin_cloud, brute_force_ap40, exact_iou_bev, mc_counts, mc_iou_bev,
+    sequential_sweep,
+)
 
 DONTCARE_LINE = (
     b"DontCare -1 -1 -10 100.0 120.0 300.0 300.0 -1 -1 -1 -1000 -1000 -1000 -10"
@@ -677,6 +683,218 @@ class TestDevkitDepartures:
         assert result.unmatched_det == ()
 
 
+# ---------------------------------------------------------------------------
+# the rank kernel against the scalar greedy matcher
+
+
+def random_groups(rng, n_groups, grid, in_bin_share, covered_share):
+    """``(rows, in_bin, covered)`` of each of ``n_groups`` groups: each
+    detection's (column, value) candidates in column order, values drawn from
+    ``grid`` so that many tie exactly and some equal the threshold.  Groups
+    have 0-8 detections and 0-4 columns, so some are empty and many have more
+    detections than columns."""
+    groups = []
+    for _ in range(n_groups):
+        n_det, n_col = int(rng.integers(0, 9)), int(rng.integers(0, 5))
+        rows = [[(j, float(rng.choice(grid))) for j in range(n_col) if rng.random() < 0.8]
+                for _ in range(n_det)]
+        in_bin = (rng.random(n_col) < in_bin_share).tolist()
+        groups.append((rows, in_bin, (rng.random(n_det) < covered_share).tolist()))
+    return groups
+
+
+def kernel_outcomes(rng, specs):
+    """``(pairs, ignored, false_pos)`` of each group of each ``(groups, threshold)``
+    spec, as the matcher derives them from one ``metrics._greedy_by_rank`` call over all
+    specs: the candidates are the in-bin values at or above ``threshold``, and a
+    detection that claims none is ignored if it has such a value out of the bin
+    or is covered.  The rows of a spec's groups are interleaved at random, each
+    group's in visit order."""
+    segments, rows_of = [], []
+    for groups, threshold in specs:
+        group = rng.permutation(np.repeat(np.arange(len(groups)), [len(g[0]) for g in groups]))
+        rows_of.append([np.flatnonzero(group == g).tolist() for g in range(len(groups))])
+        cands = [(rows_of[-1][g][i], j, value)
+                 for g, (rows, in_bin, _) in enumerate(groups)
+                 for i, row in enumerate(rows) for j, value in row
+                 if value >= threshold and in_bin[j]]
+        row, column, value = (np.array(c, dtype=t).reshape(-1) for c, t in zip(
+            zip(*cands) if cands else ((), (), ()), (np.intp, np.intp, float)))
+        segments.append((group, row, column, value))
+    results = []
+    claims_by_spec = metrics._greedy_by_rank(segments)
+    for (groups, threshold), rows, claims in zip(specs, rows_of, claims_by_spec):
+        outcomes = []
+        for (cand_rows, in_bin, covered), group_rows in zip(groups, rows):
+            pairs, ignored, false_pos = [], [], []
+            for i, r in enumerate(group_rows):
+                j = int(claims[r])
+                if j >= 0:
+                    pairs.append((j, i, dict(cand_rows[i])[j]))
+                elif covered[i] or any(v >= threshold and not in_bin[j] for j, v in cand_rows[i]):
+                    ignored.append(i)
+                else:
+                    false_pos.append(i)
+            outcomes.append((pairs, ignored, false_pos))
+        results.append(outcomes)
+    return results
+
+
+class TestGreedyByRank:
+    def test_equals_the_scalar_matcher_in_iou_and_center_distance_mode(self):
+        """Both modes, interleaved, in one kernel call per chunk: IoU values on a
+        grid with the threshold 0.5 on it, out-of-bin columns and covered
+        detections; negated center distances with the radius 2 on the grid."""
+        rng = np.random.default_rng(71)
+        seen = Counter()
+        for _ in range(25):
+            specs = [
+                (random_groups(rng, 40, [0.3, 0.5, 0.5, 0.6, 0.7, 0.7, 1.0], 0.7, 0.2), 0.5),
+                (random_groups(rng, 40, [-2.5, -2.0, -2.0, -1.0, -0.5, -0.5], 1.0, 0.0), -2.0),
+            ]
+            for (groups, threshold), got in zip(specs, kernel_outcomes(rng, specs)):
+                expected = [_greedy(range(len(rows)), rows, threshold, in_bin, covered)
+                            for rows, in_bin, covered in groups]
+                assert got == expected
+                for (rows, in_bin, covered), (pairs, ignored, _) in zip(groups, expected):
+                    seen["empty"] += not rows or not in_bin
+                    seen["more detections than columns"] += len(rows) > len(in_bin) > 0
+                    seen["claimed at the threshold"] += any(v == threshold for _, _, v in pairs)
+                    seen["tie"] += any(len({v for _, v in row}) < len(row) for row in rows)
+                    seen["out of bin"] += any(not covered[i] for i in ignored)
+                    seen["covered"] += any(covered[i] for i in ignored)
+        assert len(seen) == 6 and min(seen.values()) >= 10, seen
+
+    def test_exact_ties_go_to_the_lowest_column(self):
+        groups = [([[(0, 0.7), (1, 0.7), (2, 0.7)], [(1, 0.7), (2, 0.7)], [(1, 0.7)]],
+                   [True] * 3, [False] * 3)]
+        ((outcome,),) = kernel_outcomes(np.random.default_rng(0), [(groups, 0.5)])
+        assert outcome == ([(0, 0, 0.7), (1, 1, 0.7)], [], [2])
+
+    def test_the_table_is_as_wide_as_the_most_columns_a_group_offers(self):
+        """One detection on the 20,000th ground truth of its group, beside 1000
+        one-column groups: the matching table stays narrow, where one column per
+        index would take 160 MB."""
+        column = np.append(np.zeros(1000, dtype=np.intp), 20_000)
+        tracemalloc.start()
+        try:
+            (claims,) = metrics._greedy_by_rank(
+                [(np.arange(1001), np.arange(1001), column, np.full(1001, 0.9))]
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert claims.tolist() == column.tolist()
+        assert peak < 4 * 2**20
+
+    def test_a_chunk_without_candidates_claims_nothing(self):
+        (claims,) = metrics._greedy_by_rank([(np.arange(3), *(np.zeros(0, dtype=np.intp),) * 2,
+                                      np.zeros(0))])
+        assert claims.tolist() == [-1, -1, -1]
+
+
+def labelled_frames(rng, n_frames=8):
+    """:func:`jittered_frames` with some ground truth occluded or truncated (so the
+    bins differ) and a DontCare region over one detection's 2D box per frame."""
+    frames = []
+    for frame in jittered_frames(rng, n_frames):
+        gts = [dataclasses.replace(g, occluded=int(rng.integers(0, 3)),
+                                   truncated=float(rng.choice([0.0, 0.2, 0.6])))
+               for g in frame.ground_truth]
+        det = frame.detections[int(rng.integers(len(frame.detections)))]
+        box = (det.bbox_left - 5.0, det.bbox_top - 5.0, det.bbox_right + 5.0, det.bbox_bottom)
+        gts.append(make_label("DontCare", make_box(), bbox=box))
+        frames.append(detection_frame(gts, frame.detections, frame_id=frame.frame_id))
+    return frames
+
+
+def scalar_match(frame, kind, threshold, difficulty):
+    """The :class:`MatchResult` fields of ``frame`` by the scalar matcher, with
+    IoUs of the one-pair functions."""
+    iou = {"2d": iou_2d, "bev": lambda d, g: iou_bev(d.box3d(), g.box3d()),
+           "3d": lambda d, g: iou_3d(d.box3d(), g.box3d())}[kind]
+    gts, dets = frame.ground_truth, frame.detections
+
+    def cover(det, region):
+        w = min(det.bbox_right, region.bbox_right) - max(det.bbox_left, region.bbox_left)
+        h = min(det.bbox_bottom, region.bbox_bottom) - max(det.bbox_top, region.bbox_top)
+        area = (det.bbox_right - det.bbox_left) * (det.bbox_bottom - det.bbox_top)
+        return w * h / area if w > 0 and h > 0 else 0.0
+
+    order = sorted((i for i, d in enumerate(dets) if d.class_name != "DontCare"),
+                   key=lambda i: (-dets[i].score, i))
+    rows = [[(j, iou(dets[i], g)) for j, g in enumerate(gts) if g.class_name == dets[i].class_name]
+            for i in order]
+    in_bin = [difficulty_of(g) <= min(difficulty, DifficultyBin.HARD) for g in gts]
+    covered = [any(cover(d, g) > threshold for g in gts if g.class_name == "DontCare")
+               for d in dets]
+    pairs, ignored, false_pos = _greedy(order, rows, threshold, in_bin, covered)
+    claimed = {j for j, _, _ in pairs}
+    unmatched_gt = tuple(j for j, b in enumerate(in_bin) if b and j not in claimed)
+    return tuple(pairs), unmatched_gt, tuple(sorted(false_pos)), tuple(sorted(ignored))
+
+
+class TestMatchFrameAgainstTheScalarMatcher:
+    @pytest.mark.parametrize("kind", ["2d", "bev", "3d"])
+    def test_random_frames_with_dontcare_regions_and_bins(self, kind):
+        seen = Counter()
+        for frame in labelled_frames(np.random.default_rng(73)):
+            for difficulty in (DifficultyBin.EASY, DifficultyBin.MODERATE, DifficultyBin.HARD):
+                result = match_frame(frame, kind, 0.5, difficulty)
+                got = (result.pairs, result.unmatched_gt, result.unmatched_det,
+                       result.ignored_det)
+                assert got == scalar_match(frame, kind, 0.5, difficulty)
+                seen.update(pairs=len(result.pairs), ignored=len(result.ignored_det),
+                            false_pos=len(result.unmatched_det))
+        assert min(seen.values()) >= 5, seen
+
+    def test_nuscenes_errors_equal_the_scalar_matcher(self):
+        """Random frames, no distance tie within an ulp: the means are bit-equal."""
+        frames = labelled_frames(np.random.default_rng(79))
+        for class_name in ("Car", "Pedestrian"):
+            rows = []
+            for frame in frames:
+                gts = [g.box3d() for g in frame.ground_truth if g.class_name == class_name]
+                dets = [d.box3d() for d in sorted(
+                    (d for d in frame.detections if d.class_name == class_name),
+                    key=lambda d: -d.score)]
+                cands = [[(j, -math.hypot(d.center.x - g.center.x, d.center.z - g.center.z))
+                          for j, g in enumerate(gts)] for d in dets]
+                pairs, _, _ = _greedy(range(len(dets)), cands, -1.0, [True] * len(gts),
+                                      [False] * len(dets))
+                for j, i, value in pairs:
+                    d, g = dets[i], gts[j]
+                    inter = (min(d.height, g.height) * min(d.width, g.width)
+                             * min(d.length, g.length))
+                    vol_d, vol_g = d.height * d.width * d.length, g.height * g.width * g.length
+                    yaw = (d.yaw - g.yaw + math.pi) % (2.0 * math.pi) - math.pi
+                    rows.append((-value, 1.0 - inter / (vol_d + vol_g - inter), abs(yaw)))
+            expected = metrics.NuScenesErrors(
+                *(sum(col) / len(rows) for col in zip(*rows)), matches=len(rows)
+            )
+            assert len(rows) >= 10
+            assert nuscenes_errors(frames, class_name, match_radius=1.0) == expected
+
+    def test_center_matching_decides_on_numpy_hypot(self):
+        """A pair whose ``np.hypot`` distance is one ulp below its ``math.hypot``
+        one, with the radius at the former: the kernel matches it (a scalar matcher
+        on ``math.hypot`` would not) and reports the ``math.hypot`` ATE."""
+        rng = np.random.default_rng(83)
+        # z - 16 is exact for z in [8, 32], so the distance is hypot(x, z - 16) exactly
+        for x, z in zip(rng.uniform(0.1, 1.5, 20_000).tolist(),
+                        rng.uniform(16.1, 17.5, 20_000).tolist()):
+            if np.hypot(x, z - 16.0) < math.hypot(x, z - 16.0):
+                break
+        else:
+            pytest.fail("no pair with np.hypot below math.hypot")
+        gt = make_label(box=make_box(x=0.0, z=16.0))
+        det = with_score(make_label(box=make_box(x=x, z=z)), 0.9)
+        radius = float(np.hypot(x, z - 16.0))
+        errors = nuscenes_errors([detection_frame([gt], [det])], "Car", match_radius=radius)
+        assert math.hypot(x, z - 16.0) > radius
+        assert errors.matches == 1 and errors.ate == math.hypot(x, z - 16.0)
+
+
 class TestMatchPass:
     @pytest.mark.parametrize("kind", ["2d", "bev", "3d"])
     def test_all_difficulties_at_once_equal_match_frame_per_difficulty(self, kind):
@@ -698,7 +916,8 @@ class TestMatchPass:
                     records.setdefault(dets[i].class_name, []).append((dets[i].score, 0, 0.0))
             got_records, got_num_gt = passes[difficulty]
             assert got_num_gt == num_gt
-            triples = {c: list(zip(flat[0::3], flat[1::3], flat[2::3])) for c, flat in got_records.items()}
+            triples = {c: list(map(tuple, np.concatenate(blocks).tolist()))
+                       for c, blocks in got_records.items()}
             assert triples == records
         # the bins differ on these frames, so each difficulty was matched on its own
         assert passes[DifficultyBin.EASY][1] != passes[DifficultyBin.HARD][1]
@@ -859,6 +1078,115 @@ class TestSweepAgainstBruteForce:
             expected = brute_force_ap40(records, total_gt, use_similarity=True)
             aos, _ = average_orientation_similarity(frames, "Car", threshold=0.7)
             assert aos == pytest.approx(expected, abs=1e-12)
+
+
+class TestSweepOnArrays:
+    def test_tied_scores_equal_exhaustive_thresholding(self):
+        """Records on a coarse score grid, in one to three blocks, with and
+        without similarity; a class with ground truth and no records scores 0.
+        A left-to-right sweep gives the same bits, at every record count."""
+        rng = np.random.default_rng(131)
+        for _ in range(150):
+            n = int(rng.integers(0, 300))
+            scores = (rng.integers(1, 8, n) / 8).tolist()
+            is_tp = (rng.random(n) < 0.6).tolist()
+            sims = [float(rng.random()) if tp else 0.0 for tp in is_tp]
+            records = list(zip(scores, is_tp, sims))
+            total_gt = sum(is_tp) + int(rng.integers(0 if any(is_tp) else 1, 5))
+            rows = np.array(records, dtype=float).reshape(-1, 3)
+            cuts = np.sort(rng.integers(0, n + 1, int(rng.integers(0, 3))))
+            by_class = {"Car": [block for block in np.split(rows, cuts) if len(block)]}
+            num_gt = {"Car": total_gt, "Van": 3}
+            for use_similarity in (False, True):
+                ap, curve = class_sweep(by_class, num_gt, "Car", DifficultyBin.MODERATE,
+                                        use_similarity)
+                assert ap == pytest.approx(
+                    brute_force_ap40(records, total_gt, use_similarity), abs=1e-12
+                )
+                assert ap == sequential_sweep(records, total_gt, use_similarity)
+                assert all(type(p) is float for p in curve.precisions)
+            ap, curve = class_sweep(by_class, num_gt, "Van", DifficultyBin.MODERATE)
+            assert ap == brute_force_ap40([], 3) == 0.0 and set(curve.precisions) == {0.0}
+
+
+def test_numpy_cos_and_remainder_equal_the_scalar_ones_bit_for_bit():
+    """Records take (1 + cos(delta alpha)) / 2, and nuScenes the wrapped yaw
+    difference, from NumPy over whole arrays; reports keep the bits of the
+    scalar ``math.cos`` and float ``%`` only while these agree."""
+    angles = np.random.default_rng(137).uniform(-2.0 * math.pi, 2.0 * math.pi, 1_000_000)
+    scalar = np.array([math.cos(a) for a in angles.tolist()])
+    assert np.array_equal(np.cos(angles).view(np.int64), scalar.view(np.int64))
+    wrapped = np.remainder(angles + math.pi, 2.0 * math.pi) - math.pi
+    scalar = np.array([(a + math.pi) % (2.0 * math.pi) - math.pi for a in angles.tolist()])
+    assert np.array_equal(wrapped.view(np.int64), scalar.view(np.int64))
+
+
+class TestOverflowDomain:
+    """Boxes of any finite size and place either score, without a floating-point
+    warning, or are refused with :class:`DegenerateBox`."""
+
+    @staticmethod
+    def _pairs(rng, n):
+        """(n, 7) box rows a and b: centers up to 1e300 m out, each dimension
+        from 1e-160 to 1e305 on its own (so long thin footprints of modest area
+        abound), b within a's longer side of a and of a's shape."""
+        yaw = rng.uniform(-math.pi, math.pi, (2, n, 1))
+        center = 10.0 ** rng.uniform(-150, 300, (n, 1)) * rng.uniform(-1.0, 1.0, (n, 3))
+        dims = 10.0 ** rng.uniform(-160, 305, (n, 3))
+        near = center + dims[:, 1:].max(axis=1, keepdims=True) * rng.uniform(-1.0, 1.0, (n, 3))
+        shaped = dims * 10.0 ** rng.uniform(-2, 2, (n, 3))
+        return np.hstack([center, dims, yaw[0]]), np.hstack([near, shaped, yaw[1]])
+
+    @pytest.mark.parametrize("kinds", [("bev", "3d"), ("bev",), ("3d",), ("2d",)])
+    def test_random_extreme_boxes_score_or_are_refused(self, kinds):
+        rng = np.random.default_rng(139)
+        a, b = self._pairs(rng, 4000)
+        if kinds == ("2d",):  # (left, top, right, bottom), right of left and below top
+            size = [np.maximum(r[:, 3:5], np.abs(r[:, :2]) * 1e-12) for r in (a, b)]
+            a, b = (np.hstack([r[:, :2], r[:, :2] + d]) for r, d in zip((a, b), size))
+            valid = np.flatnonzero(((a[:, 2:] > a[:, :2]) & (b[:, 2:] > b[:, :2])).all(axis=1))
+            a, b = a[valid], b[valid]
+        refused = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bad = np.logical_or.reduce([mask_a | mask_b for (_, mask_a), (_, mask_b) in zip(
+                metrics._row_faults(kinds, a), metrics._row_faults(kinds, b))])
+            ok = np.flatnonzero(~bad)
+            for values in metrics._pair_ious(kinds, a, b, ok, ok):
+                assert np.isfinite(values).all() and (values >= 0).all() and (values <= 1).all()
+            for k in np.flatnonzero(bad)[:200]:
+                with pytest.raises(DegenerateBox):
+                    metrics._pair_ious(kinds, a, b, np.array([k]), np.array([k]))
+                refused += 1
+        assert refused >= 100 and len(ok) >= 300
+
+    def test_a_long_thin_turned_footprint_is_refused(self):
+        """h w l 1.5 1e300 1e-10, 0.3 rad apart: its corners reach 5e299 m."""
+        a = make_box(height=1.5, width=1e300, length=1e-10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for iou in (iou_bev, iou_3d):
+                with pytest.raises(DegenerateBox,
+                                   match="^BEV footprint reaches 1e152 m from the camera$"):
+                    iou(a, dataclasses.replace(a, yaw=0.3))
+
+    def test_only_3d_holds_the_vertical_extent(self):
+        high = make_label("Car", make_box(y=1e152))
+        frame = detection_frame([high], [with_score(high, 0.9)], frame_id="000011")
+        assert match_pass([frame], "bev", 0.5)[DifficultyBin.MODERATE][1] == {"Car": 1}
+        with pytest.raises(DegenerateBox, match="^frame 000011: box top or bottom reaches 1e152"):
+            match_pass([frame], "3d", 0.5)
+
+    def test_sane_scale_pairs_equal_the_monte_carlo_oracle(self):
+        rng = np.random.default_rng(149)
+        cloud = bin_cloud(rng.random((1_000_000, 2), dtype=np.float32))
+        for _ in range(100):
+            a = random_box(rng)
+            b = dataclasses.replace(random_box(rng), center=dataclasses.replace(
+                a.center, x=a.center.x + float(rng.uniform(-1.5, 1.5)),
+                z=a.center.z + float(rng.uniform(-1.5, 1.5)),
+            ))
+            assert abs(iou_bev(a, b) - mc_iou_bev(a, b, cloud)) <= 3e-3
 
 
 class TestAverageOrientationSimilarity:
