@@ -16,6 +16,7 @@ import json
 import math
 import operator
 import os
+import subprocess
 import sys
 import threading
 import time
@@ -45,7 +46,8 @@ from camperturb import (
     write_label_file,
 )
 from camperturb import losses
-from camperturb.cli import _ordered_map, build_parser, main, run
+from camperturb._frames import _ordered_map
+from camperturb.cli import build_parser, main, run
 from camperturb.geometry import _perturbation_matrices
 from camperturb.horizon import _angular_errors
 from camperturb.tensorio import load_tensor, save_tensor
@@ -975,10 +977,10 @@ class TestEvaluate:
         is scored."""
         import weakref
 
-        import camperturb.cli as cli
+        import camperturb._frames as frames
         import camperturb.kitti as kitti
 
-        monkeypatch.setattr(cli, "_CHUNK_FRAMES", 4)
+        monkeypatch.setattr(frames, "_CHUNK_FRAMES", 4)
         gt_dir, det_dir = self._perfect_dirs(tmp_path, n_frames=40)  # 10 chunks
         lock = threading.Lock()
         live = peak = 0
@@ -1486,14 +1488,14 @@ def test_malformed_calibration_among_identical_ones_fails_its_frames(
 def test_calibration_memo_keeps_at_most_its_bound(tmp_path, monkeypatch):
     """All-distinct files: after ``bound + 4`` of them, the latest ``bound``
     parses are kept and the four oldest were let go."""
-    import camperturb.cli as cli
+    import camperturb._frames as frames
 
-    bound = cli._CALIB_MEMO
+    bound = frames._CALIB_MEMO
     frame_ids = [f"{i:06d}" for i in range(bound + 4)]
     for i, frame_id in enumerate(frame_ids):
         helpers.write_calib(tmp_path / f"{frame_id}.txt", helpers.CALIB_TEXT + f"note: {i}\n")
     parses = counting_calibration_parses(monkeypatch)
-    source = cli._intrinsics_source(str(tmp_path))
+    source = frames._intrinsics_source(str(tmp_path))
     first = [source(frame_id) for frame_id in frame_ids]
     assert len(parses) == bound + 4
     assert [source(frame_id) for frame_id in frame_ids[4:]] == first[4:]
@@ -1505,13 +1507,13 @@ def test_calibration_memo_keeps_at_most_its_bound(tmp_path, monkeypatch):
 def test_calibration_memo_under_threads_gives_each_frame_its_file(tmp_path):
     """Four threads resolve 24 frames of 12 contents, more than the memo
     keeps, switching often; every frame gets its own file's focal length."""
-    import camperturb.cli as cli
+    import camperturb._frames as frames
 
     frame_ids = [f"{i:06d}" for i in range(24)]
     for i, frame_id in enumerate(frame_ids):
         fx = 600 + i % 12
         helpers.write_calib(tmp_path / f"{frame_id}.txt", f"P2: {fx} 0 600 0 0 700 180 0 0 0 1 0\n")
-    source = cli._intrinsics_source(str(tmp_path))
+    source = frames._intrinsics_source(str(tmp_path))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -1670,6 +1672,12 @@ def write_straight_poses(path: Path, n: int, step: float) -> None:
         z = i * step
         lines.append(f"1 0 0 0 0 1 0 0 0 0 1 {z}")
     path.write_text("\n".join(lines) + "\n")
+
+
+def pose_text(translation: str) -> str:
+    """An identity-rotation pose line at ``translation`` ("x y z")."""
+    x, y, z = translation.split()
+    return f"1 0 0 {x} 0 1 0 {y} 0 0 1 {z}\n"
 
 
 def write_estimates(path: Path, n: int, pitch: float, roll: float = 0.0) -> None:
@@ -1917,6 +1925,47 @@ class TestPoseError:
         report = json.loads(capsys.readouterr().out)
         assert report["mean_angular_error_deg"] < 1e-5
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("translations, line", [
+        (["1e308 0 0", "-1e308 0 0"], 2),  # a step beyond the float range
+        (["0 0 0", "1e200 1e200 0"], 2),  # a step whose squared length is beyond it
+        (["0 0 0", "1 0 0", "1 0 2e154"], 3),  # the second step's square is beyond it
+        ([None, "0 0 0", "1 0 0", "0 1e200 1e200"], 4),  # a blank line keeps its number
+    ])
+    def test_path_beyond_the_float_range_is_refused(
+        self, tmp_path, capsys, translations, line, fmt
+    ):
+        """A path longer than the float range fails the run with exit 2, naming
+        the ground-truth pose file and the line of the first pose beyond it,
+        with no warning and no report holding Infinity."""
+        poses = tmp_path / "poses.txt"
+        poses.write_text("".join("\n" if t is None else pose_text(t) for t in translations))
+        est = tmp_path / "est.jsonl"
+        write_estimates(est, sum(t is not None for t in translations), pitch=0.0)
+        report = tmp_path / "pe.out"
+        code = main(["pose-error", "--est", str(est), "--gt-poses", str(poses),
+                     "--format", fmt, "--report", str(report)])
+        assert code == 2
+        assert capsys.readouterr() == ("", (
+            f"error: ground-truth poses {poses}: line {line}: the path to this pose is "
+            "longer than the float range\n"
+        ))
+        assert not report.exists()
+
+    def test_a_long_finite_path_is_reported_as_a_json_number(self, tmp_path, capsys):
+        poses = tmp_path / "poses.txt"
+        poses.write_text("".join(pose_text(t) for t in ["0 0 0", "1e150 1e150 0", "0 0 0"]))
+        est = tmp_path / "est.jsonl"
+        write_estimates(est, 3, pitch=0.1)
+        assert main(["pose-error", "--est", str(est), "--gt-poses", str(poses)]) == 0
+
+        def refuse_constant(name):
+            raise ValueError(f"{name} is not JSON")
+
+        report = json.loads(capsys.readouterr().out, parse_constant=refuse_constant)
+        assert report["path_length_m"] == pytest.approx(2 * math.sqrt(2) * 1e150)
+        assert report["angular_error_deg_per_m"] > 0
+
 
 # ---------------------------------------------------------------------------
 # loss
@@ -2030,6 +2079,34 @@ class TestLoss:
         assert capsys.readouterr() == ("", (
             f"error: --fd-step {float(step)!r}: the probe of output coordinate {where} "
             "leaves the float range; use a smaller step\n"
+        ))
+        assert not report.exists()
+
+    @pytest.mark.parametrize("grad_check", [[], ["--grad-check"]])
+    @pytest.mark.parametrize("gamma_content, gamma_style, blamed", [
+        ("1e308", "1", "--gamma-content 1e+308"),
+        ("1", "1e308", "--gamma-style 1e+308"),
+        ("1e308", "1e308", "--gamma-content 1e+308 and --gamma-style 1e+308"),
+        # each weighted term is finite, their sum is not
+        ("1.5e307", "2.2e306", "--gamma-content 1.5e+307 and --gamma-style 2.2e+306"),
+    ])
+    def test_weighted_total_out_of_float_range_is_a_usage_error(
+        self, tmp_path, capsys, gamma_content, gamma_style, blamed, grad_check
+    ):
+        """Finite weights whose total loss leaves the float range end the run
+        with exit 1 and name the weight, before any probe step is blamed."""
+        out = save_feature(tmp_path / "out.ftb", [[[2.0]], [[3.0]]])
+        zeros = save_feature(tmp_path / "zeros.ftb", np.zeros((2, 1, 1)))  # losses 6.5 and 42.25
+        report = tmp_path / "loss.json"
+        code = main([
+            "loss", "--output", str(out), "--content", str(zeros), "--style", str(zeros),
+            "--gamma-content", gamma_content, "--gamma-style", gamma_style, *grad_check,
+            "--report", str(report),
+        ])
+        assert code == 1
+        assert capsys.readouterr() == ("", (
+            f"error: {blamed}: the weighted total loss leaves the float range; "
+            "use a smaller weight\n"
         ))
         assert not report.exists()
 
@@ -2249,6 +2326,19 @@ class TestEntryPoint:
         assert excinfo.value.code == 0
 
 
+    def test_module_run_as_a_script_reports_command_errors(self, tmp_path):
+        """``python -m camperturb.cli``: a subcommand's error is reported with
+        its exit code, not raised as a traceback."""
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "camperturb.cli", "pose-error", "--est", "no.jsonl",
+             "--gt-poses", "no.txt"],
+            cwd=tmp_path, capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.startswith("error: cannot read estimates no.jsonl: ")
+
 @pytest.mark.parametrize("jobs", [1, 3])
 def test_ordered_map_keeps_input_order_within_a_bounded_window(jobs):
     """Results come back in input order although later items finish first,
@@ -2448,7 +2538,7 @@ def test_evaluate_report_does_not_depend_on_chunk_boundaries(
 ):
     """Frames are matched a chunk at a time; the A/B report is the same as
     matching one frame per chunk, at every frame count around the boundary."""
-    import camperturb.cli as cli
+    import camperturb._frames as frames
 
     dirs = []
     for source in ab_chunk_dataset:
@@ -2460,7 +2550,7 @@ def test_evaluate_report_does_not_depend_on_chunk_boundaries(
     gt, det, disturbed = dirs
 
     def report(jobs: str) -> bytes:
-        out = tmp_path / f"report_{jobs}_{cli._CHUNK_FRAMES}.json"
+        out = tmp_path / f"report_{jobs}_{frames._CHUNK_FRAMES}.json"
         assert main([
             "evaluate", "--gt", gt, "--det", det, "--det-disturbed", disturbed,
             "--classes", "Car,Pedestrian", "--metrics", "ap2d,apbev,ap3d,aos,nuscenes",
@@ -2469,7 +2559,7 @@ def test_evaluate_report_does_not_depend_on_chunk_boundaries(
         return out.read_bytes()
 
     chunked = {jobs: report(jobs) for jobs in ("1", "3")}
-    monkeypatch.setattr(cli, "_CHUNK_FRAMES", 1)
+    monkeypatch.setattr(frames, "_CHUNK_FRAMES", 1)
     one_by_one = report("1")
     assert chunked == {"1": one_by_one, "3": one_by_one}
     assert json.loads(one_by_one)["parameters"]["frames"] == n_frames

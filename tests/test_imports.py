@@ -6,8 +6,11 @@ every layer loaded already.
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import hashlib
+import importlib
+import inspect
 import io
 import os
 import subprocess
@@ -18,7 +21,7 @@ import numpy as np
 import pytest
 
 import camperturb
-from camperturb import FeatureTensor, save_tensor
+from camperturb import FeatureTensor, RasterImage, save_tensor, write_image
 from camperturb.cli import main
 
 SRC = Path(camperturb.__file__).resolve().parent.parent
@@ -43,11 +46,36 @@ def loaded_after(code: str, cwd: Path) -> set[str]:
             if name.startswith("camperturb.") or name == "concurrent.futures"}
 
 
-def run_main(argv: list[str]) -> str:
-    return f"from camperturb.cli import main\nassert main({argv!r}) == 0"
+def loaded_by(argv: list[str], cwd: Path) -> set[str]:
+    """What a fresh process loads to build the parser and run ``argv``.
+
+    Building the parser loads no subcommand module, and the run loads its
+    own subcommand's module and no other's.
+    """
+    loaded = loaded_after(
+        "import sys\nfrom camperturb.cli import build_parser, main\nbuild_parser()\n"
+        "assert not [m for m in sys.modules if m.startswith('camperturb._cmd_')]\n"
+        f"assert main({argv!r}) == 0", cwd)
+    assert {name for name in loaded if name.startswith("_cmd_")} == {
+        "_cmd_" + argv[0].replace("-", "_")
+    }
+    return loaded
 
 
 LABEL = "Car 0.00 0 -1.57 100.00 100.00 200.00 200.00 1.50 1.60 3.90 0.00 1.65 20.00 0.00"
+CALIB = "P2: 700 0 600 0 0 700 180 0 0 0 1 0\n"
+
+#: The layers, shared modules and pool that labels-only simulate and rectify load.
+LABEL_MOVERS = {"cli", "errors", "_extrinsics", "_frames", "geometry", "kitti", "simulate",
+                "netpbm", "concurrent.futures"}
+
+
+def write_frame(root: Path) -> None:
+    """One frame: ``labels/000000.txt``, ``calib.txt`` and a sidecar that tilts it."""
+    (root / "labels").mkdir()
+    (root / "labels" / "000000.txt").write_text(LABEL + "\n")
+    (root / "calib.txt").write_text(CALIB)
+    (root / "tilt.jsonl").write_text('{"frame_id": "000000", "pitch": 0.01, "roll": 0.0}\n')
 
 
 # ---------------------------------------------------------------------------
@@ -63,23 +91,23 @@ def test_loss_imports_only_its_layers(tmp_path):
     rng = np.random.default_rng(3)
     for name in ("out", "content", "style"):
         save_tensor(tmp_path / f"{name}.ftb", FeatureTensor(data=rng.normal(size=(2, 3, 4))))
-    loaded = loaded_after(run_main([
+    loaded = loaded_by([
         "loss", "--output", "out.ftb", "--content", "content.ftb", "--style", "style.ftb",
         "--grad-check", "--report", "loss.json",
-    ]), tmp_path)
-    assert loaded == {"cli", "errors", "losses", "tensorio"}
+    ], tmp_path)
+    assert loaded == {"cli", "errors", "losses", "tensorio", "_cmd_loss"}
 
 
 def test_evaluate_imports_only_its_layers(tmp_path):
     for name, line in (("gt", LABEL), ("det", f"{LABEL} 0.9")):
         (tmp_path / name).mkdir()
         (tmp_path / name / "000000.txt").write_text(line + "\n")
-    loaded = loaded_after(run_main([
+    loaded = loaded_by([
         "evaluate", "--gt", "gt", "--det", "det", "--metrics", "ap2d,ap3d,nuscenes",
         "--jobs", "2", "--out", "report.json",
-    ]), tmp_path)
-    assert loaded & {"simulate", "netpbm", "losses", "tensorio", "horizon"} == set()
-    assert {"kitti", "metrics", "concurrent.futures"} <= loaded
+    ], tmp_path)
+    assert loaded & {"simulate", "netpbm", "losses", "tensorio", "horizon", "_extrinsics"} == set()
+    assert {"kitti", "metrics", "_frames", "concurrent.futures"} <= loaded
 
 
 def test_pose_error_imports_only_its_layers(tmp_path):
@@ -87,10 +115,71 @@ def test_pose_error_imports_only_its_layers(tmp_path):
     (tmp_path / "poses.txt").write_text("".join(pose.format(k) for k in range(3)))
     (tmp_path / "est.jsonl").write_text('{"pitch": 0.01, "roll": 0.0}\n' * 3)
     for est in ("est.jsonl", "poses.txt"):
-        loaded = loaded_after(run_main([
+        loaded = loaded_by([
             "pose-error", "--est", est, "--gt-poses", "poses.txt", "--report", "pe.json",
-        ]), tmp_path)
-        assert loaded == {"cli", "errors", "geometry", "horizon", "kitti"}
+        ], tmp_path)
+        assert loaded == {"cli", "errors", "geometry", "horizon", "kitti", "_extrinsics",
+                          "_cmd_pose_error"}
+
+
+@pytest.mark.parametrize("images", [False, True])
+def test_simulate_imports_only_its_layers(tmp_path, images):
+    write_frame(tmp_path)
+    argv = ["simulate", "--labels", "labels", "--calib", "calib.txt", "--out", "out"]
+    if images:
+        (tmp_path / "images").mkdir()
+        image = RasterImage(data=np.zeros((3, 4, 1), np.uint8))
+        (tmp_path / "images" / "000000.pgm").write_bytes(write_image(image))
+        argv += ["--images", "images"]
+    assert loaded_by(argv, tmp_path) == LABEL_MOVERS | {"_cmd_simulate"}
+
+
+@pytest.mark.parametrize("source", ["sidecar", "horizon"])
+def test_rectify_imports_only_its_layers(tmp_path, source):
+    write_frame(tmp_path)
+    (tmp_path / "horizon.jsonl").write_text(
+        '{"frame_id": "000000", "slope": 0.0, "intercept_v": 180.0, "vp_u": 600.0, "vp_v": 180.0}\n'
+    )
+    loaded = loaded_by([
+        "rectify", "--det", "labels", "--calib", "calib.txt", "--out", "out",
+        f"--{source}", f"{source if source == 'horizon' else 'tilt'}.jsonl",
+    ], tmp_path)
+    assert loaded == LABEL_MOVERS | {"horizon", "_cmd_rectify"}
+
+
+def test_command_modules_bind_no_layer_function():
+    """The subcommand and shared modules reach layer functions through the
+    layer modules, at call time: what patches a layer module's attribute (a
+    test, the benchmark's tracer) then reaches every caller, and a name bound
+    while a patch was in place would keep the patched function."""
+    for path in sorted((SRC / "camperturb").glob("_[a-z]*.py")):
+        module = importlib.import_module(f"camperturb.{path.stem}")
+        bound = [name for name, value in vars(module).items() if inspect.isfunction(value)
+                 and value.__module__.removeprefix("camperturb.") in LAYERS]
+        assert bound == [], (path.stem, bound)
+
+
+def test_no_function_imports_but_the_dispatch_and_the_lazy_namespace():
+    """Every module imports at its top.  Inside a function, only ``cli.main``
+    (which runs the subcommand's module) and the package's ``__getattr__``
+    (the lazy namespace) import, and they do it by ``importlib.import_module``."""
+    found = []
+    for path in sorted((SRC / "camperturb").glob("*.py")):
+        for function in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            name = f"{path.stem}.{getattr(function, 'name', 'lambda')}"
+            for node in ast.walk(function):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    found.append((name, node.lineno, ast.unparse(node)))
+                elif isinstance(node, ast.Call) and ast.unparse(node.func) in (
+                    "importlib.import_module", "__import__", "import_module"
+                ):
+                    found.append((name, node.lineno, ast.unparse(node.func)))
+    assert sorted({(name, call) for name, _, call in found}) == [
+        ("__init__.__getattr__", "importlib.import_module"),
+        ("cli.main", "importlib.import_module"),
+    ], found
 
 
 # ---------------------------------------------------------------------------
