@@ -1,10 +1,13 @@
 """``camperturb evaluate``: AP40 / AOS / center-distance metric tables, optional A/B diff."""
 
 import math
+import os
 from pathlib import Path
 
 from . import _frames, kitti, metrics
-from .cli import _csv_text, _emit_report, _IOFailure, _json_dumps, _parse_file, _require
+from .cli import (
+    _csv_text, _emit_report, _IOFailure, _json_dumps, _parse_file, _require, _UsageError,
+)
 from .errors import DegenerateBox, NoGroundTruth, NoMatches
 
 _KIND_BY_METRIC = {"ap2d": "2d", "apbev": "bev", "ap3d": "3d", "aos": "2d"}
@@ -41,6 +44,11 @@ def _cell_keys(cfg):
 
 
 def run(cfg) -> None:
+    for option in ("classes", "metrics", "difficulties"):  # a repeat would repeat report cells
+        items = getattr(cfg, option)
+        repeated = [item for i, item in enumerate(items) if item in items[:i]]
+        if repeated:
+            raise _UsageError(f"--{option} lists {repeated[0]!r} more than once")
     gt_dir = _require(cfg.gt, "ground-truth")
     det_dirs = [_require(cfg.det, "detection")]
     if cfg.det_disturbed:
@@ -55,9 +63,10 @@ def run(cfg) -> None:
     tally = lambda: (metrics._passes(kinds, bins), {c: [] for c in classes})  # noqa: E731
 
     def detections(det_dir: Path, frame_id: str):
-        """The frame's detection table; a missing file is a frame without detections."""
+        """The frame's detection table; a path with no directory entry is a frame without
+        detections (a dangling link or a directory is read, and fails)."""
         path = det_dir / f"{frame_id}.txt"
-        dets = _parse_file(path, "detections", kitti._label_table) if path.is_file() else (
+        dets = _parse_file(path, "detections", kitti._label_table) if os.path.lexists(path) else (
             kitti._label_table(b"")
         )
         try:

@@ -20,7 +20,8 @@ def _load_estimates(data: bytes) -> np.ndarray:
     Sidecar entries align with ground-truth pose lines by file order.
     """
     if re.match(rb"\s*{", data):
-        return _rotations(np.fromiter(_json_lines(data, _angles), np.dtype((float, 2))))
+        angles = (pair for _, pair in _json_lines(data, _angles))
+        return _rotations(np.fromiter(angles, np.dtype((float, 2))))
     return kitti._pose_stack(data)[:, :, :3]
 
 

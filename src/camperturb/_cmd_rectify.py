@@ -8,6 +8,7 @@ from ._extrinsics import _angles, _json_lines, _label_mover, _number, _rotations
 from .cli import (
     _emit_report, _IOFailure, _json_dumps, _make_dir, _parse_file, _require, _UsageError,
 )
+from .errors import MalformedLine
 
 
 def _frame_id(record) -> str:
@@ -18,10 +19,27 @@ def _frame_id(record) -> str:
     return value
 
 
+def _by_frame(entry):
+    """A parser of JSON-lines data into ``{frame_id: value}``, ``entry(record)`` giving
+    ``(frame_id, value)``; a frame id on a second line raises :class:`MalformedLine`."""
+
+    def parse(data: bytes) -> dict:
+        found, first_line = {}, {}
+        for line_no, (frame_id, value) in _json_lines(data, entry):
+            if frame_id in found:
+                raise MalformedLine(
+                    line_no, f"frame_id {frame_id!r} repeats line {first_line[frame_id]}"
+                )
+            found[frame_id], first_line[frame_id] = value, line_no
+        return found
+
+    return parse
+
+
 def _load_sidecar(path: Path) -> dict[str, tuple[float, float]]:
     """Read a {frame_id, pitch, roll} JSON-lines sidecar: (pitch, roll) by frame id."""
     entry = lambda record: (_frame_id(record), _angles(record))  # noqa: E731
-    return _parse_file(path, "sidecar", lambda data: dict(_json_lines(data, entry)))
+    return _parse_file(path, "sidecar", _by_frame(entry))
 
 
 def _horizon_entry(record):
@@ -46,9 +64,7 @@ def run(cfg) -> None:
         source, estimates = "sidecar", _load_sidecar(Path(cfg.sidecar))
     else:
         source = "horizon annotations"
-        estimates = _parse_file(
-            Path(cfg.horizon), source, lambda d: dict(_json_lines(d, _horizon_entry))
-        )
+        estimates = _parse_file(Path(cfg.horizon), source, _by_frame(_horizon_entry))
     truth = _load_sidecar(Path(cfg.truth_sidecar)) if cfg.truth_sidecar else {}
 
     def prepare(frame_id: str, table, intrinsics):

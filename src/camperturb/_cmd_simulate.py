@@ -1,6 +1,7 @@
 """``camperturb simulate``: sample per-frame pitch/roll, rewrite labels, warp images."""
 
 import json
+import os
 from pathlib import Path
 
 from . import _frames, kitti, netpbm, simulate
@@ -40,7 +41,7 @@ def run(cfg) -> None:
     def load_image(frame_id: str, table, intrinsics):
         for extension in (".ppm", ".pgm"):
             candidate = image_dir / f"{frame_id}{extension}"
-            if candidate.is_file():
+            if os.path.lexists(candidate):  # a dangling link or a directory fails its read
                 image = _parse_file(candidate, "image", netpbm.read_image)
                 break
         else:

@@ -10,7 +10,7 @@ from .geometry import MAX_PERTURBATION_ANGLE
 
 
 def _json_lines(data: bytes, build):
-    """Yield ``build(record)`` for each record of JSON-lines ``data``, in file order.
+    """Yield ``(line_no, build(record))`` for each record of JSON-lines ``data``, in file order.
 
     Blank lines are skipped, and the text is read a block at a time.  A
     line that is not JSON, or whose record ``build`` rejects, raises
@@ -20,7 +20,7 @@ def _json_lines(data: bytes, build):
         if not line.strip():
             continue
         try:
-            yield build(json.loads(line))
+            yield line_no, build(json.loads(line))
         except (KeyError, TypeError, ValueError, OverflowError, CamPerturbError) as exc:
             raise MalformedLine(line_no, str(exc)) from exc
 

@@ -271,6 +271,16 @@ class _LabelTable(NamedTuple):
     scored: np.ndarray
 
 
+def _stacked(tables) -> tuple[_LabelTable, np.ndarray]:
+    """One label table of ``tables`` in order, and the index of each row's table."""
+    stacked = _LabelTable(
+        [name for table in tables for name in table.names],
+        np.concatenate([table.values for table in tables]),
+        np.concatenate([table.scored for table in tables]),
+    )
+    return stacked, np.repeat(np.arange(len(tables)), [len(table.names) for table in tables])
+
+
 def _label_table(data: bytes | str) -> _LabelTable:
     """The labels of :func:`parse_label_file` as one table: each line converted by one
     ``map(float)``, every row checked at once (:func:`_valid_rows`), and the first line
@@ -434,14 +444,8 @@ def parse_calib_file(data: bytes | str) -> CalibrationSet:
                 line_no,
                 f"key '{key}': expected {expected} values, got {len(tokens)}",
             )
-        try:
-            values = np.array(list(map(float, tokens)))
-        except ValueError:
-            values = None
-        if values is None or not np.isfinite(values).all():
-            for token in tokens:
-                _parse_float(token, line_no, key)  # raises at the first bad token
-        found[key] = values.reshape(shape)
+        values = [_parse_float(token, line_no, key) for token in tokens]
+        found[key] = np.array(values).reshape(shape)
         key_lines[key] = line_no
     if "P2" not in found:
         raise MissingKey("P2")

@@ -136,11 +136,16 @@ def style_loss(out: FeatureTensor, target: FeatureTensor) -> float:
     return _style_losses(out.data, _target_grams(out, [target]))[0]
 
 
-def _check_gammas(gamma_content: float, gamma_style: float) -> None:
+def _loss_args(out, content_target, style_targets, gamma_content, gamma_style):
+    """The arguments of :func:`total_loss` and :func:`loss_gradients`, checked, as the
+    ``(out, content_target, target_grams, gamma_content, gamma_style)`` of their kernels."""
     if not np.isfinite(gamma_content) or gamma_content < 0:
         raise ValueError(f"gamma_content must be >= 0, got {gamma_content}")
     if not np.isfinite(gamma_style) or gamma_style < 0:
         raise ValueError(f"gamma_style must be >= 0, got {gamma_style}")
+    _require_same_shape(out, content_target)
+    target_grams = _target_grams(out, style_targets)
+    return out.data, content_target.data, target_grams, gamma_content, gamma_style
 
 
 def total_loss(
@@ -151,10 +156,7 @@ def total_loss(
     gamma_style: float = 1.0,
 ) -> float:
     """Weighted sum gamma_content * content + gamma_style * sum of styles."""
-    _check_gammas(gamma_content, gamma_style)
-    _require_same_shape(out, content_target)
-    target_grams = _target_grams(out, style_targets)
-    return _total_loss(out.data, content_target.data, target_grams, gamma_content, gamma_style)
+    return _total_loss(*_loss_args(out, content_target, style_targets, gamma_content, gamma_style))
 
 
 def _total_loss(
@@ -186,12 +188,8 @@ def loss_gradients(
     D = gram(out) - gram(target) and psi the flattened output,
     (4 / n) D psi reshaped back to (c, h, w); n = c*h*w of ``out``.
     """
-    _check_gammas(gamma_content, gamma_style)
-    _require_same_shape(out, content_target)
-    target_grams = _target_grams(out, style_targets)
-    return FeatureTensor(data=_loss_gradients(
-        out.data, content_target.data, target_grams, gamma_content, gamma_style
-    ))
+    args = _loss_args(out, content_target, style_targets, gamma_content, gamma_style)
+    return FeatureTensor(data=_loss_gradients(*args))
 
 
 def _loss_gradients(

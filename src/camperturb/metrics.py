@@ -40,7 +40,7 @@ from .errors import DegenerateBox, NoGroundTruth, NoMatches
 from .geometry import Box3D, CameraIntrinsics, _box_row, _corners
 from .kitti import (
     _ALPHA, _BBOX_COLUMNS, _BOX_COLUMNS, _SCORE, DONTCARE, DifficultyBin, ObjectLabel, _bins_of,
-    _LabelTable, _table_of,
+    _stacked, _table_of,
 )
 
 #: The 40 recall checkpoints of the AP40 protocol: 1/40, 2/40, ..., 1.
@@ -335,14 +335,6 @@ def _partners(keys: np.ndarray, column_keys: np.ndarray):
     rows = np.repeat(np.arange(len(keys)), counts)
     offsets = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
     return rows, by_key[np.repeat(first, counts) + offsets], offsets
-
-
-def _stacked(tables):
-    """One label table (no score mask) of ``tables`` in order, and each row's table."""
-    counts = [len(t.names) for t in tables]
-    names = [name for t in tables for name in t.names]
-    values = np.concatenate([t.values for t in tables])
-    return _LabelTable(names, values, None), np.repeat(np.arange(len(tables)), counts)
 
 
 class _Chunk:

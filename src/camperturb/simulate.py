@@ -34,7 +34,8 @@ from .geometry import (
     perturbation_matrix,
 )
 from .kitti import (
-    _ALPHA, _BBOX_COLUMNS, _BOX_COLUMNS, DONTCARE, ObjectLabel, _LabelTable, _labels_of, _table_of,
+    _ALPHA, _BBOX_COLUMNS, _BOX_COLUMNS, DONTCARE, ObjectLabel, _LabelTable, _labels_of, _stacked,
+    _table_of,
 )
 from .netpbm import RasterImage
 
@@ -181,11 +182,7 @@ def _move_tables(tables, rotations: np.ndarray, intrinsics, sizes=None) -> list:
     """
     if not len(tables):
         return []
-    counts = [len(table.names) for table in tables]
-    frame = np.repeat(np.arange(len(tables)), counts)
-    names = [name for table in tables for name in table.names]
-    values = np.concatenate([table.values for table in tables])
-    scored = np.concatenate([table.scored for table in tables])
+    (names, values, scored), frame = _stacked(tables)
     identity = (rotations == np.eye(3)).all(axis=(1, 2))
     box = ~identity[frame] & np.array([name != DONTCARE for name in names], dtype=bool)
     box_frame = frame[box]
@@ -227,7 +224,7 @@ def _move_tables(tables, rotations: np.ndarray, intrinsics, sizes=None) -> list:
     dropped = np.bincount(box_frame, minlength=len(tables)) - np.bincount(
         frame[kept], minlength=len(tables)
     )
-    ends = np.cumsum(counts).tolist()
+    ends = np.cumsum([len(table.names) for table in tables]).tolist()
     results = []
     for i, (start, end) in enumerate(zip([0, *ends], ends)):
         if unrotated[i]:

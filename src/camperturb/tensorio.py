@@ -8,12 +8,14 @@ Wire format (little-endian):
 
 ``save_tensor`` additionally writes ``<file>.json`` next to the tensor
 recording the shape and dtype; ``load_tensor`` cross-checks the sidecar
-against the header when the sidecar exists.
+against the header when the sidecar exists: any directory entry at its
+path, even a dangling link, is a sidecar that must be read.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -84,7 +86,7 @@ def save_tensor(path, t: FeatureTensor) -> None:
 
 
 def load_tensor(path) -> FeatureTensor:
-    """Read a tensor; if the JSON sidecar exists it must agree with the header."""
+    """Read a tensor; if the JSON sidecar exists it must be readable and agree with the header."""
     path = Path(path)
     return _check_sidecar(path, tensor_from_bytes(path.read_bytes()))
 
@@ -92,10 +94,10 @@ def load_tensor(path) -> FeatureTensor:
 def _check_sidecar(path: Path, tensor: FeatureTensor) -> FeatureTensor:
     """``tensor`` read from ``path``, once its JSON sidecar, if any, agrees with it."""
     sidecar_file = _sidecar_path(path)
-    if sidecar_file.exists():
+    if os.path.lexists(sidecar_file):  # a dangling link or a directory fails its read
         try:
             meta = json.loads(sidecar_file.read_bytes().decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise MalformedTensor(f"unreadable sidecar {sidecar_file}: {exc}") from exc
         if not isinstance(meta, dict):
             raise MalformedTensor(f"sidecar {sidecar_file} is not a JSON object")

@@ -77,6 +77,15 @@ def write_sidecar(path: Path, entries: dict[str, ExtrinsicPerturbation]) -> None
     path.write_text("\n".join(lines) + "\n")
 
 
+def occupy(path: Path, kind: str) -> None:
+    """Put a directory entry at ``path`` that is no readable file: a dangling link
+    (``kind`` "dangling") or a directory."""
+    if kind == "dangling":
+        path.symlink_to(path.parent / "nowhere")
+    else:
+        path.mkdir()
+
+
 def write_image_dataset(root: Path, n_frames: int = 2) -> tuple[Path, Path, Path]:
     """Small labelled .ppm frames; returns (label_dir, calib_dir, image_dir)."""
     from camperturb import CameraIntrinsics
@@ -290,6 +299,21 @@ class TestSimulate:
             image.unlink(missing_ok=True)
         assert main([*argv, "--out", str(tmp_path / "none")]) == 2
         assert "frame failures: 3" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("kind", ["dangling", "directory"])
+    def test_image_entry_that_is_no_file_fails_its_frame_naming_it(self, tmp_path, capsys, kind):
+        """Only a path with no directory entry is a missing image."""
+        label_dir, calib_dir, image_dir = write_image_dataset(tmp_path / "in", n_frames=3)
+        image = sorted(image_dir.glob("*.ppm"))[1]
+        image.unlink()
+        occupy(image, kind)
+        assert main([
+            "simulate", "--labels", str(label_dir), "--calib", str(calib_dir),
+            "--images", str(image_dir), "--out", str(tmp_path / "out"),
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "frames processed: 2" in out
+        assert f"  {image.stem}: cannot read image {image}: " in out
 
     def test_environment_seed_overrides_flag(self, tmp_path, monkeypatch):
         label_dir, calib_dir = write_dataset(tmp_path / "in")
@@ -953,6 +977,46 @@ class TestEvaluate:
         assert 0.0 < values[0] < 100.0
 
     @pytest.mark.parametrize("jobs", ["1", "3"])
+    @pytest.mark.parametrize("kind", ["dangling", "directory"])
+    def test_detection_entry_that_is_no_file_exits_2_naming_it(
+        self, tmp_path, capsys, kind, jobs
+    ):
+        """Only a path with no directory entry is a frame without detections."""
+        gt_dir, det_dir = self._perfect_dirs(tmp_path, n_frames=3)
+        path = det_dir / "000001.txt"
+        path.unlink()
+        occupy(path, kind)
+        code = main([
+            "evaluate", "--gt", str(gt_dir), "--det", str(det_dir), "--metrics", "ap2d",
+            "--jobs", jobs,
+        ])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: cannot read detections {path}: ")
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("option, value, item", [
+        ("classes", "Car,Pedestrian,Car", "Car"),
+        ("metrics", "ap2d,nuscenes,nuscenes", "nuscenes"),
+        ("difficulties", "easy,easy", "easy"),
+    ])
+    def test_repeated_list_item_is_a_usage_error(
+        self, tmp_path, capsys, option, value, item, source
+    ):
+        """A repeated item would repeat report cells."""
+        gt_dir, det_dir = self._perfect_dirs(tmp_path, n_frames=2)
+        args = ["evaluate", "--gt", str(gt_dir), "--det", str(det_dir)]
+        if source == "flag":
+            args += [f"--{option}", value]
+        else:
+            config = tmp_path / "run.cfg"
+            config.write_text(f"{option} = {value}\n")
+            args += ["--config", str(config)]
+        assert main(args) == 1
+        assert capsys.readouterr() == ("", f"error: --{option} lists {item!r} more than once\n")
+
+    @pytest.mark.parametrize("jobs", ["1", "3"])
     def test_first_failing_frame_ends_the_run(self, tmp_path, capsys, jobs):
         """Of two bad frames the first in id order names the error, although it
         fails only when matched and the later one already fails to parse."""
@@ -1264,6 +1328,32 @@ class TestRectify:
         what = "horizon annotations" if flag == "--horizon" else "sidecar"
         key = "slope" if flag == "--horizon" else "pitch"
         assert f"error: {what} {bad}: line 2: '{key}'\n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--sidecar", "--truth-sidecar", "--horizon"])
+    def test_frame_listed_twice_exits_2_naming_both_lines(self, tmp_path, capsys, flag):
+        """The second record of a frame would silently replace the first."""
+        label_dir, calib_dir = write_dataset(tmp_path / "in", n_frames=2)
+        good = tmp_path / "zeros.jsonl"
+        write_sidecar(good, dict.fromkeys(("000000", "000001"), ExtrinsicPerturbation(0, 0)))
+        if flag == "--horizon":
+            key, rest = "slope", {"intercept_v": 40.0, "vp_u": 60.0, "vp_v": 40.0}
+        else:
+            key, rest = "pitch", {"roll": 0.0}
+        lines = [json.dumps({"frame_id": frame_id, key: value, **rest})
+                 for frame_id, value in [("000000", 0.01), ("000001", 0.0), ("000000", 0.5)]]
+        twice = tmp_path / "twice.jsonl"
+        twice.write_text("\n".join([*lines[:2], "", lines[2]]) + "\n")  # a blank line 3
+        sources = ["--sidecar", str(good)] if flag == "--truth-sidecar" else []
+        code = main([
+            "rectify", "--det", str(label_dir), "--calib", str(calib_dir),
+            "--out", str(tmp_path / "out"), *sources, flag, str(twice),
+        ])
+        assert code == 2
+        what = "horizon annotations" if flag == "--horizon" else "sidecar"
+        assert capsys.readouterr() == (
+            "", f"error: {what} {twice}: line 4: frame_id '000000' repeats line 1\n"
+        )
+        assert not list((tmp_path / "out").glob("*.txt"))
 
     def test_four_decimal_scores_survive_write_and_rectify(self, tmp_path):
         label_dir, calib_dir = write_dataset(tmp_path / "in", n_frames=2)
@@ -2290,6 +2380,32 @@ class TestLoss:
         assert code == 2
         assert str(tmp_path / "content.ftb.json") in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["dangling", "directory"])
+    def test_sidecar_entry_that_is_no_file_exits_2_naming_it(self, tmp_path, capsys, kind):
+        """Only a path with no directory entry is a tensor without a sidecar."""
+        out = save_feature(tmp_path / "out.ftb", np.zeros((2, 1, 1)))
+        content = save_feature(tmp_path / "content.ftb", np.zeros((2, 1, 1)))
+        sidecar = tmp_path / "content.ftb.json"
+        sidecar.unlink()
+        assert main(["loss", "--output", str(out), "--content", str(content)]) == 0
+        capsys.readouterr()
+        occupy(sidecar, kind)
+        code = main(["loss", "--output", str(out), "--content", str(content)])
+        assert code == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert err.startswith(f"error: content tensor {content}: unreadable sidecar {sidecar}: ")
+
+    def test_a_style_target_may_be_listed_twice(self, tmp_path, capsys):
+        out = save_feature(tmp_path / "out.ftb", np.arange(8.0).reshape(2, 2, 2))
+        style = save_feature(tmp_path / "style.ftb", np.ones((2, 2, 2)))
+        code = main([
+            "loss", "--output", str(out), "--content", str(out), "--style", f"{style},{style}",
+        ])
+        assert code == 0
+        first, second = json.loads(capsys.readouterr().out)["style_losses"]
+        assert first == second > 0.0
+
 
 # ---------------------------------------------------------------------------
 # top-level behaviour
@@ -2587,6 +2703,31 @@ def test_ab_report_bytes_are_pinned(tmp_path, capsys, ab_chunk_dataset, fmt, job
         "--iou-threshold", "0.5", "--format", fmt, "--out", str(out), "--jobs", jobs,
     ]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == _AB_REPORT_SHA256[fmt]
+    assert capsys.readouterr() == ("", "")
+
+
+#: SHA-256 of the one-set report of the ``ab_chunk_dataset`` frames (every metric,
+#: so ``value_degrees`` too; IoU threshold 0.5) per format.
+_ONE_SET_REPORT_SHA256 = {
+    "json": "dadf7e20d29be93910f455300cd7ab0f9b3527d9aeab2b16b09141fd2337ec03",
+    "csv": "e8104d3aa016ad01e4e9099be69f14d01f52546874aeee5b59ac790c2e1ab709",
+}
+
+
+@pytest.mark.parametrize("jobs", ["1", "3"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_one_set_report_bytes_are_pinned(tmp_path, capsys, ab_chunk_dataset, fmt, jobs):
+    """Any change to the bits of a one-set report cell changes the report."""
+    gt, det, _ = ab_chunk_dataset
+    out = tmp_path / f"report.{fmt}"
+    assert main([
+        "evaluate", "--gt", str(gt), "--det", str(det),
+        "--classes", "Car,Pedestrian,DontCare", "--metrics", "ap2d,apbev,ap3d,aos,nuscenes",
+        "--iou-threshold", "0.5", "--format", fmt, "--out", str(out), "--jobs", jobs,
+    ]) == 0
+    if fmt == "json":
+        assert any("value_degrees" in cell for cell in json.loads(out.read_bytes())["cells"])
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _ONE_SET_REPORT_SHA256[fmt]
     assert capsys.readouterr() == ("", "")
 
 

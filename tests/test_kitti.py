@@ -469,6 +469,44 @@ class TestParseCalibFile:
                 pass
 
 
+def _finite_tokens(rng, n: int) -> list[str]:
+    """Finite number tokens of many spellings: 17 significant digits, shortest repr of
+    random bit patterns (subnormals among them), signed zeros, exponent forms."""
+    bits = rng.integers(0, 2**64, size=4 * n, dtype=np.uint64).view(np.float64)
+    finite = bits[np.isfinite(bits)].tolist()
+    subnormal = (rng.integers(1, 2**52, size=n, dtype=np.uint64).view(np.float64)
+                 * rng.choice([-1.0, 1.0], size=n)).tolist()
+    spelled = [
+        *(f"{x:.16e}" for x in finite[:n]),
+        *(f"{x:.17g}" for x in rng.normal(0.0, 1e3, size=n)),
+        *map(repr, finite[n:2 * n]),
+        *map(repr, subnormal),
+        "-0.0", "0", "-0e5", "+0.", "1E+3", "2.5e-7", ".5e2", "5.e1", "-7E-0", "+12",
+        "1.7976931348623157e308", "2.2250738585072014e-308", "4.9e-324", "-5e-324",
+    ]
+    return [spelled[i] for i in rng.permutation(len(spelled))]
+
+
+def test_calibration_values_are_float_of_their_tokens_bit_for_bit():
+    rng = np.random.default_rng(2024)
+    tokens = _finite_tokens(rng, 40)
+    rows = [("P0", 12), ("P1", 12), ("P3", 12), ("R0_rect", 9), ("Tr_velo_to_cam", 12)]
+    while tokens:
+        lines, expected = ["P2: 700 0 600 0 0 700 180 0 0 0 1 0"], {}
+        for key, count in rows:
+            chunk, tokens = tokens[:count], tokens[count:]
+            if len(chunk) == count:
+                lines.append(f"{key}: {' '.join(chunk)}")
+                expected[key] = np.array([float(token) for token in chunk])
+        calib = parse_calib_file("\n".join(lines).encode())
+        parsed = {**calib.projections, "R0_rect": calib.rectification,
+                  "Tr_velo_to_cam": calib.velo_to_cam}
+        for key, values in expected.items():
+            assert parsed[key].reshape(-1).view(np.uint64).tolist() == (
+                values.view(np.uint64).tolist()
+            ), key
+
+
 class TestParseOdometryPoses:
     def test_identity_pose(self):
         poses = parse_odometry_poses(b"1 0 0 0 0 1 0 0 0 0 1 0\n")
