@@ -2,6 +2,7 @@
 
 import math
 import os
+from collections import Counter, defaultdict
 from pathlib import Path
 
 from . import _frames, kitti, metrics
@@ -15,18 +16,20 @@ _NUSCENES_FIELDS = {"nuscenes_ate": "ate", "nuscenes_ase": "ase", "nuscenes_aoe"
 _CELL_FIELDS = ("metric", "class", "difficulty", "threshold")
 
 
-def _value(tally, metric: str, class_name: str, bin_):
-    """One report cell's value from a ``(passes, errors)`` tally; 'n/a' when undefined.
+def _value(tally, set_: int, metric: str, class_name: str, bin_):
+    """One report cell's value for detection set ``set_`` from the ``(blocks, num_gt)``
+    tally of ``metrics._record_chunk``; 'n/a' when undefined.
 
     ``bin_`` is the cell's ``DifficultyBin`` (None for a nuScenes cell).
     """
-    passes, errors = tally
+    blocks, num_gt = tally
+    key = (set_, _KIND_BY_METRIC.get(metric, "nuscenes"), bin_, class_name)
     try:
         if metric in _NUSCENES_FIELDS:
-            errors = metrics._mean_errors(errors[class_name], class_name)
+            errors = metrics._mean_errors(blocks.get(key), class_name)
             return getattr(errors, _NUSCENES_FIELDS[metric])
-        records, num_gt = passes[_KIND_BY_METRIC[metric]][bin_]
-        return metrics.class_sweep(records, num_gt, class_name, bin_, metric == "aos")[0]
+        return metrics.class_sweep({class_name: blocks.get(key)}, {class_name: num_gt[key]},
+                                   class_name, bin_, metric == "aos")[0]
     except (NoGroundTruth, NoMatches):
         return "n/a"
 
@@ -54,13 +57,12 @@ def run(cfg) -> None:
     if cfg.det_disturbed:
         det_dirs.append(_require(cfg.det_disturbed, "disturbed detection"))
     frame_ids = _frames._frame_ids(gt_dir)
-    # workers read and score a chunk of frames into a (passes, errors) tally per detection
-    # set, of AP/AOS records and nuScenes error triples; tallies are added here in id order
+    # workers read and score a chunk of frames, all detection sets at once, into one tally
+    # of AP/AOS records and nuScenes error triples; tallies are added here in id order
     kinds = dict.fromkeys(_KIND_BY_METRIC[m] for m in cfg.metrics if m in _KIND_BY_METRIC)
     bin_of = {d: kitti.DifficultyBin[d.upper()] for d in cfg.difficulties}  # matcher reads .name
     bins = list(bin_of.values())
     classes = cfg.classes if "nuscenes" in cfg.metrics else ()
-    tally = lambda: (metrics._passes(kinds, bins), {c: [] for c in classes})  # noqa: E731
 
     def detections(det_dir: Path, frame_id: str):
         """The frame's detection table; a path with no directory entry is a frame without
@@ -76,7 +78,6 @@ def run(cfg) -> None:
         return dets
 
     def score(chunk: list[str]):  # a missing detection file is a set without detections
-        parts = [tally() for _ in det_dirs]
         sets, failure = [[] for _ in det_dirs], None  # (frame_id, gt, dets) per set
         for frame_id in chunk:  # up to the first that fails to read
             try:
@@ -87,30 +88,30 @@ def run(cfg) -> None:
                 break
             for set_frames, dets in zip(sets, det_tables):
                 set_frames.append((frame_id, gt, dets))
-        threshold, radius = cfg.iou_threshold, cfg.match_radius
+        plan = (kinds, bins, classes, cfg.iou_threshold, cfg.match_radius)
         try:
-            if sets[0]:
-                metrics._record_chunk(sets, parts, threshold, radius)
+            part = metrics._record_chunk(sets, *plan) if sets[0] else None  # None: failure
         except DegenerateBox:  # of several bad frames (and sets) the first in id order names it
             for frame in zip(*sets):
                 for set_frame in frame:
-                    metrics._record_chunk([[set_frame]], [tally()], threshold, radius)
+                    metrics._record_chunk([[set_frame]], *plan)
             raise
         if failure:
             raise failure
-        return parts
+        return part
 
-    tallies = [tally() for _ in det_dirs]
+    tally = (defaultdict(list), Counter())
     chunks = _frames._chunks(frame_ids, _frames._CHUNK_FRAMES)
-    for parts in _frames._ordered_map(score, chunks, cfg.jobs):
-        for total in tallies:  # popped, so no chunk's tally outlives its adding
-            metrics._add_tally(total, parts.pop(0))
-    value_columns = ["value"] if len(tallies) == 1 else ["original", "disturbed", "decrease"]
+    for part in _frames._ordered_map(score, chunks, cfg.jobs):
+        metrics._add_tally(tally, part)
+        del part  # so no chunk's tally outlives its adding
+    value_columns = ["value"] if len(det_dirs) == 1 else ["original", "disturbed", "decrease"]
     cells = []
     for key in _cell_keys(cfg):
         cell = dict(zip(_CELL_FIELDS, key))
         metric, class_name, difficulty = key[:3]
-        values = [_value(tally, metric, class_name, bin_of.get(difficulty)) for tally in tallies]
+        values = [_value(tally, set_, metric, class_name, bin_of.get(difficulty))
+                  for set_ in range(len(det_dirs))]
         if len(values) == 1:
             cell["value"] = value = values[0]
             if cell["metric"] == "nuscenes_aoe" and value != "n/a":

@@ -13,15 +13,26 @@ def _json_lines(data: bytes, build):
     """Yield ``(line_no, build(record))`` for each record of JSON-lines ``data``, in file order.
 
     Blank lines are skipped, and the text is read a block at a time.  A
-    line that is not JSON, or whose record ``build`` rejects, raises
+    line that is not JSON, is nested too deeply, is not a JSON object, or
+    whose record lacks a field or is otherwise rejected by ``build``, raises
     :class:`MalformedLine` with its number.
     """
     for line_no, line in kitti._text_lines(data, "JSON-lines file"):
         if not line.strip():
             continue
         try:
-            yield line_no, build(json.loads(line))
-        except (KeyError, TypeError, ValueError, OverflowError, CamPerturbError) as exc:
+            record = json.loads(line)
+        except RecursionError as exc:
+            raise MalformedLine(line_no, "JSON nested too deeply") from exc
+        except ValueError as exc:
+            raise MalformedLine(line_no, str(exc)) from exc
+        if not isinstance(record, dict):
+            raise MalformedLine(line_no, "expected a JSON object")
+        try:
+            yield line_no, build(record)
+        except KeyError as exc:
+            raise MalformedLine(line_no, f"missing field {exc.args[0]!r}") from exc
+        except (TypeError, ValueError, OverflowError, CamPerturbError) as exc:
             raise MalformedLine(line_no, str(exc)) from exc
 
 

@@ -17,13 +17,14 @@ the result is independent of tie ordering), and precision is
 max-interpolated at recalls 1/40 .. 40/40.  AOS runs the same sweep with
 the numerator replaced by accumulated orientation similarity
 (1 + cos(delta alpha)) / 2, which makes AOS <= AP on 2D matching.
-:func:`_record_chunk` folds a chunk of frames of one or more detection
-sets into tallies: the matching of every set, IoU kind and difficulty,
-and the nuScenes center-distance matching, is one :func:`_greedy_by_rank`
+:func:`_record_chunk` scores a chunk of frames of one or more detection
+sets into one flat tally: record blocks and in-bin ground-truth counts
+keyed ``(set, kind, bin, class)``, the nuScenes error blocks under kind
+``"nuscenes"``.  The matching of every set, IoU kind and difficulty, and
+the nuScenes center-distance matching, is one :func:`_greedy_by_rank`
 call, which matches all (frame, class) groups side by side, one NumPy
-step per detection rank, and each tally cell gets one block of records
-per class.  :func:`class_sweep` ranks and accumulates a class's records
-as arrays.
+step per detection rank.  :func:`class_sweep` ranks and accumulates a
+class's records as arrays.
 """
 
 from __future__ import annotations
@@ -452,41 +453,32 @@ def match_frame(
     )
 
 
-def _passes(iou_kinds, difficulties) -> dict:
-    """Empty ``{kind: {difficulty: (records, num_gt)}}`` for :func:`_record_chunk`."""
-    return {kind: {d: (defaultdict(list), Counter()) for d in difficulties}
-            for kind in iou_kinds}
-
-
 def _add_tally(total, part) -> None:
-    """Add the ``(passes, errors)`` tally ``part`` to ``total`` (``passes`` of :func:`_passes`)."""
-    (passes, errors), (part_passes, part_errors) = total, part
-    for kind, by_bin in part_passes.items():
-        for bin_, (records, num_gt) in by_bin.items():
-            for class_name, blocks in records.items():
-                passes[kind][bin_][0][class_name].extend(blocks)
-            passes[kind][bin_][1].update(num_gt)
-    for class_name, blocks in part_errors.items():
-        errors[class_name].extend(blocks)
+    """Add the ``(blocks, num_gt)`` tally ``part`` of :func:`_record_chunk` to ``total``, each
+    block as a copy: kept records then pin no arrays made among a worker's temporaries."""
+    for key, blocks in part[0].items():
+        total[0][key].extend(block.copy() for block in blocks)
+    total[1].update(part[1])
 
 
-def _add_blocks(blocks, chunk: _Chunk, det, rows, *keys) -> None:
+def _add_blocks(blocks, cell, chunk: _Chunk, det, rows, *keys) -> None:
     """Append ``rows``, one per detection ``det`` of ``chunk``, to ``blocks`` as a
-    block per class, in the order of ``keys`` (``np.lexsort``'s), then their own."""
+    block per class, keyed ``(*cell, class)``, in the order of ``keys``
+    (``np.lexsort``'s), then their own."""
     codes = chunk.det_class[det]
     counts = np.bincount(codes, minlength=len(chunk.names))
     for name, block in zip(chunk.names, np.split(rows[np.lexsort((*keys, codes))],
                                                  np.cumsum(counts)[:-1])):
         if len(block):
-            blocks[name].append(block)
+            blocks[(*cell, name)].append(block)
 
 
-def _add_records(chunk: _Chunk, in_bin, absorbed, cell, claims) -> None:
-    """Add the records of one kind and difficulty of ``chunk``, given its ``claims``,
-    to ``cell``, a ``(records, num_gt)`` of :func:`_passes`."""
-    records, num_gt = cell
+def _add_records(chunk: _Chunk, in_bin, absorbed, tally, cell, claims) -> None:
+    """Add the records and in-bin ground truth of one ``cell``, a ``(set, kind, bin)``,
+    of ``chunk``, given its ``claims``, to ``tally``, a ``(blocks, num_gt)``."""
+    blocks, num_gt = tally
     counts = np.bincount(chunk.gt_class[in_bin], minlength=len(chunk.names)).tolist()
-    num_gt.update({name: n for name, n in zip(chunk.names[1:], counts[1:]) if n})
+    num_gt.update({(*cell, name): n for name, n in zip(chunk.names[1:], counts[1:]) if n})
     tp, claimed = chunk.claimed(claims)
     det = np.concatenate([chunk.order[tp], np.sort(chunk.order[~tp & ~absorbed])])
     gt_alpha = chunk.gt.values[chunk.gt_idx[claimed], _ALPHA]
@@ -496,12 +488,12 @@ def _add_records(chunk: _Chunk, in_bin, absorbed, cell, claims) -> None:
     rows[:len(gt_alpha), 2] = (1.0 + np.cos(chunk.dets.values[det[:len(gt_alpha)], _ALPHA]
                                             - gt_alpha)) / 2.0
     # by frame; a frame's true positives in match order, then its false positives
-    _add_blocks(records, chunk, det, rows, chunk.det_frame[det])
+    _add_blocks(blocks, cell, chunk, det, rows, chunk.det_frame[det])
 
 
-def _add_errors(chunk: _Chunk, classes, errors, claims) -> None:
+def _add_errors(chunk: _Chunk, classes, blocks, cell, claims) -> None:
     """Add (ATE, ASE, AOE) of each match of ``chunk``, given its ``claims``, to
-    ``errors``; ATE is ``math.hypot`` of the centers.
+    ``blocks`` under ``cell``; ATE is ``math.hypot`` of the centers.
     Raises :class:`DegenerateBox` naming the frame of the first match (by frame,
     ``classes`` order, visit) with a volume of zero or of ``_MAX_MEASURE``."""
     tp, claimed = chunk.claimed(claims)
@@ -524,24 +516,24 @@ def _add_errors(chunk: _Chunk, classes, errors, claims) -> None:
     rows[:, 0] = list(map(math.hypot, (a[:, 0] - b[:, 0]).tolist(), (a[:, 2] - b[:, 2]).tolist()))
     rows[:, 1] = 1.0 - inter / (vol_a + vol_b - inter)
     rows[:, 2] = np.abs(np.remainder(a[:, 6] - b[:, 6] + math.pi, 2.0 * math.pi) - math.pi)
-    _add_blocks(errors, chunk, det, rows)
+    _add_blocks(blocks, cell, chunk, det, rows)
 
 
-def _record_chunk(sets, tallies, threshold, match_radius) -> None:
-    """Add the records of each detection set's ``(frame_id, gt, dets)`` frames to its
-    ``(passes, errors)`` tally: the AP/AOS records of each kind and difficulty of
-    ``passes`` (:func:`_passes`) and the (ATE, ASE, AOE) blocks of each class of
-    ``errors``.  All are matched in one :func:`_greedy_by_rank` call.  Raises
-    :class:`DegenerateBox` naming a frame with a refused box."""
-    plans, segments = [], []
-    for chunk, (passes, errors) in zip(map(_Chunk, sets), tallies):
-        bins = list(next(iter(passes.values()), ()))
+def _record_chunk(sets, kinds, bins, classes, threshold, match_radius):
+    """The ``(blocks, num_gt)`` tally of each detection set's ``(frame_id, gt, dets)``
+    frames, sets numbered in order.  ``blocks`` holds the AP/AOS record blocks of
+    each IoU kind of ``kinds`` and difficulty of ``bins``, keyed ``(set, kind, bin,
+    class)``, and the (ATE, ASE, AOE) blocks of each of ``classes``, keyed ``(set,
+    "nuscenes", None, class)``; ``num_gt`` counts in-bin ground truth, keyed like
+    the AP/AOS blocks.  All are matched in one :func:`_greedy_by_rank` call.
+    Raises :class:`DegenerateBox` naming a frame with a refused box."""
+    tally, plans, segments = (defaultdict(list), Counter()), [], []
+    for set_, chunk in enumerate(map(_Chunk, sets)):
         for kind, bin_, in_bin, pairs, absorbed, ious in (
-            _ap_segments(chunk, passes, threshold, bins) if passes else ()
+            _ap_segments(chunk, kinds, threshold, bins) if kinds else ()
         ):
             segments.append(chunk.segment(pairs, ious))
-            plans.append(partial(_add_records, chunk, in_bin, absorbed, passes[kind][bin_]))
-        classes = [name for name in errors if name != DONTCARE]  # regions, never paired
+            plans.append(partial(_add_records, chunk, in_bin, absorbed, tally, (set_, kind, bin_)))
         if classes:
             det, gt = chunk.dets.values[chunk.order[chunk.pos]], chunk.gt.values[chunk.gt_idx]
             x, _, z = _BOX_COLUMNS[:3]
@@ -550,9 +542,10 @@ def _record_chunk(sets, tallies, threshold, match_radius) -> None:
             wanted = np.isin(chunk.names, classes)[chunk.gt_class[chunk.gt_idx]]
             pairs = np.flatnonzero(wanted & (dist <= match_radius))
             segments.append(chunk.segment(pairs, -dist))
-            plans.append(partial(_add_errors, chunk, classes, errors))
+            plans.append(partial(_add_errors, chunk, classes, tally[0], (set_, "nuscenes", None)))
     for plan, claims in zip(plans, _greedy_by_rank(segments)):
         plan(claims)
+    return tally
 
 
 def match_pass(
@@ -575,10 +568,15 @@ def match_pass(
     frames = list(frames)
     if not frames:
         raise ValueError("frames must be non-empty")
-    passes = _passes((iou_kind,), difficulties)
+    bins = list(dict.fromkeys(difficulties))
     tables = [(frame.frame_id, *_tables(frame)) for frame in frames]
-    _record_chunk([tables], [(passes, {})], threshold, None)
-    return passes[iou_kind]
+    blocks, num_gt = _record_chunk([tables], (iou_kind,), bins, (), threshold, None)
+    passes = {bin_: (defaultdict(list), Counter()) for bin_ in bins}
+    for (_, _, bin_, class_name), class_blocks in blocks.items():
+        passes[bin_][0][class_name] = class_blocks
+    for (_, _, bin_, class_name), n in num_gt.items():
+        passes[bin_][1][class_name] = n
+    return passes
 
 
 def class_sweep(
@@ -680,8 +678,6 @@ def nuscenes_errors(
         raise ValueError(f"match_radius must be positive, got {match_radius}")
     if class_name == DONTCARE:
         raise NoMatches(f"class {DONTCARE!r} marks regions and is never scored")
-    errors = {class_name: []}
     tables = [(frame.frame_id, *_tables(frame)) for frame in frames]
-    if tables:
-        _record_chunk([tables], [({}, errors)], None, match_radius)
-    return _mean_errors(errors[class_name], class_name)
+    blocks = _record_chunk([tables], (), (), (class_name,), None, match_radius)[0] if tables else {}
+    return _mean_errors(blocks.get((0, "nuscenes", None, class_name)), class_name)

@@ -97,7 +97,7 @@ def _check_sidecar(path: Path, tensor: FeatureTensor) -> FeatureTensor:
     if os.path.lexists(sidecar_file):  # a dangling link or a directory fails its read
         try:
             meta = json.loads(sidecar_file.read_bytes().decode("utf-8"))
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:  # ValueError: not UTF-8 or JSON
             raise MalformedTensor(f"unreadable sidecar {sidecar_file}: {exc}") from exc
         if not isinstance(meta, dict):
             raise MalformedTensor(f"sidecar {sidecar_file} is not a JSON object")

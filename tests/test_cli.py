@@ -1327,7 +1327,7 @@ class TestRectify:
         assert code == 2
         what = "horizon annotations" if flag == "--horizon" else "sidecar"
         key = "slope" if flag == "--horizon" else "pitch"
-        assert f"error: {what} {bad}: line 2: '{key}'\n" in capsys.readouterr().err
+        assert f"error: {what} {bad}: line 2: missing field '{key}'\n" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--sidecar", "--truth-sidecar", "--horizon"])
     def test_frame_listed_twice_exits_2_naming_both_lines(self, tmp_path, capsys, flag):
@@ -1669,18 +1669,32 @@ _GOOD_RECORD = {
          "'vp_u' must be a JSON number, got '60'"),
         ("--est", b'{"frame_id": "000001", "pitch": true, "roll": 0.0}',
          "'pitch' must be a JSON number, got True"),
+        ("--sidecar", b'{"frame_id": "000001", "pitch": 0.0}', "missing field 'roll'"),
+        ("--sidecar", b'["000001", 0.0, 0.0]', "expected a JSON object"),
+        ("--sidecar", b"[" * 100_000, "JSON nested too deeply"),
+        ("--truth-sidecar", b"null", "expected a JSON object"),
+        ("--horizon", b'{"frame_id": "000001", "slope": 0.0, "intercept_v": 40.0, '
+                      b'"vp_u": 60.0}', "missing field 'vp_v'"),
+        ("--horizon", b'["000001", 0.0, 40.0, 60.0, 40.0]', "expected a JSON object"),
+        ("--horizon", b"[" * 100_000, "JSON nested too deeply"),
+        ("--est", b'{"frame_id": "000001", "roll": 0.0}', "missing field 'pitch'"),
+        ("--est", b"[0.0, 0.0]", "expected a JSON object"),
+        ("--est", b"[" * 100_000, "JSON nested too deeply"),
     ],
     ids=[
         "sidecar-bool", "sidecar-string", "sidecar-int-frame-id", "sidecar-huge-int",
         "sidecar-not-utf8", "truth-bool", "horizon-bool", "horizon-int-frame-id",
-        "horizon-string", "est-bool",
+        "horizon-string", "est-bool", "sidecar-missing-field", "sidecar-array",
+        "sidecar-deep", "truth-null", "horizon-missing-field", "horizon-array", "horizon-deep",
+        "est-missing-field", "est-array", "est-deep",
     ],
 )
 def test_json_lines_values_must_be_utf8_json_numbers_and_strings(
     tmp_path, capsys, flag, line, message
 ):
-    """A record field of the wrong JSON type, or a line that is not UTF-8,
-    ends the run naming the file and line instead of being coerced."""
+    """A record field of the wrong JSON type or missing, a line that is not a
+    JSON object, is nested too deeply or is not UTF-8, ends the run naming the
+    file and line instead of being coerced."""
     label_dir, calib_dir = write_dataset(tmp_path / "in", n_frames=2)
     good = _GOOD_RECORD["--horizon" if flag == "--horizon" else "--sidecar"]
     bad = tmp_path / "bad.jsonl"
@@ -2370,7 +2384,9 @@ class TestLoss:
         assert f"error: content tensor {content}: {message}\n" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "sidecar", [b"\xff\xfe{}", b"[1, 2]\n"], ids=["not-utf8", "not-an-object"]
+        "sidecar",
+        [b"\xff\xfe{}", b"[1, 2]\n", b"[" * 100_000, b'{"channels": ' + b"1" * 5000 + b"}"],
+        ids=["not-utf8", "not-an-object", "deep", "int-too-long"],
     )
     def test_malformed_sidecar_exits_2_naming_it(self, tmp_path, capsys, sidecar):
         out = save_feature(tmp_path / "out.ftb", np.zeros((2, 1, 1)))
@@ -2893,3 +2909,137 @@ def test_simulate_images_holds_few_images(tmp_path, capsys, monkeypatch, jobs):
     assert code == 0
     assert "frames processed: 12\n" in capsys.readouterr().out
     assert 2 <= peak <= 2 * jobs + 2
+
+
+# ---------------------------------------------------------------------------
+# refusals on the paths of each subcommand
+
+
+@pytest.mark.parametrize("subcommand", ["simulate", "evaluate"])
+def test_empty_label_directory_exits_2_naming_it(tmp_path, capsys, subcommand):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    calib = tmp_path / "calib.txt"
+    helpers.write_calib(calib)
+    argv = {
+        "simulate": ["simulate", "--labels", str(empty), "--calib", str(calib)],
+        "evaluate": ["evaluate", "--gt", str(empty), "--det", str(empty)],
+    }[subcommand]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: no .txt label files found in {empty}\n"
+
+
+def test_clamp_beyond_a_right_angle_is_a_usage_error(tmp_path, capsys):
+    label_dir, calib_dir = write_dataset(tmp_path / "in", n_frames=1)
+    code = main(["simulate", "--labels", str(label_dir), "--calib", str(calib_dir),
+                 "--out", str(tmp_path / "out"), "--clamp", "2"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: clamp must lie in (0, pi/2), got 2.0\n"
+
+
+def test_rectify_with_no_frame_in_its_sidecar_exits_2_after_its_report(tmp_path, capsys):
+    """Every frame fails before the move, so each chunk moves no frame; the
+    report still lists the failures."""
+    label_dir, calib_dir = write_dataset(tmp_path / "in", n_frames=2)
+    sidecar = tmp_path / "other.jsonl"
+    write_sidecar(sidecar, {"999999": ExtrinsicPerturbation(0.0, 0.0)})
+    report = tmp_path / "report.json"
+    code = main(["rectify", "--det", str(label_dir), "--calib", str(calib_dir),
+                 "--sidecar", str(sidecar), "--out", str(tmp_path / "out"),
+                 "--report", str(report)])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert err == "error: no frame could be processed\n"
+    assert "frames processed: 0\n" in out and "frame failures: 2\n" in out
+    assert json.loads(report.read_text()) == {
+        "direction": "undo",
+        "frames_processed": 0,
+        "objects_dropped": 0,
+        "failures": [{"frame_id": f"{i:06d}", "reason": f"frame {i:06d} missing from sidecar"}
+                     for i in range(2)],
+    }
+
+
+def test_pose_error_with_no_poses_is_a_usage_error(tmp_path, capsys):
+    est, poses = tmp_path / "est.jsonl", tmp_path / "poses.txt"
+    est.write_bytes(b"")
+    poses.write_bytes(b"")
+    assert main(["pose-error", "--est", str(est), "--gt-poses", str(poses)]) == 1
+    assert capsys.readouterr().err == "error: no poses to compare\n"
+
+
+@pytest.mark.parametrize("subcommand", ["simulate", "rectify"])
+def test_shared_calibration_with_a_negative_focal_length_ends_the_run(
+    tmp_path, capsys, subcommand
+):
+    label_dir, _ = write_dataset(tmp_path / "in", n_frames=2)
+    shared = tmp_path / "calib.txt"
+    shared.write_text(
+        "P0: 721.5377 0 609.5593 0 0 721.5377 172.854 0 0 0 1 0\n"
+        "P1: 721.5377 0 609.5593 -387.5744 0 721.5377 172.854 0 0 0 1 0\n"
+        "P2: -721.5377 0 609.5593 44.85728 0 721.5377 172.854 0.2163791 0 0 1 0.002745884\n"
+    )
+    root = tmp_path / "run"
+    root.mkdir()
+    assert main(run_frames(subcommand, root, shared, label_dir)) == 2
+    assert capsys.readouterr().err == (
+        f"error: calibration {shared}: line 3: "
+        "P2 focal lengths must be positive, got -721.5377 and 721.5377\n"
+    )
+
+
+@pytest.mark.parametrize("value, grad_check", [("yes", True), ("off", False), ("maybe", None)])
+def test_loss_config_sets_a_boolean(tmp_path, capsys, value, grad_check):
+    """A boolean config key reads yes/no words; any other word is a usage error."""
+    out = save_feature(tmp_path / "out.ftb", np.arange(6.0).reshape(2, 1, 3))
+    content = save_feature(tmp_path / "content.ftb", np.ones((2, 1, 3)))
+    config = tmp_path / "loss.cfg"
+    config.write_text(f"grad-check = {value}\n")
+    code = main(["loss", "--config", str(config), "--output", str(out),
+                 "--content", str(content)])
+    stdout, err = capsys.readouterr()
+    if grad_check is None:
+        assert code == 1
+        assert err == f"error: config key grad-check: expected a boolean, got {value!r}\n"
+    else:
+        assert code == 0
+        assert ("grad_check" in json.loads(stdout)) is grad_check
+
+
+def test_class_list_of_no_names_is_a_usage_error(tmp_path, capsys):
+    label_dir, _ = write_dataset(tmp_path / "in", n_frames=1, scores=True)
+    code = main(["evaluate", "--gt", str(label_dir), "--det", str(label_dir),
+                 "--classes", ","])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: argument --classes: expected a comma-separated list, got ','\n"
+    )
+
+
+@pytest.mark.parametrize("subcommand", ["simulate", "evaluate"])
+def test_output_under_a_regular_file_exits_2(tmp_path, capsys, subcommand):
+    label_dir, calib_dir = write_dataset(tmp_path / "in", n_frames=1, scores=True)
+    blocker = tmp_path / "file"
+    blocker.write_text("x\n")
+    argv = {
+        "simulate": ["simulate", "--labels", str(label_dir), "--calib", str(calib_dir),
+                     "--out", str(blocker / "out")],
+        "evaluate": ["evaluate", "--gt", str(label_dir), "--det", str(label_dir),
+                     "--out", str(blocker / "out" / "report.json")],
+    }[subcommand]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: cannot create output directory: ")
+    assert blocker.read_text() == "x\n"
+
+
+def test_report_path_that_is_a_directory_exits_2(tmp_path, capsys):
+    poses, est = tmp_path / "poses.txt", tmp_path / "est.jsonl"
+    write_straight_poses(poses, 3, 1.0)
+    write_estimates(est, 3, pitch=0.0)
+    report = tmp_path / "report"
+    report.mkdir()
+    code = main(["pose-error", "--est", str(est), "--gt-poses", str(poses),
+                 "--report", str(report)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write report {report}: ")
+    assert list(report.iterdir()) == []

@@ -80,6 +80,8 @@ class TestTypes:
         )
         k = CameraIntrinsics.from_projection(p)
         assert (k.fx, k.fy, k.cx, k.cy, k.skew) == (700.0, 700.0, 600.0, 180.0, 0.0)
+        with pytest.raises(ValueError, match=r"^projection matrix must be 3x4, got \(3, 3\)$"):
+            CameraIntrinsics.from_projection(p[:, :3])
 
     def test_perturbation_angle_bounds(self):
         ExtrinsicPerturbation(pitch=1.5, roll=-1.5)
@@ -175,6 +177,10 @@ class TestEnsureRotation:
     def test_rejects_reflection(self):
         with pytest.raises(NotARotation):
             ensure_rotation(np.diag([1.0, 1.0, -1.0]))
+
+    def test_rejects_a_negative_tolerance(self):
+        with pytest.raises(ValueError, match="^tol must be non-negative, got -1$"):
+            ensure_rotation(np.eye(3), tol=-1)
 
     def test_rejects_wrong_shape_and_nonfinite(self):
         with pytest.raises(NotARotation):

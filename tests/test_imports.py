@@ -182,6 +182,35 @@ def test_no_function_imports_but_the_dispatch_and_the_lazy_namespace():
     ], found
 
 
+def test_json_is_parsed_only_by_the_readers_that_name_their_input():
+    """``json.loads`` and ``json.load`` are called only in ``_extrinsics._json_lines``
+    and ``tensorio._check_sidecar``, which turn every parse failure (not UTF-8,
+    not JSON, nested too deeply) into an input error naming the file, so no JSON
+    input ends a run in a traceback.  No module imports from ``json`` by name,
+    which would hide a call from this check."""
+    found = []
+
+    def visit(node, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{where.split('.')[0]}.{child.name}")
+                continue
+            if isinstance(child, ast.ImportFrom) and child.module == "json":
+                found.append((where, ast.unparse(child)))
+            elif isinstance(child, ast.Call) and ast.unparse(child.func) in (
+                "json.load", "json.loads"
+            ):
+                found.append((where, ast.unparse(child.func)))
+            visit(child, where)
+
+    for path in sorted((SRC / "camperturb").glob("*.py")):
+        visit(ast.parse(path.read_text(), str(path)), path.stem)
+    assert sorted(found) == [
+        ("_extrinsics._json_lines", "json.loads"),
+        ("tensorio._check_sidecar", "json.loads"),
+    ], found
+
+
 # ---------------------------------------------------------------------------
 # the lazy namespace
 

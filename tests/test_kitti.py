@@ -423,6 +423,10 @@ class TestParseCalibFile:
         with pytest.raises(MissingKey):
             parse_calib_file(b"P0: 1 0 0 0 0 1 0 0 0 0 1 0\n").intrinsics()
 
+    def test_missing_named_projection(self):
+        with pytest.raises(MissingKey, match="^required calibration key 'P3' is missing$"):
+            parse_calib_file(GOLDEN_CALIB).intrinsics("P3")
+
     def test_eleven_numbers_rejected(self):
         with pytest.raises(MalformedLine):
             parse_calib_file(b"P2: 700 0 600 0 0 700 180 0 0 0 1\n")

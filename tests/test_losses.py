@@ -39,6 +39,11 @@ class TestFeatureTensor:
         with pytest.raises(ValueError):
             tensor(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("shape", [(0, 2, 2), (2, 0, 2), (2, 2, 0)])
+    def test_rejects_a_zero_length_axis(self, shape):
+        with pytest.raises(ValueError, match=r"^feature tensor axes must be >= 1, got \("):
+            tensor(np.zeros(shape))
+
     def test_rejects_nonfinite(self):
         bad = np.zeros((1, 1, 2))
         bad[0, 0, 0] = math.inf
@@ -198,6 +203,8 @@ class TestTotalLoss:
         t = tensor(np.zeros((1, 1, 1)))
         with pytest.raises(ValueError):
             total_loss(t, t, [], gamma_content=-1.0)
+        with pytest.raises(ValueError, match="^gamma_style must be >= 0, got -1$"):
+            total_loss(t, t, [t], gamma_style=-1)
 
 
 class TestLossGradients:

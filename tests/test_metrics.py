@@ -1233,6 +1233,12 @@ class TestAverageOrientationSimilarity:
 
 
 class TestNuScenesErrors:
+    def test_dontcare_is_never_scored(self):
+        region = make_label("DontCare", bbox=(100, 100, 200, 200))
+        frames = [detection_frame([region], [region])]
+        with pytest.raises(NoMatches, match="^class 'DontCare' marks regions and is never scored$"):
+            nuscenes_errors(frames, "DontCare")
+
     def test_identical_boxes(self):
         box = make_box(x=2.0, z=20.0, yaw=0.4)
         gt = make_label(box=box)

@@ -1,5 +1,7 @@
 """Binary PGM (P5) / PPM (P6) round trips and malformed-input handling."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,20 @@ class TestReadImage:
     def test_rejects_truncated_raster(self):
         with pytest.raises(MalformedImage):
             read_image(b"P5\n4 4\n255\n" + bytes(3))
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            ("P5\n1 1\n255\n\x00", "expected bytes, got str"),
+            (b"P5\na 1\n255\n\x00", "non-integer width token b'a'"),
+            (b"P5\n0 1\n255\n", "image must be non-empty, got 0x1"),
+            (b"P5\n1 1\n255", "missing whitespace byte before raster"),
+        ],
+        ids=["str", "width-token", "width-zero", "no-whitespace"],
+    )
+    def test_rejects_a_bad_header_naming_the_fault(self, raw, message):
+        with pytest.raises(MalformedImage, match=f"^{re.escape(message)}$"):
+            read_image(raw)
 
     def test_never_crashes_on_arbitrary_bytes(self):
         rng = np.random.default_rng(61)

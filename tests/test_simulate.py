@@ -1,5 +1,6 @@
 """Gaussian pitch/roll sampling, label transfer, image warping, batch protocol."""
 
+import dataclasses
 import math
 import sys
 import threading
@@ -369,6 +370,10 @@ class TestWarpImage:
         with pytest.raises(SingularHomography):
             warp_image(self._image(4, 4), np.zeros((3, 3)))
 
+    def test_rejects_non_finite_homography(self):
+        with pytest.raises(SingularHomography, match="^homography must be a finite 3x3"):
+            warp_image(self._image(4, 4), np.full((3, 3), np.nan))
+
     def test_rejects_bad_fill(self):
         with pytest.raises(ValueError):
             warp_image(self._image(4, 4), np.eye(3), fill=300)
@@ -532,6 +537,20 @@ class TestSimulateDataset:
         assert result.failures == ()
         assert result.total_dropped == 1
         assert result.frames[0].dropped == 1
+
+    def test_box_beyond_the_float_range_fails_its_frame_only(self):
+        far = make_label(bbox=(0, 0, 10, 10))
+        far = dataclasses.replace(far, x=1.79e308, y=1.79e308, z=1.79e308)
+        frames = [SceneFrame(frame_id="f", intrinsics=K, labels=(far,)), self._frames(1)[0]]
+        result = simulate_dataset(frames, PerturbationSpec(seed=3))
+        assert result.failures == (("f", "camera point must be finite after the rotation"),)
+        assert [frame.frame_id for frame in result.frames] == [frames[1].frame_id]
+
+    def test_scene_frame_needs_an_id_and_reports_its_given_image_size(self):
+        with pytest.raises(ValueError, match="^frame_id must be non-empty$"):
+            SceneFrame(frame_id="", intrinsics=K, labels=())
+        frame = SceneFrame(frame_id="f", intrinsics=K, labels=(), image_size=(10, 5))
+        assert frame.effective_image_size() == (10, 5)
 
     def test_homography_matches_applied_angles(self):
         frames = self._frames(2)

@@ -70,6 +70,12 @@ class TestMalformedInput:
         with pytest.raises(MalformedTensor):
             tensor_from_bytes(bytes(raw))
 
+    @pytest.mark.parametrize("shape", [(0, 1, 1), (2, 0, 1), (2, 1, 0)])
+    def test_rejects_a_zero_dimension(self, shape):
+        raw = tensor_to_bytes(sample_tensor())[:4] + np.array(shape, "<u4").tobytes()
+        with pytest.raises(MalformedTensor, match=r"^degenerate shape \("):
+            tensor_from_bytes(raw)
+
     def test_rejects_truncated_payload(self):
         raw = tensor_to_bytes(sample_tensor())
         with pytest.raises(MalformedTensor):
