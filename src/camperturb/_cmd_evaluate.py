@@ -2,7 +2,6 @@
 
 import math
 import os
-from collections import Counter, defaultdict
 from pathlib import Path
 
 from . import _frames, kitti, metrics
@@ -17,21 +16,16 @@ _CELL_FIELDS = ("metric", "class", "difficulty", "threshold")
 
 
 def _value(tally, set_: int, metric: str, class_name: str, bin_):
-    """One report cell's value for detection set ``set_`` from the ``(blocks, num_gt)``
-    tally of ``metrics._record_chunk``; 'n/a' when undefined.
+    """One cell's value for detection set ``set_`` of a metrics tally; 'n/a' when undefined.
 
     ``bin_`` is the cell's ``DifficultyBin`` (None for a nuScenes cell).
     """
-    blocks, num_gt = tally
-    key = (set_, _KIND_BY_METRIC.get(metric, "nuscenes"), bin_, class_name)
+    kind = _KIND_BY_METRIC.get(metric, "nuscenes")
     try:
-        if metric in _NUSCENES_FIELDS:
-            errors = metrics._mean_errors(blocks.get(key), class_name)
-            return getattr(errors, _NUSCENES_FIELDS[metric])
-        return metrics.class_sweep({class_name: blocks.get(key)}, {class_name: num_gt[key]},
-                                   class_name, bin_, metric == "aos")[0]
+        value = metrics._cell(tally, set_, kind, bin_, class_name, metric == "aos")
     except (NoGroundTruth, NoMatches):
         return "n/a"
+    return getattr(value, _NUSCENES_FIELDS[metric]) if kind == "nuscenes" else value[0]
 
 
 def _cell_keys(cfg):
@@ -100,7 +94,7 @@ def run(cfg) -> None:
             raise failure
         return part
 
-    tally = (defaultdict(list), Counter())
+    tally = metrics._tally()
     chunks = _frames._chunks(frame_ids, _frames._CHUNK_FRAMES)
     for part in _frames._ordered_map(score, chunks, cfg.jobs):
         metrics._add_tally(tally, part)

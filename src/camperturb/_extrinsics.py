@@ -24,6 +24,8 @@ def _json_lines(data: bytes, build):
             record = json.loads(line)
         except RecursionError as exc:
             raise MalformedLine(line_no, "JSON nested too deeply") from exc
+        except json.JSONDecodeError as exc:  # the line is its document: name only its column
+            raise MalformedLine(line_no, f"{exc.msg} at column {exc.colno}") from exc
         except ValueError as exc:
             raise MalformedLine(line_no, str(exc)) from exc
         if not isinstance(record, dict):

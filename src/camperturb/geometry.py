@@ -350,9 +350,11 @@ def image_homography(k: CameraIntrinsics, rotation: np.ndarray) -> np.ndarray:
     """Pixel-to-pixel homography K @ R @ K^-1 for a pure in-camera rotation.
 
     Under a pure rotation the transfer is depth independent, so a single
-    3x3 map moves every pixel.  The result is normalized so its (3, 3)
-    entry is 1 whenever that entry is nonzero.  An exact identity rotation
-    returns an exact identity homography.
+    3x3 map moves every pixel.  The result is divided by the magnitude of
+    its (3, 3) entry whenever that entry is nonzero, so the entry becomes 1
+    or -1: the homogeneous w of a mapped pixel keeps its sign, which tells
+    a pixel in front of the camera (w > 0) from one behind it.  An exact
+    identity rotation returns an exact identity homography.
     """
     rotation = np.asarray(rotation, dtype=float)
     if rotation.shape != (3, 3):
@@ -364,7 +366,7 @@ def image_homography(k: CameraIntrinsics, rotation: np.ndarray) -> np.ndarray:
     if abs(det) < 1e-12:
         raise SingularHomography(f"homography is singular (det={det:.3e})")
     if h[2, 2] != 0.0:
-        h = h / h[2, 2]
+        h = h / abs(h[2, 2])
     return h
 
 

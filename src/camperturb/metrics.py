@@ -23,8 +23,9 @@ keyed ``(set, kind, bin, class)``, the nuScenes error blocks under kind
 ``"nuscenes"``.  The matching of every set, IoU kind and difficulty, and
 the nuScenes center-distance matching, is one :func:`_greedy_by_rank`
 call, which matches all (frame, class) groups side by side, one NumPy
-step per detection rank.  :func:`class_sweep` ranks and accumulates a
-class's records as arrays.
+step per detection rank.  :func:`_cell` is the one reader of a tally:
+a report cell's sweep, which :func:`class_sweep` ranks and accumulates
+as arrays, or its mean nuScenes errors.
 """
 
 from __future__ import annotations
@@ -453,6 +454,11 @@ def match_frame(
     )
 
 
+def _tally():
+    """An empty ``(blocks, num_gt)`` tally of :func:`_record_chunk`."""
+    return defaultdict(list), Counter()
+
+
 def _add_tally(total, part) -> None:
     """Add the ``(blocks, num_gt)`` tally ``part`` of :func:`_record_chunk` to ``total``, each
     block as a copy: kept records then pin no arrays made among a worker's temporaries."""
@@ -527,7 +533,7 @@ def _record_chunk(sets, kinds, bins, classes, threshold, match_radius):
     "nuscenes", None, class)``; ``num_gt`` counts in-bin ground truth, keyed like
     the AP/AOS blocks.  All are matched in one :func:`_greedy_by_rank` call.
     Raises :class:`DegenerateBox` naming a frame with a refused box."""
-    tally, plans, segments = (defaultdict(list), Counter()), [], []
+    tally, plans, segments = _tally(), [], []
     for set_, chunk in enumerate(map(_Chunk, sets)):
         for kind, bin_, in_bin, pairs, absorbed, ious in (
             _ap_segments(chunk, kinds, threshold, bins) if kinds else ()
@@ -548,61 +554,30 @@ def _record_chunk(sets, kinds, bins, classes, threshold, match_radius):
     return tally
 
 
-def match_pass(
-    frames,
-    iou_kind: str = "2d",
-    threshold: float = 0.7,
-    difficulties=(DifficultyBin.MODERATE,),
-) -> dict[DifficultyBin, tuple[dict[str, list], Counter]]:
-    """Match every frame at each of ``difficulties``, for all classes at once.
-
-    Returns ``{difficulty: (records, num_gt)}``.  ``records`` maps each
-    class to a list of (n, 3) blocks of (score, is_tp, similarity) rows,
-    one per true or false positive, in frame order (each frame's true
-    positives in match order, then its false positives in index order);
-    ``similarity`` is (1 + cos(alpha_det - alpha_gt)) / 2 for true
-    positives and 0 otherwise.  ``num_gt`` counts each class's in-bin
-    ground truth.  Raises ``ValueError`` on an empty frame list, and
-    :class:`DegenerateBox` naming the frame whose box has no footprint.
-    """
-    frames = list(frames)
-    if not frames:
-        raise ValueError("frames must be non-empty")
-    bins = list(dict.fromkeys(difficulties))
-    tables = [(frame.frame_id, *_tables(frame)) for frame in frames]
-    blocks, num_gt = _record_chunk([tables], (iou_kind,), bins, (), threshold, None)
-    passes = {bin_: (defaultdict(list), Counter()) for bin_ in bins}
-    for (_, _, bin_, class_name), class_blocks in blocks.items():
-        passes[bin_][0][class_name] = class_blocks
-    for (_, _, bin_, class_name), n in num_gt.items():
-        passes[bin_][1][class_name] = n
-    return passes
-
-
 def class_sweep(
-    records,
-    num_gt: dict[str, int],
+    blocks,
+    total_gt: int,
     class_name: str,
     difficulty: DifficultyBin,
     use_similarity: bool = False,
 ) -> tuple[float, PRCurve]:
-    """Run the 40-point sweep over one class's records of :func:`match_pass`.
+    """Run the 40-point sweep over one cell's record ``blocks`` of :func:`_record_chunk`:
+    (score, is_tp, similarity) rows, similarity (1 + cos(alpha_det - alpha_gt)) / 2 for a
+    true positive and 0 otherwise, against the cell's ``total_gt`` in-bin ground truth.
 
     The numerator is the true-positive count (AP40) or, with
     ``use_similarity``, the summed orientation similarity (AOS), added in
     rank order (equal scores in record order).  Curve points are taken after
     each group of equal scores, so ties contribute atomically and the result
     matches an exhaustive per-threshold evaluation.  Raises
-    :class:`NoGroundTruth` when the class has no in-bin ground truth
-    (``difficulty`` names the bin in the message).
+    :class:`NoGroundTruth` when ``total_gt`` is 0 (the message names
+    ``class_name`` and ``difficulty``).
     """
-    total_gt = num_gt.get(class_name, 0)
     if total_gt == 0:
         raise NoGroundTruth(
             f"no ground truth of class {class_name!r} in difficulty bin "
             f"{difficulty.name}"
         )
-    blocks = records.get(class_name)
     rows = np.concatenate(blocks) if blocks else np.empty((0, 3))
     rows = rows[np.argsort(-rows[:, 0], kind="stable")]
     ends = np.flatnonzero(np.append(rows[1:, 0] != rows[:-1, 0], True))[:len(rows)]
@@ -617,6 +592,35 @@ def class_sweep(
     return ap, PRCurve(recalls=RECALL_POINTS, precisions=tuple(interpolated))
 
 
+def _cell(tally, set_: int, kind: str, bin_, class_name: str, use_similarity: bool = False):
+    """One cell of a :func:`_record_chunk` tally, keyed ``(set_, kind, bin_, class_name)``.
+
+    For an IoU kind it is the :func:`class_sweep` of the cell's records; for
+    kind ``"nuscenes"`` (``bin_`` None) the :class:`NuScenesErrors` of its
+    (ATE, ASE, AOE) rows, each mean summed left to right.  Raises
+    :class:`NoGroundTruth` or :class:`NoMatches` when the cell is undefined.
+    """
+    blocks, num_gt = tally
+    key = (set_, kind, bin_, class_name)
+    if kind != "nuscenes":
+        return class_sweep(blocks.get(key), num_gt[key], class_name, bin_, use_similarity)
+    if key not in blocks:  # blocks hold rows, so a key with blocks has a match
+        raise NoMatches(f"no detection of class {class_name!r} matched any ground truth")
+    rows = np.concatenate(blocks[key])
+    return NuScenesErrors(*(sum(rows[:, k].tolist()) / len(rows) for k in range(3)),
+                          matches=len(rows))
+
+
+def _sweep(frames, class_name, iou_kind, threshold, difficulty, use_similarity=False):
+    """The :func:`_cell` of ``frames``, one detection set, matched at ``iou_kind``,
+    ``threshold`` and ``difficulty``.  Raises ``ValueError`` on an empty frame list."""
+    tables = [(frame.frame_id, *_tables(frame)) for frame in frames]
+    if not tables:
+        raise ValueError("frames must be non-empty")
+    tally = _record_chunk([tables], (iou_kind,), (difficulty,), (), threshold, None)
+    return _cell(tally, 0, iou_kind, difficulty, class_name, use_similarity)
+
+
 def average_precision_40(
     frames,
     class_name: str,
@@ -629,8 +633,7 @@ def average_precision_40(
     Raises :class:`NoGroundTruth` when the class has no in-bin ground
     truth anywhere (the metric is undefined, not zero).
     """
-    records, num_gt = match_pass(frames, iou_kind, threshold, (difficulty,))[difficulty]
-    return class_sweep(records, num_gt, class_name, difficulty)
+    return _sweep(frames, class_name, iou_kind, threshold, difficulty)
 
 
 def average_orientation_similarity(
@@ -645,17 +648,7 @@ def average_orientation_similarity(
     positive contributes (1 + cos(alpha_det - alpha_gt)) / 2 instead of 1,
     so AOS never exceeds the 2D AP at the same threshold.
     """
-    records, num_gt = match_pass(frames, "2d", threshold, (difficulty,))[difficulty]
-    return class_sweep(records, num_gt, class_name, difficulty, use_similarity=True)
-
-
-def _mean_errors(blocks, class_name: str) -> NuScenesErrors:
-    """Means of the (ATE, ASE, AOE) rows of :func:`_add_errors`, each summed left to right."""
-    rows = np.concatenate(blocks) if blocks else np.empty((0, 3))
-    matches = len(rows)
-    if not matches:
-        raise NoMatches(f"no detection of class {class_name!r} matched any ground truth")
-    return NuScenesErrors(*(sum(rows[:, k].tolist()) / matches for k in range(3)), matches=matches)
+    return _sweep(frames, class_name, "2d", threshold, difficulty, use_similarity=True)
 
 
 def nuscenes_errors(
@@ -678,6 +671,6 @@ def nuscenes_errors(
         raise ValueError(f"match_radius must be positive, got {match_radius}")
     if class_name == DONTCARE:
         raise NoMatches(f"class {DONTCARE!r} marks regions and is never scored")
-    tables = [(frame.frame_id, *_tables(frame)) for frame in frames]
-    blocks = _record_chunk([tables], (), (), (class_name,), None, match_radius)[0] if tables else {}
-    return _mean_errors(blocks.get((0, "nuscenes", None, class_name)), class_name)
+    tables = [(frame.frame_id, *_tables(frame)) for frame in frames]  # none: no set, no match
+    tally = _record_chunk([tables] if tables else [], (), (), (class_name,), None, match_radius)
+    return _cell(tally, 0, "nuscenes", None, class_name)

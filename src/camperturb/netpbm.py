@@ -94,12 +94,12 @@ def read_image(data: bytes) -> RasterImage:
         raise MalformedImage("missing whitespace byte before raster")
     pos += 1
     expected = width * height * channels
-    raster = data[pos : pos + expected]
-    if len(raster) < expected:
+    if len(data) - pos < expected:
         raise MalformedImage(
-            f"raster truncated: expected {expected} bytes, got {len(raster)}"
+            f"raster truncated: expected {expected} bytes, got {len(data) - pos}"
         )
-    array = np.frombuffer(raster, dtype=np.uint8).reshape(height, width, channels)
+    # a view of the raster in place, copied once into the image
+    array = np.frombuffer(data, np.uint8, expected, pos).reshape(height, width, channels)
     return RasterImage(data=array.copy())
 
 

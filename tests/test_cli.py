@@ -1680,21 +1680,29 @@ _GOOD_RECORD = {
         ("--est", b'{"frame_id": "000001", "roll": 0.0}', "missing field 'pitch'"),
         ("--est", b"[0.0, 0.0]", "expected a JSON object"),
         ("--est", b"[" * 100_000, "JSON nested too deeply"),
+        ("--sidecar", b'{"frame_id": "000001" "pitch": 0.0, "roll": 0.0}',
+         "Expecting ',' delimiter at column 23"),
+        ("--horizon", b'{"frame_id": "000001", "slope": 0.0 "intercept_v": 40.0, '
+                      b'"vp_u": 60.0, "vp_v": 40.0}', "Expecting ',' delimiter at column 37"),
+        ("--est", b'{"frame_id": "000001", "pitch": 0.0, "roll": 0.0',
+         "Expecting ',' delimiter at column 49"),
     ],
     ids=[
         "sidecar-bool", "sidecar-string", "sidecar-int-frame-id", "sidecar-huge-int",
         "sidecar-not-utf8", "truth-bool", "horizon-bool", "horizon-int-frame-id",
         "horizon-string", "est-bool", "sidecar-missing-field", "sidecar-array",
         "sidecar-deep", "truth-null", "horizon-missing-field", "horizon-array", "horizon-deep",
-        "est-missing-field", "est-array", "est-deep",
+        "est-missing-field", "est-array", "est-deep", "sidecar-not-json", "horizon-not-json",
+        "est-not-json",
     ],
 )
 def test_json_lines_values_must_be_utf8_json_numbers_and_strings(
     tmp_path, capsys, flag, line, message
 ):
     """A record field of the wrong JSON type or missing, a line that is not a
-    JSON object, is nested too deeply or is not UTF-8, ends the run naming the
-    file and line instead of being coerced."""
+    JSON object, is not JSON, is nested too deeply or is not UTF-8, ends the
+    run naming the file and line (and a JSON error its column) instead of
+    being coerced."""
     label_dir, calib_dir = write_dataset(tmp_path / "in", n_frames=2)
     good = _GOOD_RECORD["--horizon" if flag == "--horizon" else "--sidecar"]
     bad = tmp_path / "bad.jsonl"

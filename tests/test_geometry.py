@@ -16,6 +16,7 @@ from camperturb import (
     NonPositiveDepth,
     NotARotation,
     OutOfRange,
+    SingularHomography,
     backproject,
     box_corners,
     ensure_rotation,
@@ -378,6 +379,10 @@ class TestImageHomography:
     def test_rejects_wrong_shape(self):
         with pytest.raises(NotARotation):
             image_homography(K, np.eye(4))
+
+    def test_rejects_a_singular_matrix(self):
+        with pytest.raises(SingularHomography, match="^homography is singular"):
+            image_homography(K, np.zeros((3, 3)))
 
 
 # ---------------------------------------------------------------------------

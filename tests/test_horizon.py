@@ -96,6 +96,16 @@ class TestHorizonVpFromExtrinsics:
             assert abs(back.pitch - pitch) < 1e-9
             assert abs(back.roll - roll) < 1e-9
 
+    def test_steep_pitch_keeps_the_vanishing_point_in_front(self):
+        """At pitch 1.5 the (3, 3) entry of K R K^-1 is negative, yet the
+        rotated forward axis points ahead (z = cos 1.5 > 0)."""
+        line, vp = horizon_vp_from_extrinsics(ExtrinsicPerturbation(1.5, 0.0), K)
+        assert vp.u == pytest.approx(K.cx, abs=1e-9)
+        assert vp.v == pytest.approx(K.cy - K.fy * math.tan(1.5), rel=1e-12)
+        back = extrinsics_from_horizon_vp(line, vp, K)
+        assert abs(back.pitch - 1.5) < 1e-9
+        assert abs(back.roll) < 1e-9
+
     def test_pitch_only_keeps_slope_exactly_zero(self):
         for pitch in (0.001, 0.05, -0.2, 0.29):
             line, _ = horizon_vp_from_extrinsics(ExtrinsicPerturbation(pitch, 0.0), K)

@@ -211,6 +211,21 @@ def test_json_is_parsed_only_by_the_readers_that_name_their_input():
     ], found
 
 
+def test_report_cells_are_swept_only_inside_metrics():
+    """No module but ``metrics`` calls, imports or otherwise names ``class_sweep``:
+    ``evaluate`` reads each report cell through ``metrics._cell``, the one reader
+    of a tally, and knows neither the tally's keys nor its shape."""
+    found = []
+    for path in sorted((SRC / "camperturb").glob("*.py")):
+        if path.stem == "metrics":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            name = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}.get(type(node))
+            if name and getattr(node, name) == "class_sweep":
+                found.append((path.stem, node.lineno, ast.unparse(node)))
+    assert found == [], found
+
+
 # ---------------------------------------------------------------------------
 # the lazy namespace
 

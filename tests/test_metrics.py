@@ -27,7 +27,7 @@ from camperturb import (
 from camperturb import metrics
 from camperturb.geometry import _box_row
 from camperturb.kitti import difficulty_of
-from camperturb.metrics import class_sweep, match_pass
+from camperturb.metrics import class_sweep
 
 from helpers import detection_frame, make_box, make_label, with_score
 from oracles import (
@@ -48,6 +48,15 @@ def bbox_label(left, top, right, bottom, score=None, class_name="Car", alpha=0.0
         score=score,
         alpha=alpha,
     )
+
+
+def one_set(frames):
+    """``frames`` as the one detection set of ``metrics._record_chunk``."""
+    return [[(frame.frame_id, *metrics._tables(frame)) for frame in frames]]
+
+
+#: The difficulty bins of a moderate-only ``metrics._record_chunk`` call.
+MODERATE = (DifficultyBin.MODERATE,)
 
 
 def random_box(rng, z_range=(5.0, 40.0)):
@@ -463,10 +472,12 @@ class TestGroupedKernel:
         lone = detection_frame([car], [found, flat], frame_id="000004")
         walker = make_label("Pedestrian", make_box(x=6.0))
         paired = detection_frame([car, walker], [found, flat], frame_id="000005")
-        assert match_pass([lone], "bev", 0.5)[DifficultyBin.MODERATE][1] == {"Car": 1}
-        assert match_pass([lone, paired], "2d", 0.5)
+        assert metrics._record_chunk(one_set([lone]), ("bev",), MODERATE, (), 0.5, None)[1] == {
+            (0, "bev", DifficultyBin.MODERATE, "Car"): 1
+        }
+        assert metrics._record_chunk(one_set([lone, paired]), ("2d",), MODERATE, (), 0.5, None)
         with pytest.raises(DegenerateBox, match="^frame 000005: BEV footprint has"):
-            match_pass([lone, paired, paired], "3d", 0.5)
+            metrics._record_chunk(one_set([lone, paired, paired]), ("3d",), MODERATE, (), 0.5, None)
 
 
     def test_measures_that_overflow_fail_only_with_a_partner(self):
@@ -480,15 +491,15 @@ class TestGroupedKernel:
         walker = make_label("Pedestrian", make_box(x=6.0), bbox=(0.0, 0.0, 1e200, 1e200))
         unpaired = detection_frame([walker], [with_score(car, 0.9)], frame_id="000002")
         for kind in ("2d", "3d"):
-            assert match_pass([unpaired], kind, 0.5)[DifficultyBin.MODERATE][1] == {
-                "Pedestrian": 1
-            }
+            tally = metrics._record_chunk(one_set([unpaired]), (kind,), MODERATE, (), 0.5, None)
+            assert tally[1] == {(0, kind, DifficultyBin.MODERATE, "Pedestrian"): 1}
         for kind, reason in (("2d", "2D box area"), ("bev", None), ("3d", "box volume")):
             if reason is None:
-                assert match_pass([lone], kind, 0.5)[DifficultyBin.MODERATE][1] == {"Car": 1}
+                tally = metrics._record_chunk(one_set([lone]), (kind,), MODERATE, (), 0.5, None)
+                assert tally[1] == {(0, kind, DifficultyBin.MODERATE, "Car"): 1}
                 continue
             with pytest.raises(DegenerateBox, match=f"^frame 000001: {reason} reaches half"):
-                match_pass([unpaired, lone], kind, 0.5)
+                metrics._record_chunk(one_set([unpaired, lone]), (kind,), MODERATE, (), 0.5, None)
         with pytest.raises(DegenerateBox, match="^frame 000001: box volume reaches half"):
             nuscenes_errors([unpaired, lone], "Car", match_radius=30.0)
 
@@ -497,14 +508,17 @@ class TestGroupedKernel:
         det = with_score(make_label("Car", make_box(), bbox=(0.0, 0.0, 1e200, 1e200)), 0.9)
         frame = detection_frame([region], [det], frame_id="000007")
         with pytest.raises(DegenerateBox, match="^frame 000007: 2D box area reaches half"):
-            match_pass([frame], "3d", 0.5)
+            metrics._record_chunk(one_set([frame]), ("3d",), MODERATE, (), 0.5, None)
 
     def test_zero_volume_is_refused_for_3d_and_nuscenes(self):
         tiny = make_label("Car", make_box(height=1e-320, width=1e-5, length=1e-5),
                           bbox=(100.0, 100.0, 200.0, 200.0))
         frame = detection_frame([tiny], [with_score(tiny, 0.9)], frame_id="000009")
-        assert match_pass([frame], "bev", 0.5)[DifficultyBin.MODERATE][1] == {"Car": 1}
-        for run in (lambda: match_pass([frame], "3d", 0.5),
+        assert metrics._record_chunk(one_set([frame]), ("bev",), MODERATE, (), 0.5, None)[1] == {
+            (0, "bev", DifficultyBin.MODERATE, "Car"): 1
+        }
+        for run in (lambda: metrics._record_chunk(one_set([frame]), ("3d",), MODERATE, (), 0.5,
+                                                  None),
                     lambda: nuscenes_errors([frame], "Car")):
             with pytest.raises(DegenerateBox, match="^frame 000009: box has zero volume$"):
                 run()
@@ -895,32 +909,38 @@ class TestMatchFrameAgainstTheScalarMatcher:
         assert errors.matches == 1 and errors.ate == math.hypot(x, z - 16.0)
 
 
-class TestMatchPass:
+class TestRecordChunk:
     @pytest.mark.parametrize("kind", ["2d", "bev", "3d"])
     def test_all_difficulties_at_once_equal_match_frame_per_difficulty(self, kind):
         frames = jittered_frames(np.random.default_rng(53))
         bins = (DifficultyBin.EASY, DifficultyBin.MODERATE, DifficultyBin.HARD)
-        passes = match_pass(frames, kind, 0.5, bins)
-        assert list(passes) == list(bins)
+        blocks, got_num_gt = metrics._record_chunk(one_set(frames), (kind,), bins, (), 0.5, None)
+        assert {key[:3] for key in got_num_gt} == {(0, kind, difficulty) for difficulty in bins}
+        records, num_gt = {}, Counter()
         for difficulty in bins:
-            records, num_gt = {}, Counter()
             for frame in frames:
                 result = match_frame(frame, kind, 0.5, difficulty)
                 gt, dets = frame.ground_truth, frame.detections
-                num_gt.update(gt[j].class_name for j, _, _ in result.pairs)
-                num_gt.update(gt[j].class_name for j in result.unmatched_gt)
+                cell = (0, kind, difficulty)
+                num_gt.update((*cell, gt[j].class_name) for j, _, _ in result.pairs)
+                num_gt.update((*cell, gt[j].class_name) for j in result.unmatched_gt)
                 for j, i, _ in result.pairs:
                     sim = (1.0 + math.cos(dets[i].alpha - gt[j].alpha)) / 2.0
-                    records.setdefault(dets[i].class_name, []).append((dets[i].score, 1, sim))
+                    records.setdefault((*cell, dets[i].class_name), []).append(
+                        (dets[i].score, 1, sim)
+                    )
                 for i in result.unmatched_det:
-                    records.setdefault(dets[i].class_name, []).append((dets[i].score, 0, 0.0))
-            got_records, got_num_gt = passes[difficulty]
-            assert got_num_gt == num_gt
-            triples = {c: list(map(tuple, np.concatenate(blocks).tolist()))
-                       for c, blocks in got_records.items()}
-            assert triples == records
+                    records.setdefault((*cell, dets[i].class_name), []).append(
+                        (dets[i].score, 0, 0.0)
+                    )
+        assert got_num_gt == num_gt
+        triples = {key: list(map(tuple, np.concatenate(key_blocks).tolist()))
+                   for key, key_blocks in blocks.items()}
+        assert triples == records
         # the bins differ on these frames, so each difficulty was matched on its own
-        assert passes[DifficultyBin.EASY][1] != passes[DifficultyBin.HARD][1]
+        easy, hard = ({key[3]: n for key, n in got_num_gt.items() if key[2] == difficulty}
+                      for difficulty in (DifficultyBin.EASY, DifficultyBin.HARD))
+        assert easy != hard
 
 
 # ---------------------------------------------------------------------------
@@ -1095,17 +1115,16 @@ class TestSweepOnArrays:
             total_gt = sum(is_tp) + int(rng.integers(0 if any(is_tp) else 1, 5))
             rows = np.array(records, dtype=float).reshape(-1, 3)
             cuts = np.sort(rng.integers(0, n + 1, int(rng.integers(0, 3))))
-            by_class = {"Car": [block for block in np.split(rows, cuts) if len(block)]}
-            num_gt = {"Car": total_gt, "Van": 3}
+            blocks = [block for block in np.split(rows, cuts) if len(block)]
             for use_similarity in (False, True):
-                ap, curve = class_sweep(by_class, num_gt, "Car", DifficultyBin.MODERATE,
+                ap, curve = class_sweep(blocks, total_gt, "Car", DifficultyBin.MODERATE,
                                         use_similarity)
                 assert ap == pytest.approx(
                     brute_force_ap40(records, total_gt, use_similarity), abs=1e-12
                 )
                 assert ap == sequential_sweep(records, total_gt, use_similarity)
                 assert all(type(p) is float for p in curve.precisions)
-            ap, curve = class_sweep(by_class, num_gt, "Van", DifficultyBin.MODERATE)
+            ap, curve = class_sweep(None, 3, "Van", DifficultyBin.MODERATE)
             assert ap == brute_force_ap40([], 3) == 0.0 and set(curve.precisions) == {0.0}
 
 
@@ -1173,9 +1192,11 @@ class TestOverflowDomain:
     def test_only_3d_holds_the_vertical_extent(self):
         high = make_label("Car", make_box(y=1e152))
         frame = detection_frame([high], [with_score(high, 0.9)], frame_id="000011")
-        assert match_pass([frame], "bev", 0.5)[DifficultyBin.MODERATE][1] == {"Car": 1}
+        assert metrics._record_chunk(one_set([frame]), ("bev",), MODERATE, (), 0.5, None)[1] == {
+            (0, "bev", DifficultyBin.MODERATE, "Car"): 1
+        }
         with pytest.raises(DegenerateBox, match="^frame 000011: box top or bottom reaches 1e152"):
-            match_pass([frame], "3d", 0.5)
+            metrics._record_chunk(one_set([frame]), ("3d",), MODERATE, (), 0.5, None)
 
     def test_sane_scale_pairs_equal_the_monte_carlo_oracle(self):
         rng = np.random.default_rng(149)

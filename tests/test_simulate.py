@@ -370,6 +370,19 @@ class TestWarpImage:
         with pytest.raises(SingularHomography):
             warp_image(self._image(4, 4), np.zeros((3, 3)))
 
+    def test_negative_bottom_right_entry_keeps_the_pixels_in_front(self):
+        """K R K^-1 of this pitch and roll has a negative (3, 3) entry; the
+        normalized homography warps as the unscaled one does, and does not
+        map every pixel behind the camera."""
+        rotation = perturbation_matrix(ExtrinsicPerturbation(-0.88, -1.54))
+        unscaled = K.matrix() @ rotation @ K.inverse_matrix()
+        assert unscaled[2, 2] < 0.0
+        # pixels lie in [100, 255], so the fill 77 marks exactly the unmapped ones
+        data = np.random.default_rng(89).integers(100, 256, size=(375, 1242, 3), dtype=np.uint8)
+        out = warp_image(RasterImage(data=data), image_homography(K, rotation), fill=77).data
+        assert np.array_equal(out, warp_image(RasterImage(data=data), unscaled, fill=77).data)
+        assert (out != 77).any()
+
     def test_rejects_non_finite_homography(self):
         with pytest.raises(SingularHomography, match="^homography must be a finite 3x3"):
             warp_image(self._image(4, 4), np.full((3, 3), np.nan))
