@@ -84,7 +84,7 @@ def run(cfg) -> None:
                 set_frames.append((frame_id, gt, dets))
         plan = (kinds, bins, classes, cfg.iou_threshold, cfg.match_radius)
         try:
-            part = metrics._record_chunk(sets, *plan) if sets[0] else None  # None: failure
+            part = metrics._record_chunk(sets, *plan)
         except DegenerateBox:  # of several bad frames (and sets) the first in id order names it
             for frame in zip(*sets):
                 for set_frame in frame:

@@ -1,6 +1,5 @@
 """``camperturb pose-error``: geodesic angular error of estimated extrinsics vs. pose truth."""
 
-import itertools
 import math
 import re
 from pathlib import Path
@@ -22,7 +21,7 @@ def _load_estimates(data: bytes) -> np.ndarray:
     if re.match(rb"\s*{", data):
         angles = (pair for _, pair in _json_lines(data, _angles))
         return _rotations(np.fromiter(angles, np.dtype((float, 2))))
-    return kitti._pose_stack(data)[:, :, :3]
+    return kitti._pose_stack(data)[0][:, :, :3]
 
 
 def _poses_and_path(data: bytes) -> tuple[np.ndarray, float]:
@@ -33,7 +32,7 @@ def _poses_and_path(data: bytes) -> tuple[np.ndarray, float]:
     leaves the float range raises :class:`MalformedLine` at the pose it
     leads to; finite steps, each below 1.4e154 m, cannot overflow the sum.
     """
-    poses = kitti._pose_stack(data)
+    poses, line_nos = kitti._pose_stack(data)
     with np.errstate(over="ignore"):  # refused below
         steps = np.diff(poses[:, :, 3], axis=0)
         lengths = np.sqrt(steps[:, None, :] @ steps[:, :, None]).ravel()
@@ -41,9 +40,7 @@ def _poses_and_path(data: bytes) -> tuple[np.ndarray, float]:
     for step in lengths.tolist():
         path_length += step
     if not math.isfinite(path_length):
-        beyond = int(np.argmax(~np.isfinite(lengths))) + 1
-        pose_lines = (n for n, line in kitti._text_lines(data, "pose file") if line.split())
-        line_no = next(itertools.islice(pose_lines, beyond, None))
+        line_no = line_nos[int(np.argmax(~np.isfinite(lengths))) + 1]
         raise MalformedLine(line_no, "the path to this pose is longer than the float range")
     return poses, path_length
 

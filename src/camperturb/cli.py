@@ -85,7 +85,7 @@ def _parse_bool(text: str) -> bool:
 def _read_config_file(path: str) -> dict[str, str]:
     """Read a flat key=value file; '#' starts a comment, blank lines skipped."""
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"cannot read config file {path}: {exc}") from exc
     values: dict[str, str] = {}
@@ -265,12 +265,13 @@ def _write(path: Path, data: bytes | str, what: str) -> None:
         data = data.encode("utf-8")
     try:
         try:
+            f = open(path, "xb")
+        except FileExistsError:
             replace = stat.S_ISREG(os.lstat(path).st_mode)
-        except FileNotFoundError:
-            replace = True
-        if replace:
-            path.unlink(missing_ok=True)
-        with open(path, "xb" if replace else "wb") as f:
+            if replace:
+                path.unlink()
+            f = open(path, "xb" if replace else "wb")
+        with f:
             f.write(data)
     except OSError as exc:
         raise _IOFailure(f"cannot write {what} {path}: {exc}") from exc

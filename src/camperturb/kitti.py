@@ -272,11 +272,11 @@ class _LabelTable(NamedTuple):
 
 
 def _stacked(tables) -> tuple[_LabelTable, np.ndarray]:
-    """One label table of ``tables`` in order, and the index of each row's table."""
+    """One label table of ``tables`` in order, empty for none, and the index of each row's table."""
     stacked = _LabelTable(
         [name for table in tables for name in table.names],
-        np.concatenate([table.values for table in tables]),
-        np.concatenate([table.scored for table in tables]),
+        np.concatenate([np.empty((0, 15)), *(table.values for table in tables)]),
+        np.concatenate([np.empty(0, bool), *(table.scored for table in tables)]),
     )
     return stacked, np.repeat(np.arange(len(tables)), [len(table.names) for table in tables])
 
@@ -476,12 +476,12 @@ def parse_odometry_poses(data: bytes | str) -> list[OdometryPose]:
     """
     return [
         OdometryPose(frame_index=index, rotation=pose[:, :3], translation=pose[:, 3])
-        for index, pose in enumerate(_pose_stack(data))
+        for index, pose in enumerate(_pose_stack(data)[0])
     ]
 
 
-def _pose_stack(data: bytes | str) -> np.ndarray:
-    """The poses of :func:`parse_odometry_poses` as one (n, 3, 4) array, checked at once.
+def _pose_stack(data: bytes | str) -> tuple[np.ndarray, array]:
+    """The (n, 3, 4) poses of :func:`parse_odometry_poses`, checked at once, and the line of each.
 
     The text is read a block at a time (:func:`_text_lines`) into one
     preallocated array, each line converted by one ``map(float)``.  A line
@@ -508,7 +508,7 @@ def _pose_stack(data: bytes | str) -> np.ndarray:
             values = np.resize(values, (2 * len(values), 12))
         values[len(line_nos)] = row
         line_nos.append(line_no)
-    return _require_pose_rotations(values, line_nos)
+    return _require_pose_rotations(values, line_nos), line_nos
 
 
 def _pose_row(tokens: list[str], line_no: int) -> list[float]:

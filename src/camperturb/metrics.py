@@ -671,6 +671,6 @@ def nuscenes_errors(
         raise ValueError(f"match_radius must be positive, got {match_radius}")
     if class_name == DONTCARE:
         raise NoMatches(f"class {DONTCARE!r} marks regions and is never scored")
-    tables = [(frame.frame_id, *_tables(frame)) for frame in frames]  # none: no set, no match
-    tally = _record_chunk([tables] if tables else [], (), (), (class_name,), None, match_radius)
+    tables = [(frame.frame_id, *_tables(frame)) for frame in frames]
+    tally = _record_chunk([tables], (), (), (class_name,), None, match_radius)
     return _cell(tally, 0, "nuscenes", None, class_name)

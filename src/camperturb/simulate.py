@@ -180,8 +180,6 @@ def _move_tables(tables, rotations: np.ndarray, intrinsics, sizes=None) -> list:
     rules of :func:`transform_labels` and fails alone.  Returns, per frame,
     ``(table, dropped)`` or the :class:`OutOfRange` that fails it.
     """
-    if not len(tables):
-        return []
     (names, values, scored), frame = _stacked(tables)
     identity = (rotations == np.eye(3)).all(axis=(1, 2))
     box = ~identity[frame] & np.array([name != DONTCARE for name in names], dtype=bool)

@@ -81,7 +81,7 @@ def save_tensor(path, t: FeatureTensor) -> None:
         "layout": "chw",
     }
     _sidecar_path(path).write_text(
-        json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
+        json.dumps(sidecar, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
 
 

@@ -458,6 +458,22 @@ class TestConfigFile:
         assert code == 1
         assert "cannot read config file" in capsys.readouterr().err
 
+    def test_config_is_read_as_utf8_under_an_ascii_locale(self, tmp_path):
+        """A config file is decoded as UTF-8 as every other input is, whatever the
+        locale's codec: a non-ASCII comment under ``LC_ALL=C`` is no read error."""
+        write_straight_poses(tmp_path / "poses.txt", 3, 1.0)
+        (tmp_path / "run.cfg").write_bytes("# café\nformat = csv\nreport = r.csv\n".encode())
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path, "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"}
+        done = subprocess.run(
+            [sys.executable, "-X", "utf8=0", "-m", "camperturb.cli", "pose-error",
+             "--est", "poses.txt", "--gt-poses", "poses.txt", "--config", "run.cfg"],
+            cwd=tmp_path, capture_output=True, text=True, env=env,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+        assert (tmp_path / "r.csv").read_text(encoding="utf-8").startswith("quantity,value\n")
+
     @pytest.mark.parametrize(
         "subcommand", ["simulate", "evaluate", "rectify", "pose-error", "loss"]
     )
@@ -1643,6 +1659,11 @@ _GOOD_RECORD = {
 }
 
 
+#: The decoder's refusal of a 5000-digit integer (Python's default digit limit).
+_INT_TOO_LONG = ("Exceeds the limit (4300 digits) for integer string conversion: value has "
+                 "5000 digits; use sys.set_int_max_str_digits() to increase the limit")
+
+
 @pytest.mark.parametrize(
     "flag, line, message",
     [
@@ -1686,6 +1707,12 @@ _GOOD_RECORD = {
                       b'"vp_u": 60.0, "vp_v": 40.0}', "Expecting ',' delimiter at column 37"),
         ("--est", b'{"frame_id": "000001", "pitch": 0.0, "roll": 0.0',
          "Expecting ',' delimiter at column 49"),
+        ("--sidecar", b'{"frame_id": "000001", "pitch": 0.0, "roll": 1' + b"0" * 4999 + b"}",
+         _INT_TOO_LONG),
+        ("--horizon", b'{"frame_id": "000001", "slope": 0.0, "intercept_v": 40.0, '
+                      b'"vp_u": 60.0, "vp_v": 1' + b"0" * 4999 + b"}", _INT_TOO_LONG),
+        ("--est", b'{"frame_id": "000001", "pitch": 0.0, "roll": 1' + b"0" * 4999 + b"}",
+         _INT_TOO_LONG),
     ],
     ids=[
         "sidecar-bool", "sidecar-string", "sidecar-int-frame-id", "sidecar-huge-int",
@@ -1693,7 +1720,7 @@ _GOOD_RECORD = {
         "horizon-string", "est-bool", "sidecar-missing-field", "sidecar-array",
         "sidecar-deep", "truth-null", "horizon-missing-field", "horizon-array", "horizon-deep",
         "est-missing-field", "est-array", "est-deep", "sidecar-not-json", "horizon-not-json",
-        "est-not-json",
+        "est-not-json", "sidecar-int-too-long", "horizon-int-too-long", "est-int-too-long",
     ],
 )
 def test_json_lines_values_must_be_utf8_json_numbers_and_strings(

@@ -226,6 +226,29 @@ def test_report_cells_are_swept_only_inside_metrics():
     assert found == [], found
 
 
+def test_text_files_name_their_encoding():
+    """Every ``read_text``/``write_text`` call and every text-mode ``open`` passes
+    ``encoding=``: text decoded with the locale's codec reads under a UTF-8 locale
+    and fails under ``LC_ALL=C``.  A mode is binary when each string in it has a ``b``."""
+    found = []
+    for path in sorted((SRC / "camperturb").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = ast.unparse(node.func)
+            if func in ("open", "io.open") or (func.endswith(".open") and func != "os.open"):
+                positional = node.args[1:] if func in ("open", "io.open") else node.args
+                mode = [k.value for k in node.keywords if k.arg == "mode"] + positional[:1]
+                strings = [c.value for m in mode for c in ast.walk(m)
+                           if isinstance(c, ast.Constant) and isinstance(c.value, str)]
+                text = not strings or any("b" not in s for s in strings)
+            else:
+                text = func.endswith((".read_text", ".write_text"))
+            if text and not any(k.arg == "encoding" for k in node.keywords):
+                found.append(f"{path.stem}.py:{node.lineno}: {func}")
+    assert found == [], found
+
+
 # ---------------------------------------------------------------------------
 # the lazy namespace
 

@@ -641,6 +641,20 @@ class TestParseLongPoseFiles:
             parse_odometry_poses(pose_text(lines))
         assert exc.value.line_no == 4
 
+    def test_pose_stack_returns_the_line_of_each_pose(self):
+        poses, line_nos = kitti._pose_stack(pose_text([IDENTITY_POSE, "", IDENTITY_POSE]))
+        assert poses.tolist() == [np.eye(3, 4).tolist()] * 2
+        assert list(line_nos) == [1, 3]
+
+
+class TestStacked:
+    def test_no_tables_stack_to_an_empty_table(self):
+        (names, values, scored), frame = kitti._stacked([])
+        assert names == []
+        assert (values.shape, values.dtype) == ((0, 15), np.float64)
+        assert (scored.shape, scored.dtype) == ((0,), np.bool_)
+        assert frame.shape == (0,)
+
 
 class TestDifficultyOf:
     #: (2D box height, occlusion, truncation) points around every bin's cutoffs.

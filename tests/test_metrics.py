@@ -942,6 +942,13 @@ class TestRecordChunk:
                       for difficulty in (DifficultyBin.EASY, DifficultyBin.HARD))
         assert easy != hard
 
+    def test_sets_without_frames_give_an_empty_tally(self):
+        bins = (DifficultyBin.EASY, DifficultyBin.MODERATE, DifficultyBin.HARD)
+        for sets in ([[]], [[], []]):
+            blocks, num_gt = metrics._record_chunk(sets, ("2d", "bev", "3d"), bins, ("Car",),
+                                                   0.5, 2.0)
+            assert (dict(blocks), num_gt) == ({}, Counter())
+
 
 # ---------------------------------------------------------------------------
 # AP40 / AOS
