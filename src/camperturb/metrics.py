@@ -18,14 +18,16 @@ max-interpolated at recalls 1/40 .. 40/40.  AOS runs the same sweep with
 the numerator replaced by accumulated orientation similarity
 (1 + cos(delta alpha)) / 2, which makes AOS <= AP on 2D matching.
 :func:`_record_chunk` scores a chunk of frames of one or more detection
-sets into one flat tally: record blocks and in-bin ground-truth counts
-keyed ``(set, kind, bin, class)``, the nuScenes error blocks under kind
-``"nuscenes"``.  The matching of every set, IoU kind and difficulty, and
-the nuScenes center-distance matching, is one :func:`_greedy_by_rank`
-call, which matches all (frame, class) groups side by side, one NumPy
-step per detection rank.  :func:`_cell` is the one reader of a tally:
-a report cell's sweep, which :func:`class_sweep` ranks and accumulates
-as arrays, or its mean nuScenes errors.
+sets into a flat tally of columns, a row per scored detection in visit
+order (by frame, descending score): per set its ``"score"`` and
+``"class"`` code (into the chunk's ``"names"``), per ``(set, kind,
+bin)`` an int8 outcome (1 TP, 0 FP, -1 ignored) and for ``2d`` a
+``"similarity"`` (0 unless a TP), and the ``"nuscenes"`` (ATE, ASE, AOE)
+row and class code of each match.  ``num_gt`` counts in-bin ground truth
+by ``(set, kind, bin, class)``.  One :func:`_greedy_by_rank` call matches
+them all, every (frame, class) group side by side, one NumPy step per
+detection rank.  :func:`_cell`, the one reader of a tally, selects a
+cell's rows by class and outcome for :func:`class_sweep`.
 """
 
 from __future__ import annotations
@@ -354,10 +356,11 @@ class _Chunk:
         self.frames = frames
         self.gt, self.gt_frame = _stacked([frame[1] for frame in frames])
         self.dets, self.det_frame = _stacked([frame[2] for frame in frames])
-        self.names = list(dict.fromkeys([DONTCARE, *self.gt.names, *self.dets.names]))
+        names = dict.fromkeys([DONTCARE, *self.gt.names, *self.dets.names])
+        self.names = np.array(list(names), dtype=object)
         codes = {name: code for code, name in enumerate(self.names)}
         self.gt_class, self.det_class = (
-            np.fromiter(map(codes.__getitem__, t.names), np.int64, len(t.names))
+            np.fromiter(map(codes.__getitem__, t.names), np.min_scalar_type(len(codes)))
             for t in (self.gt, self.dets)
         )
         scored = np.flatnonzero(self.det_class)
@@ -455,52 +458,36 @@ def match_frame(
 
 
 def _tally():
-    """An empty ``(blocks, num_gt)`` tally of :func:`_record_chunk`."""
+    """An empty ``(columns, num_gt)`` tally of :func:`_record_chunk`."""
     return defaultdict(list), Counter()
 
 
 def _add_tally(total, part) -> None:
-    """Add the ``(blocks, num_gt)`` tally ``part`` of :func:`_record_chunk` to ``total``, each
-    block as a copy: kept records then pin no arrays made among a worker's temporaries."""
-    for key, blocks in part[0].items():
-        total[0][key].extend(block.copy() for block in blocks)
+    """Add the ``(columns, num_gt)`` tally ``part`` of :func:`_record_chunk` to ``total``."""
+    for key, columns in part[0].items():
+        total[0][key].extend(columns)
     total[1].update(part[1])
 
 
-def _add_blocks(blocks, cell, chunk: _Chunk, det, rows, *keys) -> None:
-    """Append ``rows``, one per detection ``det`` of ``chunk``, to ``blocks`` as a
-    block per class, keyed ``(*cell, class)``, in the order of ``keys``
-    (``np.lexsort``'s), then their own."""
-    codes = chunk.det_class[det]
-    counts = np.bincount(codes, minlength=len(chunk.names))
-    for name, block in zip(chunk.names, np.split(rows[np.lexsort((*keys, codes))],
-                                                 np.cumsum(counts)[:-1])):
-        if len(block):
-            blocks[(*cell, name)].append(block)
-
-
 def _add_records(chunk: _Chunk, in_bin, absorbed, tally, cell, claims) -> None:
-    """Add the records and in-bin ground truth of one ``cell``, a ``(set, kind, bin)``,
-    of ``chunk``, given its ``claims``, to ``tally``, a ``(blocks, num_gt)``."""
-    blocks, num_gt = tally
+    """Add the outcome (and ``2d`` similarity) column of one ``cell``, a ``(set, kind, bin)``,
+    of ``chunk``, given its ``claims``, and its in-bin ground truth to ``tally``."""
+    columns, num_gt = tally
     counts = np.bincount(chunk.gt_class[in_bin], minlength=len(chunk.names)).tolist()
     num_gt.update({(*cell, name): n for name, n in zip(chunk.names[1:], counts[1:]) if n})
     tp, claimed = chunk.claimed(claims)
-    det = np.concatenate([chunk.order[tp], np.sort(chunk.order[~tp & ~absorbed])])
-    gt_alpha = chunk.gt.values[chunk.gt_idx[claimed], _ALPHA]
-    rows = np.zeros((len(det), 3))  # (score, is_tp, similarity)
-    rows[:, 0] = chunk.dets.values[det, _SCORE]
-    rows[:len(gt_alpha), 1] = 1.0
-    rows[:len(gt_alpha), 2] = (1.0 + np.cos(chunk.dets.values[det[:len(gt_alpha)], _ALPHA]
-                                            - gt_alpha)) / 2.0
-    # by frame; a frame's true positives in match order, then its false positives
-    _add_blocks(blocks, cell, chunk, det, rows, chunk.det_frame[det])
+    columns[cell].append(np.where(tp, 1, np.where(absorbed, -1, 0)).astype(np.int8))
+    if cell[1] == "2d":
+        gt_alpha = chunk.gt.values[chunk.gt_idx[claimed], _ALPHA]
+        similarity = np.zeros(len(tp))
+        similarity[tp] = (1.0 + np.cos(chunk.dets.values[chunk.order[tp], _ALPHA] - gt_alpha)) / 2
+        columns[(*cell, "similarity")].append(similarity)
 
 
-def _add_errors(chunk: _Chunk, classes, blocks, cell, claims) -> None:
-    """Add (ATE, ASE, AOE) of each match of ``chunk``, given its ``claims``, to
-    ``blocks`` under ``cell``; ATE is ``math.hypot`` of the centers.
-    Raises :class:`DegenerateBox` naming the frame of the first match (by frame,
+def _add_errors(chunk: _Chunk, classes, columns, cell, claims) -> None:
+    """Add (ATE, ASE, AOE) of each match of ``chunk``, given its ``claims``, in visit order
+    to ``columns[cell]``, its class code to ``(*cell, "class")``; ATE is ``math.hypot`` of the
+    centers.  Raises :class:`DegenerateBox` naming the frame of the first match (by frame,
     ``classes`` order, visit) with a volume of zero or of ``_MAX_MEASURE``."""
     tp, claimed = chunk.claimed(claims)
     det = chunk.order[tp]
@@ -522,19 +509,19 @@ def _add_errors(chunk: _Chunk, classes, blocks, cell, claims) -> None:
     rows[:, 0] = list(map(math.hypot, (a[:, 0] - b[:, 0]).tolist(), (a[:, 2] - b[:, 2]).tolist()))
     rows[:, 1] = 1.0 - inter / (vol_a + vol_b - inter)
     rows[:, 2] = np.abs(np.remainder(a[:, 6] - b[:, 6] + math.pi, 2.0 * math.pi) - math.pi)
-    _add_blocks(blocks, cell, chunk, det, rows)
+    columns[cell].append(rows)
+    columns[(*cell, "class")].append(chunk.det_class[det])
 
 
 def _record_chunk(sets, kinds, bins, classes, threshold, match_radius):
-    """The ``(blocks, num_gt)`` tally of each detection set's ``(frame_id, gt, dets)``
-    frames, sets numbered in order.  ``blocks`` holds the AP/AOS record blocks of
-    each IoU kind of ``kinds`` and difficulty of ``bins``, keyed ``(set, kind, bin,
-    class)``, and the (ATE, ASE, AOE) blocks of each of ``classes``, keyed ``(set,
-    "nuscenes", None, class)``; ``num_gt`` counts in-bin ground truth, keyed like
-    the AP/AOS blocks.  All are matched in one :func:`_greedy_by_rank` call.
-    Raises :class:`DegenerateBox` naming a frame with a refused box."""
+    """The ``(columns, num_gt)`` tally (see the module docstring) of each detection set's
+    ``(frame_id, gt, dets)`` frames, sets numbered in order; a set without frames records
+    nothing.  Raises :class:`DegenerateBox` naming a frame with a refused box."""
     tally, plans, segments = _tally(), [], []
-    for set_, chunk in enumerate(map(_Chunk, sets)):
+    for set_, chunk in ((set_, _Chunk(frames)) for set_, frames in enumerate(sets) if frames):
+        tally[0][(set_, "names")].append(chunk.names)
+        tally[0][(set_, "score")].append(chunk.dets.values[chunk.order, _SCORE])
+        tally[0][(set_, "class")].append(chunk.det_class[chunk.order])
         for kind, bin_, in_bin, pairs, absorbed, ious in (
             _ap_segments(chunk, kinds, threshold, bins) if kinds else ()
         ):
@@ -548,7 +535,7 @@ def _record_chunk(sets, kinds, bins, classes, threshold, match_radius):
             wanted = np.isin(chunk.names, classes)[chunk.gt_class[chunk.gt_idx]]
             pairs = np.flatnonzero(wanted & (dist <= match_radius))
             segments.append(chunk.segment(pairs, -dist))
-            plans.append(partial(_add_errors, chunk, classes, tally[0], (set_, "nuscenes", None)))
+            plans.append(partial(_add_errors, chunk, classes, tally[0], (set_, "nuscenes")))
     for plan, claims in zip(plans, _greedy_by_rank(segments)):
         plan(claims)
     return tally
@@ -561,8 +548,8 @@ def class_sweep(
     difficulty: DifficultyBin,
     use_similarity: bool = False,
 ) -> tuple[float, PRCurve]:
-    """Run the 40-point sweep over one cell's record ``blocks`` of :func:`_record_chunk`:
-    (score, is_tp, similarity) rows, similarity (1 + cos(alpha_det - alpha_gt)) / 2 for a
+    """Run the 40-point sweep over one cell's record ``blocks``, as :func:`_cell` selects
+    them: (score, is_tp, similarity) rows, similarity (1 + cos(alpha_det - alpha_gt)) / 2 for a
     true positive and 0 otherwise, against the cell's ``total_gt`` in-bin ground truth.
 
     The numerator is the true-positive count (AP40) or, with
@@ -593,22 +580,35 @@ def class_sweep(
 
 
 def _cell(tally, set_: int, kind: str, bin_, class_name: str, use_similarity: bool = False):
-    """One cell of a :func:`_record_chunk` tally, keyed ``(set_, kind, bin_, class_name)``.
+    """One cell of a :func:`_record_chunk` tally: ``class_name`` in set ``set_``.
 
-    For an IoU kind it is the :func:`class_sweep` of the cell's records; for
-    kind ``"nuscenes"`` (``bin_`` None) the :class:`NuScenesErrors` of its
-    (ATE, ASE, AOE) rows, each mean summed left to right.  Raises
-    :class:`NoGroundTruth` or :class:`NoMatches` when the cell is undefined.
+    For an IoU kind it is the :func:`class_sweep` of the class's detections not ignored in
+    ``(set_, kind, bin_)``, in tally order; for kind ``"nuscenes"`` (``bin_`` None) the
+    :class:`NuScenesErrors` of the class's (ATE, ASE, AOE) rows, each mean summed left to
+    right.  Raises :class:`NoGroundTruth` or :class:`NoMatches` when the cell is undefined.
     """
-    blocks, num_gt = tally
-    key = (set_, kind, bin_, class_name)
-    if kind != "nuscenes":
-        return class_sweep(blocks.get(key), num_gt[key], class_name, bin_, use_similarity)
-    if key not in blocks:  # blocks hold rows, so a key with blocks has a match
-        raise NoMatches(f"no detection of class {class_name!r} matched any ground truth")
-    rows = np.concatenate(blocks[key])
-    return NuScenesErrors(*(sum(rows[:, k].tolist()) / len(rows) for k in range(3)),
-                          matches=len(rows))
+    columns, num_gt = tally
+    is_name = [names == class_name for names in columns.get((set_, "names"), ())]
+
+    def column(*key):  # the set's chunk columns end to end; empty for a set without frames
+        return np.concatenate(columns.get((set_, *key)) or [np.empty(0)])
+
+    def of_class(*key):  # which rows of the set's chunk class codes ``key`` are the class
+        chunks = zip(is_name, columns.get((set_, *key), ()))
+        return np.concatenate([np.zeros(0, bool), *(lookup[codes] for lookup, codes in chunks)])
+
+    if kind == "nuscenes":
+        rows = column(kind)[of_class(kind, "class")]
+        if not len(rows):
+            raise NoMatches(f"no detection of class {class_name!r} matched any ground truth")
+        return NuScenesErrors(*(sum(rows[:, k].tolist()) / len(rows) for k in range(3)),
+                              matches=len(rows))
+    outcome = column(kind, bin_)
+    keep = of_class("class") & (outcome >= 0)
+    similarity = column(kind, bin_, "similarity") if use_similarity else np.zeros(len(keep))
+    rows = np.column_stack([column("score")[keep], outcome[keep], similarity[keep]])
+    total_gt = num_gt[(set_, kind, bin_, class_name)]
+    return class_sweep([rows], total_gt, class_name, bin_, use_similarity)
 
 
 def _sweep(frames, class_name, iou_kind, threshold, difficulty, use_similarity=False):

@@ -909,38 +909,72 @@ class TestMatchFrameAgainstTheScalarMatcher:
         assert errors.matches == 1 and errors.ate == math.hypot(x, z - 16.0)
 
 
+def tally_outcomes(table, *key):
+    """The ``(true positives, false positives, ignored)`` of ``key`` in ``table``, made empty
+    on first use: true positives as a list of (detection, similarity), in order."""
+    return table.setdefault(key, ([], set(), set()))
+
+
 class TestRecordChunk:
     @pytest.mark.parametrize("kind", ["2d", "bev", "3d"])
     def test_all_difficulties_at_once_equal_match_frame_per_difficulty(self, kind):
         frames = jittered_frames(np.random.default_rng(53))
         bins = (DifficultyBin.EASY, DifficultyBin.MODERATE, DifficultyBin.HARD)
-        blocks, got_num_gt = metrics._record_chunk(one_set(frames), (kind,), bins, (), 0.5, None)
+        columns, got_num_gt = metrics._record_chunk(one_set(frames), (kind,), bins, (), 0.5, None)
         assert {key[:3] for key in got_num_gt} == {(0, kind, difficulty) for difficulty in bins}
-        records, num_gt = {}, Counter()
+        # a row per detection: by frame, then descending score, then index
+        rows = [(f, i) for f, frame in enumerate(frames)
+                for i in sorted(range(len(frame.detections)),
+                                key=lambda i: (-frame.detections[i].score, i))]
+        visited = [frames[f].detections[i] for f, i in rows]
+        assert np.concatenate(columns[(0, "score")]).tolist() == [det.score for det in visited]
+        chunks = zip(columns[(0, "names")], columns[(0, "class")])
+        classes = np.concatenate([names[codes] for names, codes in chunks]).tolist()
+        assert classes == [det.class_name for det in visited]
+        got, expected, num_gt = {}, {}, Counter()
         for difficulty in bins:
-            for frame in frames:
+            cell = (0, kind, difficulty)
+            outcomes = np.concatenate(columns[cell]).tolist()
+            sims = (np.concatenate(columns[(*cell, "similarity")]).tolist() if kind == "2d"
+                    else [0.0] * len(rows))
+            for (f, i), det, outcome, sim in zip(rows, visited, outcomes, sims):
+                tps, fps, ignored = tally_outcomes(got, *cell, det.class_name, f)
+                if outcome == 1:
+                    tps.append((i, sim))
+                else:
+                    assert sim == 0.0
+                    (fps if outcome == 0 else ignored).add(i)
+            for f, frame in enumerate(frames):
                 result = match_frame(frame, kind, 0.5, difficulty)
                 gt, dets = frame.ground_truth, frame.detections
-                cell = (0, kind, difficulty)
                 num_gt.update((*cell, gt[j].class_name) for j, _, _ in result.pairs)
                 num_gt.update((*cell, gt[j].class_name) for j in result.unmatched_gt)
                 for j, i, _ in result.pairs:
                     sim = (1.0 + math.cos(dets[i].alpha - gt[j].alpha)) / 2.0
-                    records.setdefault((*cell, dets[i].class_name), []).append(
-                        (dets[i].score, 1, sim)
-                    )
-                for i in result.unmatched_det:
-                    records.setdefault((*cell, dets[i].class_name), []).append(
-                        (dets[i].score, 0, 0.0)
-                    )
+                    tps = tally_outcomes(expected, *cell, dets[i].class_name, f)[0]
+                    tps.append((i, sim if kind == "2d" else 0.0))
+                for k, indices in ((1, result.unmatched_det), (2, result.ignored_det)):
+                    for i in indices:
+                        tally_outcomes(expected, *cell, dets[i].class_name, f)[k].add(i)
         assert got_num_gt == num_gt
-        triples = {key: list(map(tuple, np.concatenate(key_blocks).tolist()))
-                   for key, key_blocks in blocks.items()}
-        assert triples == records
+        assert got == expected
         # the bins differ on these frames, so each difficulty was matched on its own
         easy, hard = ({key[3]: n for key, n in got_num_gt.items() if key[2] == difficulty}
                       for difficulty in (DifficultyBin.EASY, DifficultyBin.HARD))
         assert easy != hard
+
+    def test_tally_keeps_at_most_64_bytes_per_scored_detection(self):
+        """One score and class code per scored detection, an int8 outcome per (kind, bin)
+        and a similarity per 2D bin, not a (score, TP, similarity) record per cell."""
+        frames = [jittered_frames(np.random.default_rng(seed), 12) for seed in (59, 61)]
+        bins = (DifficultyBin.EASY, DifficultyBin.MODERATE, DifficultyBin.HARD)
+        sets = [one_set(set_frames)[0] for set_frames in frames]
+        columns, _ = metrics._record_chunk(sets, ("2d", "bev", "3d"), bins, ("Car", "Pedestrian"),
+                                           0.5, 2.0)
+        scored = sum(len(frame.detections) for set_frames in frames for frame in set_frames)
+        nbytes = sum(column.nbytes for key_columns in columns.values() for column in key_columns)
+        assert len(np.concatenate(columns[(0, "nuscenes")]))  # the nuScenes rows count too
+        assert nbytes <= 64 * scored
 
     def test_sets_without_frames_give_an_empty_tally(self):
         bins = (DifficultyBin.EASY, DifficultyBin.MODERATE, DifficultyBin.HARD)
@@ -1243,6 +1277,26 @@ class TestAverageOrientationSimilarity:
         aos, _ = average_orientation_similarity(frames, "Car")
         assert ap == 100.0
         assert aos == pytest.approx(0.75 * ap, abs=1e-12)
+
+    def test_tied_true_positives_add_by_frame_then_visit_order(self):
+        """True positives of one score in three frames, with false positives of that
+        score between them by index: their similarities add by frame, then visit
+        order (a false positive adds 0.0), bit for bit; another order gives other bits."""
+        alphas = ((1.07, 1.32), (2.9, 1.71), (0.81, 0.76))
+        frames, records = [], []
+        for f, frame_alphas in enumerate(alphas):
+            gts, dets = [], []
+            for k, alpha in enumerate(frame_alphas):
+                left = 50.0 + 300.0 * k
+                gts.append(bbox_label(left, 100, left + 90, 200))
+                dets += [with_score(bbox_label(left + 150, 100, left + 240, 200), 0.5),
+                         with_score(bbox_label(left, 100, left + 90, 200, alpha=alpha), 0.5)]
+                records += [(0.5, False, 0.0), (0.5, True, (1.0 + math.cos(alpha)) / 2.0)]
+            frames.append(detection_frame(gts, dets, frame_id=f"{f:06d}"))
+        aos, _ = average_orientation_similarity(frames, "Car")
+        assert aos == sequential_sweep(records, 6, use_similarity=True)
+        frames_reversed = [record for f in (2, 1, 0) for record in records[4 * f:4 * f + 4]]
+        assert aos != sequential_sweep(frames_reversed, 6, use_similarity=True)
 
     def test_never_exceeds_ap2d(self):
         rng = np.random.default_rng(131)
